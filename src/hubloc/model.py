@@ -41,14 +41,40 @@ class Constraint:
     rhs: float
 
 
+@dataclass(frozen=True)
+class CompiledModel:
+    """Read-only arrays of a model, shared by every LP solved on it.
+
+    Nonzeros go row by row, each row's in the order its columns first appear
+    in the terms; duplicates are summed and exact zeros dropped.  ``sense``
+    is the sign of the row's slack: +1 for ``<=``, 0 for ``=``, -1 for ``>=``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    rhs: np.ndarray
+    sense: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    c: np.ndarray
+    binary: np.ndarray
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+
 @dataclass
 class LinearModel:
-    """Minimization model; built once, treated as immutable afterwards."""
+    """Minimization model; change it only through ``add_*`` and ``set_objective``."""
 
     variables: list[Variable] = field(default_factory=list)
     objective: list[tuple[int, float]] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     name_index: dict[str, int] = field(default_factory=dict)
+    _compiled: CompiledModel | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -61,6 +87,7 @@ class LinearModel:
         elif not (math.isfinite(lb) or lb == -math.inf) or math.isnan(ub):
             raise ValueError(f"bad bounds for {name!r}")
         idx = len(self.variables)
+        self._compiled = None
         self.variables.append(Variable(name, kind, lb, ub))
         self.name_index[name] = idx
         return idx
@@ -74,9 +101,11 @@ class LinearModel:
                 raise ValueError(f"bad term ({j}, {c}) in {label}")
         if not math.isfinite(rhs):
             raise ValueError(f"non-finite rhs in {label}")
+        self._compiled = None
         self.constraints.append(Constraint(label, clean, relation, float(rhs)))
 
     def set_objective(self, terms) -> None:
+        self._compiled = None
         self.objective = [(int(j), float(c)) for j, c in terms if c != 0.0]
 
     # -- queries ------------------------------------------------------
@@ -94,12 +123,11 @@ class LinearModel:
             c[j] += coeff
         return c
 
-    def objective_value(self, values) -> float:
-        x = as_value_array(self, values)
-        return float(self.objective_vector() @ x)
-
-    def constraint_labels(self) -> list[str]:
-        return [con.label for con in self.constraints]
+    def compiled(self) -> CompiledModel:
+        """The compiled form, built on first use and dropped by every change."""
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
 
     def source_equation(self, label: str) -> int:
         """Model-family equation number encoded in a constraint label."""
@@ -107,6 +135,28 @@ class LinearModel:
         if not m:
             raise ValueError(f"label {label!r} carries no equation tag")
         return int(m.group(1))
+
+
+def _compile(model: LinearModel) -> CompiledModel:
+    cons, n = model.constraints, max(model.num_variables, 1)
+    rows = np.array([i for i, con in enumerate(cons) for _ in con.terms], dtype=int)
+    terms = [t for con in cons for t in con.terms]
+    cols = np.array([j for j, _ in terms], dtype=int)
+    keys, first, inv = np.unique(rows * n + cols, return_index=True,
+                                 return_inverse=True)
+    merged = np.zeros(len(keys))
+    np.add.at(merged, inv, [a for _, a in terms])
+    keep = np.argsort(first)
+    keep = keep[merged[keep] != 0.0]
+    return CompiledModel(
+        rows=keys[keep] // n, cols=keys[keep] % n, vals=merged[keep],
+        rhs=np.array([con.rhs for con in cons], dtype=float),
+        sense=np.array([{LE: 1, EQ: 0, GE: -1}[con.relation] for con in cons],
+                       dtype=int),
+        lo=np.array([v.lb for v in model.variables], dtype=float),
+        hi=np.array([v.ub for v in model.variables], dtype=float),
+        c=model.objective_vector(),
+        binary=np.array([v.kind == BINARY for v in model.variables], dtype=bool))
 
 
 def as_value_array(model: LinearModel, values) -> np.ndarray:

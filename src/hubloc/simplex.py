@@ -6,8 +6,10 @@ rows), runs phase 1 with artificial variables, then phase 2 with Dantzig
 pricing and a Bland fallback once degeneracy stalls progress.  Free
 variables are split into differences of nonnegative columns at load time.
 
-The load step also substitutes variables whose effective bounds pin them
-to a single value and turns single-variable rows into bounds.  This keeps
+The load step is a presolve over the model's compiled arrays
+(:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
+passes substitute variables whose effective bounds pin them to a single
+value and turn single-variable rows into bounds, which keeps
 branch-and-bound node LPs small.  It is a pure function of the inputs, so
 :func:`verify_certificate` can rebuild the identical standard form and
 recheck a result's basis with independent linear algebra.
@@ -18,12 +20,11 @@ Tolerances: feasibility 1e-7, optimality 1e-7, zero pivot 1e-10.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BINARY, EQ, GE, LE, LinearModel
+from .model import EQ, LE, LinearModel
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -70,188 +71,142 @@ class StandardForm:
     col_ref: np.ndarray
     art_mask: np.ndarray
     init_basis: np.ndarray
-    row_ids: list[int]
     fixed: np.ndarray
     red_lo: np.ndarray
     red_hi: np.ndarray
-    eff_lo: np.ndarray
-    eff_hi: np.ndarray
-    infeasible_msg: str | None = None
 
 
-def effective_bounds(model: LinearModel, relax_binaries: bool,
+def effective_bounds(model: LinearModel,
                      extra_bounds: dict | None) -> tuple[np.ndarray, np.ndarray]:
-    """Variable bounds after binary relaxation and per-variable overrides."""
+    """Variable bounds after per-variable overrides."""
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
-    if extra_bounds:
-        for j, (l, u) in extra_bounds.items():
-            lo[j] = max(lo[j], l)
-            hi[j] = min(hi[j], u)
+    for j, (l, u) in (extra_bounds or {}).items():
+        lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
     return lo, hi
 
 
+def _violation(act, rhs, sense):
+    """How far each row ``act (<=, =, >=) rhs`` is violated (<= 0 if not)."""
+    return np.where(sense == 0, np.abs(act - rhs), sense * (act - rhs))
+
+
+def _subtract_in_order(target, idx, amounts):
+    """Apply ``target[idx] -= amounts`` in order, rounding as a loop would.
+    Equal ``idx`` values must be adjacent; zero amounts are skipped."""
+    keep = amounts != 0.0
+    idx, amounts = idx[keep], amounts[keep]
+    pos = np.arange(idx.size)
+    start = np.ones(idx.size, dtype=bool)
+    start[1:] = idx[1:] != idx[:-1]
+    rank = pos - np.maximum.accumulate(np.where(start, pos, 0))
+    for t in range(int(rank.max(initial=-1)) + 1):
+        target[idx[rank == t]] -= amounts[rank == t]
+
+
 def _standardize(model: LinearModel, relax_binaries: bool,
-                 extra_bounds: dict | None) -> StandardForm:
+                 extra_bounds: dict | None) -> StandardForm | str:
+    """Standard form of the LP, or the reason presolve found it infeasible."""
+    cm = model.compiled()
     n = model.num_variables
-    lo, hi = effective_bounds(model, relax_binaries, extra_bounds)
-    eff_lo, eff_hi = lo.copy(), hi.copy()
-
-    def bad(msg):
-        return StandardForm(
-            A=np.zeros((0, 0)), b=np.zeros(0), c=np.zeros(0), ub=np.zeros(0),
-            col_kind=np.zeros(0, int), col_ref=np.zeros(0, int),
-            art_mask=np.zeros(0, bool), init_basis=np.zeros(0, int),
-            row_ids=[], fixed=np.full(n, np.nan), red_lo=lo, red_hi=hi,
-            eff_lo=eff_lo, eff_hi=eff_hi, infeasible_msg=msg)
-
-    rows, rhs, rel, live = [], [], [], []
-    for con in model.constraints:
-        acc: dict[int, float] = {}
-        for j, c in con.terms:
-            acc[j] = acc.get(j, 0.0) + c
-        rows.append({j: c for j, c in acc.items() if c != 0.0})
-        rhs.append(con.rhs)
-        rel.append(con.relation)
-        live.append(True)
-
+    lo, hi = cm.lo.copy(), cm.hi.copy()
+    for j, (l, u) in (extra_bounds or {}).items():
+        lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
+    rows, cols, vals, sense = cm.rows, cm.cols, cm.vals, cm.sense
+    rhs = cm.rhs.copy()
+    live = np.ones(len(rhs), dtype=bool)
+    free = np.ones(n, dtype=bool)
     fixed = np.full(n, np.nan)
+
+    # presolve fixpoint: pin collapsed columns and move them to the rhs,
+    # retire emptied rows after checking them, turn singleton rows into bounds
     while True:
-        changed = False
-        for j in range(n):
-            if not np.isnan(fixed[j]):
-                continue
-            if lo[j] > hi[j] + FEAS_TOL:
-                return bad(f"empty bound interval for {model.variables[j].name}")
-            if hi[j] - lo[j] <= 1e-12:
-                fixed[j] = 0.5 * (lo[j] + hi[j])
-                changed = True
-        for i, row in enumerate(rows):
-            if not live[i]:
-                continue
-            for j in [j for j in row if not np.isnan(fixed[j])]:
-                rhs[i] -= row.pop(j) * fixed[j]
-            if not row:
-                r = rhs[i]
-                ok = (abs(r) <= FEAS_TOL if rel[i] == EQ
-                      else r >= -FEAS_TOL if rel[i] == LE else r <= FEAS_TOL)
-                if not ok:
-                    return bad(f"constraint {model.constraints[i].label} "
-                               f"unsatisfiable after fixing")
-                live[i] = False
-                changed = True
-            elif len(row) == 1:
-                (j, a), = row.items()
-                v = rhs[i] / a
-                sense = rel[i] if a > 0 else {LE: GE, GE: LE, EQ: EQ}[rel[i]]
-                if sense in (LE, EQ):
-                    hi[j] = min(hi[j], v)
-                if sense in (GE, EQ):
-                    lo[j] = max(lo[j], v)
-                live[i] = False
-                changed = True
-        if not changed:
+        empty_iv = free & (lo > hi + FEAS_TOL)
+        if empty_iv.any():
+            return f"empty bound interval for {model.variables[np.argmax(empty_iv)].name}"
+        pin = free & (hi - lo <= 1e-12)
+        fixed[pin] = 0.5 * (lo[pin] + hi[pin])
+        free &= ~pin
+        hit = pin[cols] & live[rows]
+        _subtract_in_order(rhs, rows[hit], vals[hit] * fixed[cols[hit]])
+        open_ = free[cols] & live[rows]
+        count = np.bincount(rows[open_], minlength=len(rhs))
+        empty = live & (count == 0)
+        broken = empty & (_violation(0.0, rhs, sense) > FEAS_TOL)
+        if broken.any():
+            label = model.constraints[np.argmax(broken)].label
+            return f"constraint {label} unsatisfiable after fixing"
+        single = live & (count == 1)
+        one = open_ & single[rows]
+        r, j, a = rows[one], cols[one], vals[one]
+        v = rhs[r] / a
+        side = sense[r] * np.sign(a)
+        np.minimum.at(hi, j[side >= 0], v[side >= 0])
+        np.maximum.at(lo, j[side <= 0], v[side <= 0])
+        live &= ~(empty | single)
+        if not (pin.any() or empty.any() or single.any()):
             break
 
-    if not relax_binaries:
-        loose = [v.name for j, v in enumerate(model.variables)
-                 if v.kind == BINARY and np.isnan(fixed[j])]
-        if loose:
-            raise ValueError(f"binary variable {loose[0]} is not fixed and "
-                             f"relax_binaries is off")
+    if not relax_binaries and (cm.binary & free).any():
+        name = model.variables[np.argmax(cm.binary & free)].name
+        raise ValueError(f"binary variable {name} is not fixed and "
+                         f"relax_binaries is off")
 
     # column layout: structural (in variable order), slacks, artificials
-    col_kind, col_ref, col_of = [], [], {}
-    for j in range(n):
-        if not np.isnan(fixed[j]):
-            continue
-        if lo[j] == -math.inf and hi[j] == math.inf:
-            col_of[j] = len(col_kind)
-            col_kind += [COL_SPLIT_POS, COL_SPLIT_NEG]
-            col_ref += [j, j]
-        elif lo[j] == -math.inf:
-            col_of[j] = len(col_kind)
-            col_kind.append(COL_MIRROR)
-            col_ref.append(j)
-        else:
-            col_of[j] = len(col_kind)
-            col_kind.append(COL_SHIFT)
-            col_ref.append(j)
+    ref = np.flatnonzero(free)
+    kind = np.where(lo[ref] > -math.inf, COL_SHIFT,
+                    np.where(hi[ref] < math.inf, COL_MIRROR, COL_SPLIT_POS))
+    width = np.where(kind == COL_SPLIT_POS, 2, 1)
+    col_of = np.zeros(n, dtype=int)
+    col_of[ref] = np.cumsum(width) - width
+    struct_kind = np.repeat(kind, width)
+    struct_kind[col_of[ref[kind == COL_SPLIT_POS]] + 1] = COL_SPLIT_NEG
+    struct_ref = np.repeat(ref, width)
+    col_sign = np.where((struct_kind == COL_SPLIT_NEG) | (struct_kind == COL_MIRROR),
+                        -1.0, 1.0)
+    n_struct = len(struct_kind)
+    row_ids = np.flatnonzero(live)
+    slack_rows = np.flatnonzero(sense[row_ids] != 0)
+    n_slack = len(slack_rows)
 
-    row_ids = [i for i in range(len(rows)) if live[i]]
-    m = len(row_ids)
-    n_struct = len(col_kind)
-    n_slack = sum(1 for i in row_ids if rel[i] != EQ)
-    A = np.zeros((m, n_struct + n_slack))
-    b = np.zeros(m)
-    slack_col = n_struct
-    slack_of_row = {}
-    for r, i in enumerate(row_ids):
-        bi = rhs[i]
-        for j, a in sorted(rows[i].items()):
-            k = col_of[j]
-            if col_kind[k] == COL_SHIFT:
-                A[r, k] = a
-                bi -= a * lo[j]
-            elif col_kind[k] == COL_MIRROR:
-                A[r, k] = -a
-                bi -= a * hi[j]
-            else:
-                A[r, k] = a
-                A[r, k + 1] = -a
-        if rel[i] != EQ:
-            A[r, slack_col] = 1.0 if rel[i] == LE else -1.0
-            slack_of_row[r] = slack_col
-            slack_col += 1
-        b[r] = bi
-    col_kind += [COL_SLACK] * n_slack
-    col_ref += [row_ids[r] for r in sorted(slack_of_row)]
+    # rhs after shifting and mirroring columns, in ascending column order
+    keep = free[cols] & live[rows]
+    r, j, a = (np.cumsum(live) - 1)[rows[keep]], cols[keep], vals[keep]
+    k = col_of[j]
+    offset = np.where(struct_kind[k] == COL_SHIFT, lo[j],
+                      np.where(struct_kind[k] == COL_MIRROR, hi[j], 0.0))
+    b, order = rhs[row_ids], np.lexsort((j, r))
+    _subtract_in_order(b, r[order], (a * offset)[order])
 
     # flip rows to make rhs nonnegative, then pick slack or artificial basis
-    init_basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for r in range(m):
-        if b[r] < 0:
-            A[r] *= -1.0
-            b[r] *= -1.0
-        sc = slack_of_row.get(r)
-        if sc is not None and A[r, sc] == 1.0:
-            init_basis[r] = sc
-        else:
-            art_rows.append(r)
-    n_art = len(art_rows)
-    if n_art:
-        A = np.hstack([A, np.zeros((m, n_art))])
-        for t, r in enumerate(art_rows):
-            col = n_struct + n_slack + t
-            A[r, col] = 1.0
-            init_basis[r] = col
-            col_kind.append(COL_ART)
-            col_ref.append(row_ids[r])
+    sign = np.where(b < 0, -1.0, 1.0)
+    b = b * sign
+    slack_sign = sense[row_ids[slack_rows]] * sign[slack_rows]
+    init_basis = np.full(len(b), -1)
+    init_basis[slack_rows[slack_sign == 1]] = n_struct + np.flatnonzero(slack_sign == 1)
+    art_rows = np.flatnonzero(init_basis < 0)
+    init_basis[art_rows] = n_struct + n_slack + np.arange(len(art_rows))
 
-    ncols = A.shape[1]
-    col_kind = np.array(col_kind, dtype=int)
-    col_ref = np.array(col_ref, dtype=int)
-    art_mask = col_kind == COL_ART
-    cvec = model.objective_vector()
-    c = np.zeros(ncols)
-    ub = np.full(ncols, math.inf)
-    for k in range(ncols):
-        kind, ref = col_kind[k], col_ref[k]
-        if kind == COL_SHIFT:
-            c[k] = cvec[ref]
-            ub[k] = hi[ref] - lo[ref]
-        elif kind == COL_SPLIT_POS:
-            c[k] = cvec[ref]
-        elif kind == COL_SPLIT_NEG:
-            c[k] = -cvec[ref]
-        elif kind == COL_MIRROR:
-            c[k] = -cvec[ref]
+    # scatter the compiled nonzeros straight into the standard columns
+    A = np.zeros((len(b), n_struct + n_slack + len(art_rows)))
+    coef = a * sign[r]
+    A[r, k] = coef * col_sign[k]
+    split = struct_kind[k] == COL_SPLIT_POS
+    A[r[split], k[split] + 1] = -coef[split]
+    A[slack_rows, n_struct + np.arange(n_slack)] = slack_sign
+    A[art_rows, init_basis[art_rows]] = 1.0
 
-    return StandardForm(A=A, b=b, c=c, ub=ub, col_kind=col_kind,
-                        col_ref=col_ref, art_mask=art_mask,
-                        init_basis=init_basis, row_ids=row_ids, fixed=fixed,
-                        red_lo=lo, red_hi=hi, eff_lo=eff_lo, eff_hi=eff_hi)
+    col_kind = np.concatenate([struct_kind, np.full(n_slack, COL_SLACK),
+                               np.full(len(art_rows), COL_ART)])
+    col_ref = np.concatenate([struct_ref, row_ids[slack_rows], row_ids[art_rows]])
+    c = np.zeros(A.shape[1])
+    c[:n_struct] = col_sign * cm.c[struct_ref]
+    ub = np.full(A.shape[1], math.inf)
+    shift = np.flatnonzero(struct_kind == COL_SHIFT)
+    ub[shift] = hi[struct_ref[shift]] - lo[struct_ref[shift]]
+    return StandardForm(A=A, b=b, c=c, ub=ub, col_kind=col_kind, col_ref=col_ref,
+                        art_mask=col_kind == COL_ART, init_basis=init_basis,
+                        fixed=fixed, red_lo=lo, red_hi=hi)
 
 
 def _iterate(T, xB, basis, status, ub, d, maxit, start_iter, allow_unbounded):
@@ -350,34 +305,29 @@ def _refine_basics(A, b, basis, status, ub, xB):
 
 
 def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
-    ncols = sf.A.shape[1]
     vals = np.where(status == NB_UPPER, np.where(np.isfinite(sf.ub), sf.ub, 0.0), 0.0)
     vals[basis] = xB
     x = sf.fixed.copy()
-    for k in range(ncols):
-        kind, ref = sf.col_kind[k], sf.col_ref[k]
-        if kind == COL_SHIFT:
-            x[ref] = sf.red_lo[ref] + vals[k]
-        elif kind == COL_SPLIT_POS:
-            x[ref] = vals[k] - vals[k + 1]
-        elif kind == COL_MIRROR:
-            x[ref] = sf.red_hi[ref] - vals[k]
+    shift, pos, mirror = (np.flatnonzero(sf.col_kind == kind)
+                          for kind in (COL_SHIFT, COL_SPLIT_POS, COL_MIRROR))
+    ref = sf.col_ref
+    x[ref[shift]] = sf.red_lo[ref[shift]] + vals[shift]
+    x[ref[pos]] = vals[pos] - vals[pos + 1]
+    x[ref[mirror]] = sf.red_hi[ref[mirror]] - vals[mirror]
     return x
 
 
 def solve_lp(model: LinearModel, relax_binaries: bool = True,
-             extra_bounds: dict | None = None,
-             verbose: bool = False) -> LPResult:
+             extra_bounds: dict | None = None) -> LPResult:
     """Solve the LP (relaxation) of ``model``.
 
     ``extra_bounds`` maps variable index to an (lb, ub) pair intersected
     with the model bounds; branch-and-bound uses it to fix binaries.
-    ``verbose`` logs one line per solve (phase sizes, pivots) to stderr.
     """
     sf = _standardize(model, relax_binaries, extra_bounds)
     ctx = dict(relax_binaries=relax_binaries,
                extra_bounds=dict(extra_bounds) if extra_bounds else None)
-    if sf.infeasible_msg is not None:
+    if isinstance(sf, str):
         return LPResult("infeasible", None, None, np.zeros(0, int),
                         np.zeros(0, int), None, 0, **ctx)
 
@@ -412,23 +362,21 @@ def solve_lp(model: LinearModel, relax_binaries: bool = True,
 
     xB = _refine_basics(sf.A, sf.b, basis, status, ub, xB)
     x = _values_from_state(sf, basis, status, xB)
-    objective = float(model.objective_vector() @ x)
-    _self_check(model, sf, x)
-    if verbose:
-        print(f"lp: optimal obj={objective:.9g} rows={m} cols={ncols} "
-              f"pivots={iters}", file=sys.stderr)
+    objective = float(model.compiled().c @ x)
+    _self_check(model, x)
     return LPResult("optimal", x, objective, basis.copy(), status.copy(),
                     d.copy(), iters, **ctx)
 
 
-def _self_check(model: LinearModel, sf: StandardForm, x: np.ndarray) -> None:
-    for con in model.constraints:
-        act = sum(c * x[j] for j, c in con.terms)
-        err = (abs(act - con.rhs) if con.relation == EQ
-               else act - con.rhs if con.relation == LE else con.rhs - act)
-        if err > 10 * FEAS_TOL:
-            raise SimplexError(
-                f"numerical breakdown: residual {err:.2e} on {con.label}")
+def _self_check(model: LinearModel, x: np.ndarray) -> None:
+    cm = model.compiled()
+    act = np.bincount(cm.rows, weights=cm.vals * x[cm.cols],
+                      minlength=len(cm.rhs))
+    err = _violation(act, cm.rhs, cm.sense)
+    if (err > 10 * FEAS_TOL).any():
+        i = int(np.argmax(err > 10 * FEAS_TOL))
+        raise SimplexError(f"numerical breakdown: residual {err[i]:.2e} on "
+                           f"{model.constraints[i].label}")
 
 
 @dataclass
@@ -461,7 +409,7 @@ def verify_certificate(model: LinearModel, result: LPResult,
         rep.max_row_violation = max(rep.max_row_violation, err)
         if err > feastol:
             rep.failures.append(f"row {con.label}: violated by {err:.3e}")
-    lo, hi = effective_bounds(model, result.relax_binaries, result.extra_bounds)
+    lo, hi = effective_bounds(model, result.extra_bounds)
     for j, var in enumerate(model.variables):
         err = max(lo[j] - x[j], x[j] - hi[j])
         rep.max_bound_violation = max(rep.max_bound_violation, err)
@@ -474,7 +422,7 @@ def verify_certificate(model: LinearModel, result: LPResult,
 
     sf = _standardize(model, result.relax_binaries, result.extra_bounds)
     basis = result.basis
-    if sf.infeasible_msg is None and basis.size:
+    if not isinstance(sf, str) and basis.size:
         B = sf.A[:, basis]
         try:
             y = np.linalg.solve(B.T, sf.c[basis])
