@@ -10,7 +10,7 @@ solver that produced them (feasibility replay plus objective recompute).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,23 +40,48 @@ class ClaimReport:
     options: dict
 
     def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "verdict": self.verdict,
-            "fingerprint": self.fingerprint,
-            "evidence": self.evidence,
-            "witness": self.witness,
-            "options": self.options,
-        }
+        return asdict(self)
 
 
 def _tol(x: float) -> float:
     return REL_TOL * max(1.0, abs(x))
 
 
-def _require_chains(inst: Instance) -> None:
-    if len(inst.chains) < 2:
-        raise ValueError("claim requires at least two supply chains")
+class SolveMemo:
+    """Baselines and (model, Solution) pairs for one instance and options,
+    each built and solved once and then only read; it lives only as long
+    as the caller keeps it, so nothing is cached across instances."""
+
+    def __init__(self, inst: Instance, opts: ModelOptions = ModelOptions()):
+        self.inst, self.opts = inst, opts
+        self._baselines = None
+        self._solved: dict = {}
+
+    def baselines(self):
+        if self._baselines is None:
+            if len(self.inst.chains) < 2:
+                raise ValueError("claim requires at least two supply chains")
+            self._baselines = compute_baselines(self.inst, self.opts)
+        return self._baselines
+
+    def solved(self, name: str, opts: ModelOptions, build):
+        """(model, Solution) of ``build()``, built and solved on first use."""
+        if (name, opts) not in self._solved:
+            model = build()
+            self._solved[name, opts] = (model, solve_milp(model))
+        return self._solved[name, opts]
+
+    def ocu(self, eq20_mode: str | None = None):
+        """The split model; the memo's own ``eq20_mode`` is the same entry."""
+        opts = replace(self.opts, eq20_mode=eq20_mode or self.opts.eq20_mode)
+        return self.solved("ocu", opts,
+                           lambda: build_ocu(self.inst, self.baselines(), opts))
+
+
+def _memo(inst: Instance, opts: ModelOptions, memo: SolveMemo | None):
+    if memo is not None and (memo.inst is not inst or memo.opts != opts):
+        raise ValueError("solve memo belongs to another instance or options")
+    return memo or SolveMemo(inst, opts)
 
 
 def project_to_ccu(inst: Instance, values: dict, baselines, ccu_model,
@@ -80,19 +105,19 @@ def project_to_ccu(inst: Instance, values: dict, baselines, ccu_model,
     return projected
 
 
-def check_theorem1(inst: Instance,
-                   opts: ModelOptions = ModelOptions()) -> ClaimReport:
+def check_theorem1(inst: Instance, opts: ModelOptions = ModelOptions(), *,
+                   memo: SolveMemo | None = None) -> ClaimReport:
     """Regret dominance: the split model can never beat the plain one.
 
     Solves both pipelines with shared baselines, compares optima, and
     replays every incumbent the split-model search accepted against the
     plain model (projected through the regret equality).
     """
-    _require_chains(inst)
-    baselines = compute_baselines(inst, opts)
-    ccu_model = build_ccu(inst, baselines, opts)
-    ccu = solve_milp(ccu_model)
-    ocu = solve_milp(build_ocu(inst, baselines, opts))
+    memo = _memo(inst, opts, memo)
+    baselines = memo.baselines()
+    ccu_model, ccu = memo.solved(
+        "ccu", opts, lambda: build_ccu(inst, baselines, opts))
+    ocu = memo.ocu()[1]
     evidence = {
         "obj_ccu": ccu.objective,
         "obj_ocu": ocu.objective,
@@ -130,7 +155,8 @@ def _split_patterns(n: int):
 
 
 def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
-                          max_patterns: int = 4000) -> ClaimReport:
+                          max_patterns: int = 4000, *,
+                          memo: SolveMemo | None = None) -> ClaimReport:
     """Is the product coupling row already implied by the linear ones?
 
     Two independent probes, both recorded: (a) optimum comparison of the
@@ -140,12 +166,9 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
     that family.  The maximized variable is capped by its commodity supply
     so the probe ignores free-circulation artifacts that no optimum uses.
     """
-    _require_chains(inst)
-    baselines = compute_baselines(inst, opts)
-    obj_omit = solve_milp(build_ocu(inst, baselines,
-                                    replace(opts, eq20_mode="omit"))).objective
-    obj_lin = solve_milp(build_ocu(inst, baselines,
-                                   replace(opts, eq20_mode="linearized"))).objective
+    memo = _memo(inst, opts, memo)
+    obj_omit = memo.ocu("omit")[1].objective
+    obj_lin = memo.ocu("linearized")[1].objective
     evidence = {
         "obj_eq20_omitted": obj_omit,
         "obj_eq20_linearized": obj_lin,
@@ -221,8 +244,8 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
                        evidence, None, opts.to_dict())
 
 
-def check_tk_never_one(inst: Instance,
-                       opts: ModelOptions = ModelOptions()) -> ClaimReport:
+def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
+                       memo: SolveMemo | None = None) -> ClaimReport:
     """Does any optimum mark a hub non-collaborative?
 
     Compares the split-model optimum against the same model forced to use
@@ -230,13 +253,11 @@ def check_tk_never_one(inst: Instance,
     some T[k] = 1, a strict increase (or infeasibility) confirms the claim
     on this instance.
     """
-    _require_chains(inst)
-    baselines = compute_baselines(inst, opts)
-    model = build_ocu(inst, baselines, opts)
-    sol = solve_milp(model)
+    memo = _memo(inst, opts, memo)
+    model, sol = memo.ocu()
     t_terms = [(model.name_index[f"T[{k}]"], 1.0) for k in range(inst.n)]
-    forced = with_extra_constraint(model, "tk_floor[sum]", t_terms, GE, 1.0)
-    sol_forced = solve_milp(forced)
+    sol_forced = memo.solved("tk-forced", opts, lambda: with_extra_constraint(
+        model, "tk_floor[sum]", t_terms, GE, 1.0))[1]
     evidence = {
         "obj_ocu": sol.objective,
         "zero_objective": bool(abs(sol.objective) <= 1e-9),
@@ -305,20 +326,18 @@ def eliminate_collaborative_vars(model: LinearModel) -> LinearModel:
     return out
 
 
-def check_i_redundancy(inst: Instance,
-                       opts: ModelOptions = ModelOptions()) -> ClaimReport:
+def check_i_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(), *,
+                       memo: SolveMemo | None = None) -> ClaimReport:
     """Is the collaborative indicator pure bookkeeping?
 
     Solves the split model and its I-eliminated twin, then swaps the
     optimal H/T patterns across the two models to confirm each pattern
     stays feasible and equally priced in the other.
     """
-    _require_chains(inst)
-    baselines = compute_baselines(inst, opts)
-    full = build_ocu(inst, baselines, opts)
-    slim = eliminate_collaborative_vars(full)
-    sol_full = solve_milp(full)
-    sol_slim = solve_milp(slim)
+    memo = _memo(inst, opts, memo)
+    full, sol_full = memo.ocu()
+    slim, sol_slim = memo.solved("ivar-slim", opts,
+                                 lambda: eliminate_collaborative_vars(full))
     evidence = {
         "obj_full": sol_full.objective,
         "obj_eliminated": sol_slim.objective,
@@ -366,12 +385,13 @@ def _with_zero_supplements(inst: Instance) -> Instance:
                     chains=inst.chains)
 
 
-def check_cc_nc_consistency(inst: Instance,
-                            opts: ModelOptions = ModelOptions()) -> ClaimReport:
+def check_cc_nc_consistency(inst: Instance, opts: ModelOptions = ModelOptions(),
+                            *, memo: SolveMemo | None = None) -> ClaimReport:
     """With zero supplements the worst-case model must match the base one."""
-    zero = _with_zero_supplements(inst)
-    obj_nc = solve_milp(build_nc(inst, opts)).objective
-    obj_cc = solve_milp(build_cc(zero, opts)).objective
+    memo = _memo(inst, opts, memo)
+    obj_nc = memo.solved("nc", opts, lambda: build_nc(inst, opts))[1].objective
+    obj_cc = memo.solved("cc-zero", opts, lambda: build_cc(
+        _with_zero_supplements(inst), opts))[1].objective
     diff = abs(obj_cc - obj_nc)
     tol = 1e-9 * max(1.0, abs(obj_nc))
     evidence = {"obj_nc": obj_nc, "obj_cc_zero_sigma": obj_cc, "gap": diff,

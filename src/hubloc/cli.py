@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .claims import CLAIM_CHECKS, CONFIRMED
+from .claims import CLAIM_CHECKS, CONFIRMED, SolveMemo
 from .formulations import FormulationError, ModelOptions, build_cc, build_nc
 from .instance import (ConfigError, GeneratorConfig, Instance, ParseError,
                        ValidationError, generate_instance, instance_fingerprint,
@@ -203,15 +203,17 @@ def _cmd_regret(args) -> int:
 
 
 def _sweep_rows(claim_keys, trials, args, opts):
-    """One CSV body per (seed, claim); ordering is by seed then claim."""
+    """One CSV body per (seed, claim); ordering is by seed then claim.
+    The checks of one instance share one memo, dropped with the instance."""
     buf = io.StringIO()
     buf.write("seed,n,claim,verdict,value_a,value_b,value_c,flag\n")
     tally: dict[str, int] = {}
     for t in range(trials):
         cfg = _config_from(args, args.seed + t)
         inst = generate_instance(cfg)
+        memo = SolveMemo(inst, opts)
         for key in claim_keys:
-            report = CLAIM_CHECKS[key](inst, opts)
+            report = CLAIM_CHECKS[key](inst, opts, memo=memo)
             tally[report.verdict] = tally.get(report.verdict, 0) + 1
             cols = _CSV_FIELDS[key]
             vals = [report.evidence.get(c, "") for c in cols]

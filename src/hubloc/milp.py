@@ -14,18 +14,15 @@ Two independent routes to the optimum:
 from __future__ import annotations
 
 import heapq
-import re
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EQ, LE, LinearModel
+from .model import BINARY, EQ, LE, LinearModel
 from .simplex import LPResult, SimplexError, solve_lp, verify_certificate
 
 INT_TOL = 1e-6
-
-_HUB_RE = re.compile(r"^([HIT])\[(\d+)\]$")
 
 
 class EnumerationCapError(ValueError):
@@ -55,19 +52,15 @@ class Solution:
     baselines: list[float] | None = None
 
 
-def _hub_sets(values: dict[str, float]):
-    sets = {"H": [], "I": [], "T": []}
-    for name, v in values.items():
-        m = _HUB_RE.match(name)
-        if m and v >= 0.5:
-            sets[m.group(1)].append(int(m.group(2)))
-    return tuple(sorted(sets["H"])), tuple(sorted(sets["I"])), tuple(sorted(sets["T"]))
-
-
 def _solution_from_values(model: LinearModel, x: np.ndarray, objective: float,
                           nodes: int, wall: float, incumbents) -> Solution:
     values = {var.name: float(x[j]) for j, var in enumerate(model.variables)}
-    hubs, collab, noncollab = _hub_sets(values)
+    sets = {"H": [], "I": [], "T": []}
+    for j, var in enumerate(model.variables):
+        hub = var.kind == BINARY and var.name[:2] in ("H[", "I[", "T[")
+        if hub and x[j] >= 0.5:
+            sets[var.name[0]].append(int(var.name[2:-1]))
+    hubs, collab, noncollab = (tuple(sorted(sets[h])) for h in "HIT")
     return Solution("optimal", values, float(objective), hubs, collab,
                     noncollab, nodes, wall, incumbents)
 

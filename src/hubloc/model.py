@@ -187,10 +187,10 @@ def check_feasibility(model: LinearModel, values, tol: float = 1e-7,
                       labels: tuple[str, ...] | None = None) -> list[Violation]:
     """List every constraint (and bound) violated beyond ``tol``.
 
-    ``values`` may be a name->value mapping (missing flow variables are an
-    error: the assignment must cover all variables when given as a dict of
-    full solutions; partial dicts default missing names to 0) or a plain
-    vector.  An empty return value means the point is feasible.
+    ``values`` may be a name->value mapping, where missing names count as 0
+    and a name the model does not have raises ``ValueError``, or a vector
+    with one value per variable.  An empty return value means the point is
+    feasible.
     """
     x = as_value_array(model, values)
     out = []

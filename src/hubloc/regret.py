@@ -106,7 +106,8 @@ def _attach_regrets(inst: Instance, sol: Solution, baselines: ScenarioBaseline,
                     opts: ModelOptions) -> Solution:
     costs, regrets = [], []
     for s in range(inst.num_scenarios):
-        cost = evaluate_design(inst, sol.values, s, opts)
+        # feasibility does not depend on the scenario: check it once
+        cost = evaluate_design(inst, sol.values, s, opts, check=(s == 0))
         regret = cost - baselines.values[s]
         reported = sol.values[f"Rs[{s}]"]
         if abs(regret - reported) > 1e-6 * max(1.0, abs(regret)):

@@ -1,13 +1,16 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_toy3
-from hubloc.claims import (CONFIRMED, COUNTEREXAMPLE, INCONCLUSIVE,
-                           check_cc_nc_consistency, check_eq20_redundancy,
-                           check_i_redundancy, check_theorem1,
-                           check_tk_never_one, eliminate_collaborative_vars)
+from hubloc import claims, cli, regret
+from hubloc.claims import (CLAIM_CHECKS, CONFIRMED, COUNTEREXAMPLE,
+                           INCONCLUSIVE, SolveMemo, check_cc_nc_consistency,
+                           check_eq20_redundancy, check_i_redundancy,
+                           check_theorem1, check_tk_never_one,
+                           eliminate_collaborative_vars)
 from hubloc.formulations import ModelOptions, build_coupling_polytope, build_ocu
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.model import check_feasibility
@@ -151,3 +154,77 @@ def test_reports_are_deterministic():
     assert a == b
     assert a["options"]["ocu_objective"] == "as-written"
     assert len(a["fingerprint"]) == 16
+
+
+SPLIT_OMIT = ModelOptions(eq20_mode="omit", ocu_objective="collaborative-split")
+
+
+def n3_instance():
+    return generate_instance(GeneratorConfig(seed=4, n=3, chain_count=2,
+                                             scenario_count=2))
+
+
+@pytest.mark.parametrize("opts", [ModelOptions(), SPLIT_OMIT],
+                         ids=["default", "omit-split"])
+@pytest.mark.parametrize("make", [lambda: make_toy3(scenarios=TWO_SCEN),
+                                  n3_instance], ids=["toy3", "n3"])
+def test_shared_memo_reports_equal_standalone(make, opts):
+    inst = make()
+    memo = SolveMemo(inst, opts)
+    for key in sorted(CLAIM_CHECKS):
+        shared = CLAIM_CHECKS[key](inst, opts, memo=memo).to_json()
+        assert shared == CLAIM_CHECKS[key](inst, opts).to_json(), key
+
+
+def test_memo_refuses_another_instance_or_options():
+    inst = make_toy3(scenarios=TWO_SCEN)
+    memo = SolveMemo(inst)
+    with pytest.raises(ValueError, match="another instance"):
+        check_tk_never_one(make_toy3(scenarios=TWO_SCEN), memo=memo)
+    with pytest.raises(ValueError, match="another instance"):
+        check_tk_never_one(inst, SPLIT_OMIT, memo=memo)
+
+
+def _sweep_args(*extra):
+    args = cli.build_parser().parse_args(
+        ["sweep", "--nodes", "3", "--seed", "2", *extra])
+    return args, cli._options_from(args)
+
+
+@pytest.mark.parametrize("extra", [(), ("--eq20", "omit")],
+                         ids=["linearized", "omit"])
+def test_sweep_solves_each_model_once(monkeypatch, extra):
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return original(*a, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((claims, "solve_milp"), (regret, "solve_milp"),
+                         (claims, "compute_baselines")):
+        counting(module, name)
+    args, opts = _sweep_args(*extra)
+    cli._sweep_rows(sorted(CLAIM_CHECKS), 1, args, opts)
+    assert calls == {"solve_milp": args.scenarios + 7, "compute_baselines": 1}
+
+
+def test_sweep_csv_equals_standalone_checks():
+    args, opts = _sweep_args()
+    body, _ = cli._sweep_rows(sorted(CLAIM_CHECKS), 2, args, opts)
+    lines = ["seed,n,claim,verdict,value_a,value_b,value_c,flag"]
+    tally = Counter()
+    for t in range(2):
+        inst = generate_instance(cli._config_from(args, args.seed + t))
+        for key in sorted(CLAIM_CHECKS):
+            report = CLAIM_CHECKS[key](inst, opts)
+            tally[report.verdict] += 1
+            cells = [cli._csv_cell(report.evidence.get(c, ""))
+                     for c in cli._CSV_FIELDS[key]]
+            lines.append(",".join([str(args.seed + t), "3", report.claim_id,
+                                   report.verdict] + cells))
+    lines += [f"# tally {v}={tally[v]}" for v in sorted(tally)]
+    assert body == "\n".join(lines) + "\n"

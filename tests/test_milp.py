@@ -8,7 +8,7 @@ from hubloc.formulations import (COUPLING_FAMILIES, ModelOptions, _build_ocu,
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.milp import (EnumerationCapError, solution_to_json,
                          solve_by_enumeration, solve_milp)
-from hubloc.model import check_feasibility
+from hubloc.model import GE, check_feasibility, with_extra_constraint
 from hubloc.regret import compute_baselines
 
 
@@ -128,3 +128,15 @@ def test_solution_json_shape(toy3):
     assert body["open_hubs"] == [1]
     assert all(v > 1e-9 for v in body["flows"].values())
     assert "wall_time" not in body
+
+
+def test_hub_sets_follow_the_binary_hub_variables():
+    inst = make_toy3(scenarios=((0.0, 0.0, 0.0), (0.0, 100.0, 0.0)))
+    model = build_ocu(inst, compute_baselines(inst))
+    t_terms = [(model.name_index[f"T[{k}]"], 1.0) for k in range(inst.n)]
+    sol = solve_milp(with_extra_constraint(model, "t", t_terms, GE, 1.0))
+    sets = (sol.open_hubs, sol.collaborative_hubs, sol.noncollaborative_hubs)
+    for prefix, hubs in zip("HIT", sets):
+        assert hubs == tuple(k for k in range(inst.n)
+                             if sol.values[f"{prefix}[{k}]"] >= 0.5)
+    assert sol.noncollaborative_hubs

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from hubloc.formulations import FormulationError, ModelOptions, build_nc
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.regret import (InfeasibleDesignError, InfeasibleScenarioError,
-                           compute_baselines, evaluate_design, regret_report,
-                           solve_ccu, solve_ocu)
+                           _attach_regrets, compute_baselines, evaluate_design,
+                           regret_report, solve_ccu, solve_ocu)
 
 TWO_SCEN = ((0.0, 0.0, 0.0), (0.0, 100.0, 0.0))
 
@@ -107,6 +109,17 @@ def test_evaluate_design_rejects_infeasible(toy3):
     design = {"Z[0,1]": 10.0, "X[0,1,2]": 10.0}  # flows without an open hub
     with pytest.raises(InfeasibleDesignError, match="design infeasible"):
         evaluate_design(toy3, design, 0)
+
+
+def test_regret_replay_still_rejects_an_infeasible_design():
+    inst = make_toy3(scenarios=TWO_SCEN)
+    sol = solve_ocu(inst)
+    closed = dict(sol.values)
+    for k in sol.open_hubs:
+        closed[f"H[{k}]"] = closed[f"I[{k}]"] = closed[f"T[{k}]"] = 0.0
+    with pytest.raises(InfeasibleDesignError, match="design infeasible"):
+        _attach_regrets(inst, replace(sol, values=closed),
+                        compute_baselines(inst), ModelOptions())
 
 
 def test_baseline_monotone_in_sigma():
