@@ -20,7 +20,7 @@ from .formulations import (ModelOptions, build_cc, build_ccu,
 from .instance import Instance, instance_fingerprint, origin_supply
 from .milp import solve_milp
 from .model import GE, LinearModel, check_feasibility, with_extra_constraint
-from .regret import compute_baselines, evaluate_design
+from .regret import InfeasibleScenarioError, compute_baselines, evaluate_design
 from .simplex import solve_lp
 
 CONFIRMED = "CONFIRMED"
@@ -41,6 +41,12 @@ class ClaimReport:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def _report(claim_id: str, verdict: str, inst: Instance, opts: ModelOptions,
+            evidence: dict, witness: dict | None = None) -> ClaimReport:
+    return ClaimReport(claim_id, verdict, instance_fingerprint(inst), evidence,
+                       witness, opts.to_dict())
 
 
 def _tol(x: float) -> float:
@@ -144,8 +150,7 @@ def check_theorem1(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     else:
         verdict = COUNTEREXAMPLE
         witness = dict(ocu.values)
-    return ClaimReport("thm1", verdict, instance_fingerprint(inst), evidence,
-                       witness, opts.to_dict())
+    return _report("thm1", verdict, inst, opts, evidence, witness)
 
 
 def _split_patterns(n: int):
@@ -178,9 +183,7 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
     n = inst.n
     if 3 ** n > max_patterns:
         evidence["patterns_skipped"] = 3 ** n
-        return ClaimReport("eq20_redundant", INCONCLUSIVE,
-                           instance_fingerprint(inst), evidence, None,
-                           opts.to_dict())
+        return _report("eq20_redundant", INCONCLUSIVE, inst, opts, evidence)
 
     base = build_coupling_polytope(inst, opts, include_eq20=False)
     ix = base.name_index
@@ -214,8 +217,7 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
                                 objective=[(y, -1.0)],
                                 constraints=base.constraints,
                                 name_index=base.name_index)
-            res = solve_lp(probe, relax_binaries=True,
-                           extra_bounds={**fix, y: (0.0, cap)})
+            res = solve_lp(probe, extra_bounds={**fix, y: (0.0, cap)})
             lps += 1
             if res.status == "infeasible":
                 pattern_feasible = False
@@ -235,13 +237,11 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
                     "patterns_examined": patterns,
                     "lps_solved": lps,
                 })
-                return ClaimReport("eq20_redundant", COUNTEREXAMPLE,
-                                   instance_fingerprint(inst), evidence,
-                                   witness, opts.to_dict())
+                return _report("eq20_redundant", COUNTEREXAMPLE, inst, opts,
+                               evidence, witness)
     evidence["patterns_examined"] = patterns
     evidence["lps_solved"] = lps
-    return ClaimReport("eq20_redundant", CONFIRMED, instance_fingerprint(inst),
-                       evidence, None, opts.to_dict())
+    return _report("eq20_redundant", CONFIRMED, inst, opts, evidence)
 
 
 def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
@@ -264,9 +264,7 @@ def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     }
     if sol_forced.status != "optimal":
         evidence["forced_status"] = sol_forced.status
-        return ClaimReport("tk_never_one", CONFIRMED,
-                           instance_fingerprint(inst), evidence, None,
-                           opts.to_dict())
+        return _report("tk_never_one", CONFIRMED, inst, opts, evidence)
     gap = sol_forced.objective - sol.objective
     evidence["obj_forced"] = sol_forced.objective
     evidence["gap"] = gap
@@ -274,12 +272,9 @@ def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
         raise RuntimeError(f"forcing T raised nothing and lowered the optimum "
                            f"by {-gap:.3e}; solver inconsistency")
     if gap > _tol(sol.objective):
-        return ClaimReport("tk_never_one", CONFIRMED,
-                           instance_fingerprint(inst), evidence, None,
-                           opts.to_dict())
-    return ClaimReport("tk_never_one", COUNTEREXAMPLE,
-                       instance_fingerprint(inst), evidence,
-                       dict(sol_forced.values), opts.to_dict())
+        return _report("tk_never_one", CONFIRMED, inst, opts, evidence)
+    return _report("tk_never_one", COUNTEREXAMPLE, inst, opts, evidence,
+                   dict(sol_forced.values))
 
 
 def eliminate_collaborative_vars(model: LinearModel) -> LinearModel:
@@ -357,7 +352,7 @@ def check_i_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(), *,
                 k = var.name[2:-1]
                 v = round(values[f"H[{k}]"]) - round(values[f"T[{k}]"])
             fix[j] = (float(v), float(v))
-        res = solve_lp(target, relax_binaries=True, extra_bounds=fix)
+        res = solve_lp(target, extra_bounds=fix)
         return res.objective if res.status == "optimal" else None
 
     swap_full = pattern_cost(slim, sol_full.values)
@@ -373,32 +368,26 @@ def check_i_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     else:
         verdict = COUNTEREXAMPLE
         witness = dict((sol_full if not equal else sol_slim).values)
-    return ClaimReport("i_redundant", verdict, instance_fingerprint(inst),
-                       evidence, witness, opts.to_dict())
-
-
-def _with_zero_supplements(inst: Instance) -> Instance:
-    return Instance(n=inst.n, demand=inst.demand, cost=inst.cost,
-                    setup=inst.setup, capacity=inst.capacity, chi=inst.chi,
-                    alpha=inst.alpha, delta=inst.delta,
-                    scenarios=np.zeros_like(inst.scenarios),
-                    chains=inst.chains)
+    return _report("i_redundant", verdict, inst, opts, evidence, witness)
 
 
 def check_cc_nc_consistency(inst: Instance, opts: ModelOptions = ModelOptions(),
                             *, memo: SolveMemo | None = None) -> ClaimReport:
     """With zero supplements the worst-case model must match the base one."""
     memo = _memo(inst, opts, memo)
-    obj_nc = memo.solved("nc", opts, lambda: build_nc(inst, opts))[1].objective
-    obj_cc = memo.solved("cc-zero", opts, lambda: build_cc(
-        _with_zero_supplements(inst), opts))[1].objective
+    nc = memo.solved("nc", opts, lambda: build_nc(inst, opts))[1]
+    if nc.status != "optimal":
+        raise InfeasibleScenarioError("base model admits no feasible design")
+    obj_nc = nc.objective
+    zero = replace(inst, scenarios=np.zeros_like(inst.scenarios))
+    obj_cc = memo.solved("cc-zero", opts,
+                         lambda: build_cc(zero, opts))[1].objective
     diff = abs(obj_cc - obj_nc)
     tol = 1e-9 * max(1.0, abs(obj_nc))
     evidence = {"obj_nc": obj_nc, "obj_cc_zero_sigma": obj_cc, "gap": diff,
                 "scenario_count": inst.num_scenarios}
     verdict = CONFIRMED if diff <= tol else COUNTEREXAMPLE
-    return ClaimReport("cc_nc_consistency", verdict, instance_fingerprint(inst),
-                       evidence, None, opts.to_dict())
+    return _report("cc_nc_consistency", verdict, inst, opts, evidence)
 
 
 CLAIM_CHECKS = {

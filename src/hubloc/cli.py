@@ -176,25 +176,22 @@ def _cmd_solve(args) -> int:
         sol = solve_ccu(inst, opts)
     else:
         sol = solve_ocu(inst, opts)
-    if args.verbose:
-        print(f"solve: {sol.status} nodes={sol.nodes_explored} "
-              f"wall={sol.wall_time:.3f}s", file=sys.stderr)
-    report = solution_to_json(sol)
-    report["model"] = args.model
-    report["options"] = opts.to_dict()
-    report["instance"] = instance_fingerprint(inst)
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
-    return 0 if sol.status == "optimal" else 2
+    return _emit_solution(args, inst, opts, sol, solution_to_json(sol))
 
 
 def _cmd_regret(args) -> int:
     inst = _load(args.instance)
     opts = _options_from(args)
     sol = solve_ccu(inst, opts) if args.model == "ccu" else solve_ocu(inst, opts)
+    return _emit_solution(args, inst, opts, sol, regret_report(inst, sol))
+
+
+def _emit_solution(args, inst: Instance, opts: ModelOptions, sol,
+                   report: dict) -> int:
+    """Shared tail of ``solve`` and ``regret``: stamp and write the report."""
     if args.verbose:
-        print(f"regret: {sol.status} nodes={sol.nodes_explored} "
+        print(f"{args.command}: {sol.status} nodes={sol.nodes_explored} "
               f"wall={sol.wall_time:.3f}s", file=sys.stderr)
-    report = regret_report(inst, sol)
     report["model"] = args.model
     report["options"] = opts.to_dict()
     report["instance"] = instance_fingerprint(inst)

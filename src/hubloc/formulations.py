@@ -14,11 +14,16 @@ origin i into hub k, Y[i,k,l] the transfer flow of commodity i across the
 hub arc (k,l), X[i,l,j] the distribution flow of commodity i from hub l to
 destination j.  The OCU split adds I[k] (collaborative) and T[k]
 (non-collaborative) with H = I + T, plus free regret variables Rs[s], R.
+
+The four models share one flow polytope.  ``_flow_block`` builds it (the
+H/Z/Y/X columns at fixed offsets and rows eq2..eq7), and each builder only
+adds its objective or regret wrapper and, for OCU, the hub split rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,12 +78,7 @@ class ModelOptions:
                     f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "distribution_cost": self.distribution_cost,
-            "ocu_objective": self.ocu_objective,
-            "eq20_mode": self.eq20_mode,
-            "big_m_mode": self.big_m_mode,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,8 @@ class ModelOptions:
 
 
 def flow_cost_pairs(inst: Instance, opts: ModelOptions) -> list[tuple[str, float]]:
-    """(variable name, objective coefficient) for all flow variables."""
+    """(variable name, objective coefficient) for all flow variables, in
+    the order the flow block adds their columns."""
     n, C = inst.n, inst.cost
     pairs = []
     for i in range(n):
@@ -104,132 +105,110 @@ def flow_cost_pairs(inst: Instance, opts: ModelOptions) -> list[tuple[str, float
     return pairs
 
 
-def _add_flow_variables(model: LinearModel, n: int) -> None:
+class _FlowBlock(NamedTuple):
+    """A model holding H[k], the flows and rows eq2..eq7, with the column
+    index of every H/Z/Y/X variable and the flow cost terms."""
+
+    model: LinearModel
+    H: np.ndarray
+    Z: np.ndarray
+    Y: np.ndarray
+    X: np.ndarray
+    flow_costs: list[tuple[int, float]]
+
+    def cost_terms(self, setup: np.ndarray, setup_cols=None) -> list[tuple[int, float]]:
+        """Setup cost on ``setup_cols`` (default H) plus every flow cost."""
+        cols = self.H if setup_cols is None else setup_cols
+        return [(j, float(f)) for j, f in zip(cols, setup)] + self.flow_costs
+
+
+def _unit(cols, coeff: float = 1.0) -> list[tuple[int, float]]:
+    return [(j, coeff) for j in cols.tolist()]
+
+
+def _flow_block(inst: Instance, opts: ModelOptions) -> _FlowBlock:
+    """New model with columns H[k] = k, Z[i,k] = n + i*n + k,
+    Y[i,k,l] = n + n^2 + (i*n + k)*n + l and
+    X[i,l,j] = n + n^2 + n^3 + (i*n + l)*n + j, and rows eq2..eq7 (supply,
+    demand, capacity, conservation, linking).  Wrappers append their own
+    columns and rows after these."""
+    n, W = inst.n, inst.demand
+    model = LinearModel()
     for k in range(n):
         model.add_variable(f"H[{k}]", BINARY)
+    pairs = flow_cost_pairs(inst, opts)
+    for name, _ in pairs:
+        model.add_variable(name, CONTINUOUS, 0.0, INF)
+    cols = np.arange(n, n + len(pairs))
+    H = np.arange(n)
+    Z = cols[:n * n].reshape(n, n)
+    Y = cols[n * n:n * n + n ** 3].reshape(n, n, n)
+    X = cols[n * n + n ** 3:].reshape(n, n, n)
     for i in range(n):
-        for k in range(n):
-            model.add_variable(f"Z[{i},{k}]", CONTINUOUS, 0.0, INF)
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                model.add_variable(f"Y[{i},{k},{l}]", CONTINUOUS, 0.0, INF)
-    for i in range(n):
-        for l in range(n):
-            for j in range(n):
-                model.add_variable(f"X[{i},{l},{j}]", CONTINUOUS, 0.0, INF)
-
-
-def _add_core_rows(model: LinearModel, inst: Instance) -> None:
-    """Rows eq2..eq7: supply, demand, capacity, conservation, linking."""
-    n, W = inst.n, inst.demand
-    ix = model.name_index
-    for i in range(n):
-        terms = [(ix[f"Z[{i},{k}]"], 1.0) for k in range(n)]
-        model.add_constraint(f"eq2[i={i}]", terms, EQ, origin_supply(inst, i))
+        model.add_constraint(f"eq2[i={i}]", _unit(Z[i]), EQ, origin_supply(inst, i))
     for i in range(n):
         for j in range(n):
-            terms = [(ix[f"X[{i},{l},{j}]"], 1.0) for l in range(n)]
-            model.add_constraint(f"eq3[i={i},j={j}]", terms, EQ, W[i, j])
+            model.add_constraint(f"eq3[i={i},j={j}]", _unit(X[i, :, j]), EQ, W[i, j])
     for k in range(n):
-        terms = [(ix[f"Z[{i},{k}]"], 1.0) for i in range(n)]
-        terms.append((ix[f"H[{k}]"], -inst.capacity[k]))
-        model.add_constraint(f"eq4[k={k}]", terms, LE, 0.0)
+        model.add_constraint(f"eq4[k={k}]",
+                             _unit(Z[:, k]) + [(H[k], -inst.capacity[k])], LE, 0.0)
     for i in range(n):
         for k in range(n):
-            terms = [(ix[f"Y[{i},{k},{l}]"], 1.0) for l in range(n)]
-            terms += [(ix[f"X[{i},{k},{j}]"], 1.0) for j in range(n)]
-            terms += [(ix[f"Y[{i},{l},{k}]"], -1.0) for l in range(n)]
-            terms.append((ix[f"Z[{i},{k}]"], -1.0))
+            terms = (_unit(Y[i, k]) + _unit(X[i, k]) + _unit(Y[i, :, k], -1.0)
+                     + [(Z[i, k], -1.0)])
             model.add_constraint(f"eq5[i={i},k={k}]", terms, EQ, 0.0)
     for i in range(n):
         supply = origin_supply(inst, i)
         for k in range(n):
-            terms = [(ix[f"Z[{i},{k}]"], 1.0), (ix[f"H[{k}]"], -supply)]
-            model.add_constraint(f"eq6[i={i},k={k}]", terms, LE, 0.0)
+            model.add_constraint(f"eq6[i={i},k={k}]",
+                                 [(Z[i, k], 1.0), (H[k], -supply)], LE, 0.0)
     for l in range(n):
         for j in range(n):
-            terms = [(ix[f"X[{i},{l},{j}]"], 1.0) for i in range(n)]
-            terms.append((ix[f"H[{l}]"], -float(W[:, j].sum())))
+            terms = _unit(X[:, l, j]) + [(H[l], -float(W[:, j].sum()))]
             model.add_constraint(f"eq7[l={l},j={j}]", terms, LE, 0.0)
+    return _FlowBlock(model, H, Z, Y, X,
+                      [(j, float(c)) for j, (_, c) in zip(cols.tolist(), pairs)])
 
 
-def _cost_terms(model: LinearModel, inst: Instance, opts: ModelOptions,
-                setup: np.ndarray, setup_var: str = "H") -> list[tuple[int, float]]:
-    ix = model.name_index
-    terms = [(ix[f"{setup_var}[{k}]"], float(setup[k])) for k in range(inst.n)]
-    terms += [(ix[name], float(c)) for name, c in flow_cost_pairs(inst, opts)]
-    return terms
+def _add_hub_split(model: LinearModel, n: int) -> tuple[list[int], list[int]]:
+    """Binary I[k] (collaborative) then T[k] (non-collaborative) columns."""
+    return ([model.add_variable(f"I[{k}]", BINARY) for k in range(n)],
+            [model.add_variable(f"T[{k}]", BINARY) for k in range(n)])
 
 
-# ---------------------------------------------------------------------------
-# builders
-
-
-def build_nc(inst: Instance, opts: ModelOptions = ModelOptions()) -> LinearModel:
-    """Deterministic base model: eq2..eq7 with base setup costs."""
-    model = LinearModel()
-    _add_flow_variables(model, inst.n)
-    _add_core_rows(model, inst)
-    model.set_objective(_cost_terms(model, inst, opts, inst.setup))
-    return model
-
-
-def build_scenario_deterministic(inst: Instance, s: int,
-                                 opts: ModelOptions = ModelOptions()) -> LinearModel:
-    """Base model priced with the scenario-s effective setup F + sigma^s."""
-    if not (0 <= s < inst.num_scenarios):
-        raise FormulationError(f"scenario index {s} out of range")
-    model = LinearModel()
-    _add_flow_variables(model, inst.n)
-    _add_core_rows(model, inst)
-    model.set_objective(_cost_terms(model, inst, opts, inst.effective_setup(s)))
-    return model
-
-
-def build_cc(inst: Instance, opts: ModelOptions = ModelOptions()) -> LinearModel:
-    """Worst-case model: minimize t subject to t >= scenario cost for all s."""
-    model = LinearModel()
-    _add_flow_variables(model, inst.n)
-    t = model.add_variable("t", CONTINUOUS, -INF, INF)
-    _add_core_rows(model, inst)
-    for s in range(inst.num_scenarios):
-        terms = _cost_terms(model, inst, opts, inst.effective_setup(s))
-        terms.append((t, -1.0))
-        model.add_constraint(f"eq10[s={s}]", terms, LE, 0.0)
-    model.set_objective([(t, 1.0)])
-    return model
-
-
-def _baseline_values(inst: Instance, baselines) -> list[float]:
-    values = getattr(baselines, "values", baselines)
-    values = [float(v) for v in values]
-    if len(values) != inst.num_scenarios:
+def _require_two_chains(inst: Instance) -> None:
+    if len(inst.chains) < 2:
         raise FormulationError(
-            f"got {len(values)} baselines for {inst.num_scenarios} scenarios")
-    return values
+            "at least two supply chains required for the collaboration model")
 
 
-def build_ccu(inst: Instance, baselines,
-              opts: ModelOptions = ModelOptions()) -> LinearModel:
-    """Max-regret model: minimize R with R >= scenario cost - baseline."""
-    base = _baseline_values(inst, baselines)
-    model = LinearModel()
-    _add_flow_variables(model, inst.n)
-    for s in range(inst.num_scenarios):
-        model.add_variable(f"Rs[{s}]", CONTINUOUS, -INF, INF)
+def _regret_block(inst: Instance, baselines, opts: ModelOptions, split: bool):
+    """Flow block minimizing R over free Rs[s] and R, with regret rows eq12
+    (eq21 with ``split``: I[k], T[k] follow R and F[k]*T[k] is charged) and
+    rows eq13 R >= Rs[s].  Returns the block and the (I, T) columns or None."""
+    base = [float(v) for v in getattr(baselines, "values", baselines)]
+    if len(base) != inst.num_scenarios:
+        raise FormulationError(
+            f"got {len(base)} baselines for {inst.num_scenarios} scenarios")
+    fb = _flow_block(inst, opts)
+    model = fb.model
+    rs = [model.add_variable(f"Rs[{s}]", CONTINUOUS, -INF, INF)
+          for s in range(len(base))]
     r_var = model.add_variable("R", CONTINUOUS, -INF, INF)
-    _add_core_rows(model, inst)
-    for s in range(inst.num_scenarios):
-        terms = _cost_terms(model, inst, opts, inst.effective_setup(s))
-        terms.append((model.name_index[f"Rs[{s}]"], -1.0))
-        model.add_constraint(f"eq12[s={s}]", terms, EQ, base[s])
-    for s in range(inst.num_scenarios):
-        model.add_constraint(f"eq13[s={s}]",
-                             [(r_var, 1.0), (model.name_index[f"Rs[{s}]"], -1.0)],
-                             GE, 0.0)
+    label, setup_cols, fixed, hub_split = "eq12", fb.H, [], None
+    if split:
+        I, T = hub_split = _add_hub_split(model, inst.n)
+        label = "eq21"
+        if opts.ocu_objective == "collaborative-split":
+            setup_cols = I
+        fixed = [(j, float(f)) for j, f in zip(T, inst.setup)]
+    for s, b in enumerate(base):
+        terms = fb.cost_terms(inst.effective_setup(s), setup_cols) + fixed
+        model.add_constraint(f"{label}[s={s}]", terms + [(rs[s], -1.0)], EQ, b)
+    for s in range(len(base)):
+        model.add_constraint(f"eq13[s={s}]", [(r_var, 1.0), (rs[s], -1.0)], GE, 0.0)
     model.set_objective([(r_var, 1.0)])
-    return model
+    return fb, hub_split
 
 
 def coupling_patterns(inst: Instance) -> dict[str, list[tuple]]:
@@ -281,77 +260,87 @@ def compute_big_m(inst: Instance, constraint: str, indices: tuple,
     return origin_supply(inst, i)
 
 
-def _add_coupling_rows(model: LinearModel, inst: Instance, opts: ModelOptions,
-                       families) -> None:
-    ix = model.name_index
+def _add_coupling_rows(fb: _FlowBlock, I, T, inst: Instance,
+                       opts: ModelOptions, families) -> None:
+    model = fb.model
     patterns = coupling_patterns(inst)
+
+    def row(label, flow, hub, family, idx):
+        m = compute_big_m(inst, family, idx, opts.big_m_mode)
+        model.add_constraint(label, [(flow, 1.0), (T[hub], m)], LE, m)
+
     if "eq15" in families:
         for k in range(inst.n):
-            model.add_constraint(
-                f"eq15[k={k}]",
-                [(ix[f"H[{k}]"], 1.0), (ix[f"I[{k}]"], -1.0), (ix[f"T[{k}]"], -1.0)],
-                EQ, 0.0)
+            model.add_constraint(f"eq15[k={k}]",
+                                 [(fb.H[k], 1.0), (I[k], -1.0), (T[k], -1.0)],
+                                 EQ, 0.0)
     for i, k in patterns["eq16"] if "eq16" in families else ():
-        m = compute_big_m(inst, "eq16", (i, k), opts.big_m_mode)
-        model.add_constraint(f"eq16[i={i},k={k}]",
-                             [(ix[f"Z[{i},{k}]"], 1.0), (ix[f"T[{k}]"], m)], LE, m)
+        row(f"eq16[i={i},k={k}]", fb.Z[i, k], k, "eq16", (i, k))
     for i, j, l in patterns["eq17"] if "eq17" in families else ():
-        m = compute_big_m(inst, "eq17", (i, j, l), opts.big_m_mode)
-        model.add_constraint(f"eq17[i={i},j={j},l={l}]",
-                             [(ix[f"X[{i},{l},{j}]"], 1.0), (ix[f"T[{l}]"], m)], LE, m)
+        row(f"eq17[i={i},j={j},l={l}]", fb.X[i, l, j], l, "eq17", (i, j, l))
     for i, k, l in patterns["eq18"] if "eq18" in families else ():
-        m = compute_big_m(inst, "eq18", (i, k, l), opts.big_m_mode)
-        model.add_constraint(f"eq18[i={i},k={k},l={l}]",
-                             [(ix[f"Y[{i},{k},{l}]"], 1.0), (ix[f"T[{l}]"], m)], LE, m)
+        row(f"eq18[i={i},k={k},l={l}]", fb.Y[i, k, l], l, "eq18", (i, k, l))
     for i, k, l in patterns["eq19"] if "eq19" in families else ():
-        m = compute_big_m(inst, "eq19", (i, k, l), opts.big_m_mode)
-        model.add_constraint(f"eq19[i={i},k={k},l={l}]",
-                             [(ix[f"Y[{i},{k},{l}]"], 1.0), (ix[f"T[{k}]"], m)], LE, m)
+        row(f"eq19[i={i},k={k},l={l}]", fb.Y[i, k, l], k, "eq19", (i, k, l))
     if "eq20" in families and opts.eq20_mode == "linearized":
         for i, k, l in patterns["eq20"]:
-            m = compute_big_m(inst, "eq20", (i, k, l), opts.big_m_mode)
-            y = ix[f"Y[{i},{k},{l}]"]
-            model.add_constraint(f"eq20[i={i},k={k},l={l},side=k]",
-                                 [(y, 1.0), (ix[f"T[{k}]"], m)], LE, m)
-            model.add_constraint(f"eq20[i={i},k={k},l={l},side=l]",
-                                 [(y, 1.0), (ix[f"T[{l}]"], m)], LE, m)
+            for side, hub in (("k", k), ("l", l)):
+                row(f"eq20[i={i},k={k},l={l},side={side}]", fb.Y[i, k, l], hub,
+                    "eq20", (i, k, l))
+
+
+# ---------------------------------------------------------------------------
+# builders: the flow block under each model's objective or regret wrapper
+
+
+def _build_priced(inst: Instance, opts: ModelOptions, setup) -> LinearModel:
+    fb = _flow_block(inst, opts)
+    fb.model.set_objective(fb.cost_terms(setup))
+    return fb.model
+
+
+def build_nc(inst: Instance, opts: ModelOptions = ModelOptions()) -> LinearModel:
+    """Deterministic base model: eq2..eq7 with base setup costs."""
+    return _build_priced(inst, opts, inst.setup)
+
+
+def build_scenario_deterministic(inst: Instance, s: int,
+                                 opts: ModelOptions = ModelOptions()) -> LinearModel:
+    """Base model priced with the scenario-s effective setup F + sigma^s."""
+    if not (0 <= s < inst.num_scenarios):
+        raise FormulationError(f"scenario index {s} out of range")
+    return _build_priced(inst, opts, inst.effective_setup(s))
+
+
+def build_cc(inst: Instance, opts: ModelOptions = ModelOptions()) -> LinearModel:
+    """Worst-case model: minimize t subject to t >= scenario cost for all s."""
+    fb = _flow_block(inst, opts)
+    t = fb.model.add_variable("t", CONTINUOUS, -INF, INF)
+    for s in range(inst.num_scenarios):
+        terms = fb.cost_terms(inst.effective_setup(s)) + [(t, -1.0)]
+        fb.model.add_constraint(f"eq10[s={s}]", terms, LE, 0.0)
+    fb.model.set_objective([(t, 1.0)])
+    return fb.model
+
+
+def build_ccu(inst: Instance, baselines,
+              opts: ModelOptions = ModelOptions()) -> LinearModel:
+    """Max-regret model: minimize R with R >= scenario cost - baseline."""
+    return _regret_block(inst, baselines, opts, split=False)[0].model
 
 
 def _build_ocu(inst: Instance, baselines, opts: ModelOptions,
                families) -> LinearModel:
-    base = _baseline_values(inst, baselines)
-    model = LinearModel()
-    _add_flow_variables(model, inst.n)
-    for s in range(inst.num_scenarios):
-        model.add_variable(f"Rs[{s}]", CONTINUOUS, -INF, INF)
-    r_var = model.add_variable("R", CONTINUOUS, -INF, INF)
-    for k in range(inst.n):
-        model.add_variable(f"I[{k}]", BINARY)
-    for k in range(inst.n):
-        model.add_variable(f"T[{k}]", BINARY)
-    _add_core_rows(model, inst)
-    ix = model.name_index
-    setup_var = "H" if opts.ocu_objective == "as-written" else "I"
-    for s in range(inst.num_scenarios):
-        terms = _cost_terms(model, inst, opts, inst.effective_setup(s), setup_var)
-        terms += [(ix[f"T[{k}]"], float(inst.setup[k])) for k in range(inst.n)]
-        terms.append((ix[f"Rs[{s}]"], -1.0))
-        model.add_constraint(f"eq21[s={s}]", terms, EQ, base[s])
-    for s in range(inst.num_scenarios):
-        model.add_constraint(f"eq13[s={s}]",
-                             [(r_var, 1.0), (ix[f"Rs[{s}]"], -1.0)], GE, 0.0)
-    _add_coupling_rows(model, inst, opts, families)
-    model.set_objective([(r_var, 1.0)])
-    return model
+    fb, (I, T) = _regret_block(inst, baselines, opts, split=True)
+    _add_coupling_rows(fb, I, T, inst, opts, families)
+    return fb.model
 
 
 def build_ocu(inst: Instance, baselines,
               opts: ModelOptions = ModelOptions()) -> LinearModel:
     """Max-regret model with the collaborative/non-collaborative hub split
     and big-M rows blocking cross-chain use of non-collaborative hubs."""
-    if len(inst.chains) < 2:
-        raise FormulationError(
-            "at least two supply chains required for the collaboration model")
+    _require_two_chains(inst)
     return _build_ocu(inst, baselines, opts,
                       families=("eq15",) + COUPLING_FAMILIES)
 
@@ -364,19 +353,10 @@ def build_coupling_polytope(inst: Instance, opts: ModelOptions = ModelOptions(),
     Used by redundancy probes that maximize a single flow variable under a
     fixed binary pattern.
     """
-    if len(inst.chains) < 2:
-        raise FormulationError(
-            "at least two supply chains required for the collaboration model")
-    model = LinearModel()
-    _add_flow_variables(model, inst.n)
-    for k in range(inst.n):
-        model.add_variable(f"I[{k}]", BINARY)
-    for k in range(inst.n):
-        model.add_variable(f"T[{k}]", BINARY)
-    _add_core_rows(model, inst)
-    families = ["eq15", "eq16", "eq17", "eq18", "eq19"]
-    if include_eq20:
-        families.append("eq20")
-    _add_coupling_rows(model, inst, opts, families)
-    model.set_objective([])
-    return model
+    _require_two_chains(inst)
+    fb = _flow_block(inst, opts)
+    I, T = _add_hub_split(fb.model, inst.n)
+    families = ("eq15",) + COUPLING_FAMILIES
+    _add_coupling_rows(fb, I, T, inst, opts,
+                       families if include_eq20 else families[:-1])
+    return fb.model

@@ -124,7 +124,7 @@ def solve_milp(model: LinearModel) -> Solution:
         heapq.heappush(heap, (res.objective, -depth, -seq, fixings, res))
         seq += 1
 
-    root = solve_lp(model, relax_binaries=True)
+    root = solve_lp(model)
     nodes += 1
     process(root, {}, 0)
 
@@ -138,7 +138,7 @@ def solve_milp(model: LinearModel) -> Solution:
         for val in (0.0, 1.0):
             child = dict(fixings)
             child[j] = (val, val)
-            child_res = solve_lp(model, relax_binaries=True, extra_bounds=child)
+            child_res = solve_lp(model, extra_bounds=child)
             nodes += 1
             process(child_res, child, -negdepth + 1)
 
@@ -203,7 +203,7 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
                     keep &= acts[:, r] >= rhs[r] - 1e-9
         for row in bits[keep]:
             extra = {j: (row[t], row[t]) for t, j in enumerate(bins)}
-            res = solve_lp(model, relax_binaries=True, extra_bounds=extra)
+            res = solve_lp(model, extra_bounds=extra)
             lps += 1
             if res.status != "optimal":
                 continue

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .formulations import (ModelOptions, build_ccu, build_coupling_polytope,
-                           build_nc, build_ocu, build_scenario_deterministic,
-                           flow_cost_pairs)
+from .formulations import (COUPLING_FAMILIES, ModelOptions, build_ccu,
+                           build_coupling_polytope, build_nc, build_ocu,
+                           build_scenario_deterministic, flow_cost_pairs)
 from .instance import Instance
 from .milp import Solution, solve_milp
 from .model import check_feasibility
 
 CORE_LABELS = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7")
-COUPLING_LABELS = ("eq15", "eq16", "eq17", "eq18", "eq19", "eq20")
+COUPLING_LABELS = ("eq15",) + COUPLING_FAMILIES
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -120,22 +120,22 @@ def _attach_regrets(inst: Instance, sol: Solution, baselines: ScenarioBaseline,
                    baselines=list(baselines.values))
 
 
-def solve_ccu(inst: Instance, opts: ModelOptions = ModelOptions()) -> Solution:
-    """Baselines, then the max-regret model without the hub split."""
+def _solve_regret(inst: Instance, opts: ModelOptions, build) -> Solution:
     baselines = compute_baselines(inst, opts)
-    sol = solve_milp(build_ccu(inst, baselines, opts))
+    sol = solve_milp(build(inst, baselines, opts))
     if sol.status != "optimal":
         return sol
     return _attach_regrets(inst, sol, baselines, opts)
+
+
+def solve_ccu(inst: Instance, opts: ModelOptions = ModelOptions()) -> Solution:
+    """Baselines, then the max-regret model without the hub split."""
+    return _solve_regret(inst, opts, build_ccu)
 
 
 def solve_ocu(inst: Instance, opts: ModelOptions = ModelOptions()) -> Solution:
     """Baselines, then the max-regret model with the hub split rows."""
-    baselines = compute_baselines(inst, opts)
-    sol = solve_milp(build_ocu(inst, baselines, opts))
-    if sol.status != "optimal":
-        return sol
-    return _attach_regrets(inst, sol, baselines, opts)
+    return _solve_regret(inst, opts, build_ocu)
 
 
 def regret_report(inst: Instance, sol: Solution) -> dict:

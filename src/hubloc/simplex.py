@@ -57,7 +57,6 @@ class LPResult:
     vstatus: np.ndarray
     reduced_costs: np.ndarray | None
     iterations: int
-    relax_binaries: bool = True
     extra_bounds: dict | None = None
 
 
@@ -104,7 +103,7 @@ def _subtract_in_order(target, idx, amounts):
         target[idx[rank == t]] -= amounts[rank == t]
 
 
-def _standardize(model: LinearModel, relax_binaries: bool,
+def _standardize(model: LinearModel,
                  extra_bounds: dict | None) -> StandardForm | str:
     """Standard form of the LP, or the reason presolve found it infeasible."""
     cm = model.compiled()
@@ -146,11 +145,6 @@ def _standardize(model: LinearModel, relax_binaries: bool,
         live &= ~(empty | single)
         if not (pin.any() or empty.any() or single.any()):
             break
-
-    if not relax_binaries and (cm.binary & free).any():
-        name = model.variables[np.argmax(cm.binary & free)].name
-        raise ValueError(f"binary variable {name} is not fixed and "
-                         f"relax_binaries is off")
 
     # column layout: structural (in variable order), slacks, artificials
     ref = np.flatnonzero(free)
@@ -317,16 +311,14 @@ def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
     return x
 
 
-def solve_lp(model: LinearModel, relax_binaries: bool = True,
-             extra_bounds: dict | None = None) -> LPResult:
-    """Solve the LP (relaxation) of ``model``.
+def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
+    """Solve the LP relaxation of ``model``: binaries range over [0, 1].
 
     ``extra_bounds`` maps variable index to an (lb, ub) pair intersected
     with the model bounds; branch-and-bound uses it to fix binaries.
     """
-    sf = _standardize(model, relax_binaries, extra_bounds)
-    ctx = dict(relax_binaries=relax_binaries,
-               extra_bounds=dict(extra_bounds) if extra_bounds else None)
+    sf = _standardize(model, extra_bounds)
+    ctx = dict(extra_bounds=dict(extra_bounds) if extra_bounds else None)
     if isinstance(sf, str):
         return LPResult("infeasible", None, None, np.zeros(0, int),
                         np.zeros(0, int), None, 0, **ctx)
@@ -420,7 +412,7 @@ def verify_certificate(model: LinearModel, result: LPResult,
     if rep.objective_error > feastol * max(1.0, abs(obj)):
         rep.failures.append(f"objective mismatch {rep.objective_error:.3e}")
 
-    sf = _standardize(model, result.relax_binaries, result.extra_bounds)
+    sf = _standardize(model, result.extra_bounds)
     basis = result.basis
     if not isinstance(sf, str) and basis.size:
         B = sf.A[:, basis]

@@ -52,6 +52,15 @@ def test_solve_infeasible_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 
 
+def test_verify_ccnc_infeasible_base_exits_2(tmp_path, capsys):
+    path = tmp_path / "tight.json"
+    path.write_text(save_instance(make_toy3(capacity=(3.0, 3.0, 3.0))))
+    assert run(["verify", "--claim", "ccnc", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "infeasible"
+    assert "base model admits no feasible design" in out["detail"]
+
+
 def test_regret_report(toy3_file, capsys):
     assert run(["regret", "--model", "ccu", toy3_file]) == 0
     report = json.loads(capsys.readouterr().out)

