@@ -58,7 +58,6 @@ class CompiledModel:
     lo: np.ndarray
     hi: np.ndarray
     c: np.ndarray
-    binary: np.ndarray
 
     def __post_init__(self):
         for arr in vars(self).values():
@@ -155,8 +154,7 @@ def _compile(model: LinearModel) -> CompiledModel:
                        dtype=int),
         lo=np.array([v.lb for v in model.variables], dtype=float),
         hi=np.array([v.ub for v in model.variables], dtype=float),
-        c=model.objective_vector(),
-        binary=np.array([v.kind == BINARY for v in model.variables], dtype=bool))
+        c=model.objective_vector())
 
 
 def as_value_array(model: LinearModel, values) -> np.ndarray:

@@ -5,6 +5,9 @@ standard form (nonnegative, possibly upper-bounded columns and equality
 rows), runs phase 1 with artificial variables, then phase 2 with Dantzig
 pricing and a Bland fallback once degeneracy stalls progress.  Free
 variables are split into differences of nonnegative columns at load time.
+The dense tableau keeps only the columns of the nonbasic variables: a
+basic column is a unit vector that a pivot changes by exact zeros only,
+so storing it only adds work, and dropping it changes no value a pivot reads.
 
 The load step is a presolve over the model's compiled arrays
 (:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
@@ -38,7 +41,7 @@ COL_SHIFT, COL_SPLIT_POS, COL_SPLIT_NEG, COL_MIRROR, COL_SLACK, COL_ART = range(
 
 
 class SimplexError(RuntimeError):
-    """Numerical breakdown: anti-cycling could not make progress in time."""
+    """Numerical breakdown: no progress in time, a tiny pivot or a singular basis."""
 
 
 @dataclass
@@ -55,7 +58,6 @@ class LPResult:
     objective: float | None
     basis: np.ndarray
     vstatus: np.ndarray
-    reduced_costs: np.ndarray | None
     iterations: int
     extra_bounds: dict | None = None
 
@@ -203,9 +205,18 @@ def _standardize(model: LinearModel,
                         fixed=fixed, red_lo=lo, red_hi=hi)
 
 
-def _iterate(T, xB, basis, status, ub, d, maxit, start_iter, allow_unbounded):
-    """Run simplex pivots until optimal/unbounded; returns (outcome, iters)."""
-    m, ncols = T.shape
+def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
+             allow_unbounded):
+    """Run simplex pivots until optimal/unbounded; returns (outcome, iters).
+
+    ``N`` holds the tableau columns of the nonbasic variables: column
+    ``cols[s]`` is ``N[:, s]`` and ``slot`` maps a column back to its ``s``
+    (-1 while basic).  Basic columns are unit vectors, which a pivot changes
+    by exact zeros only, so they are not stored; the leaving variable takes
+    the entering one's slot.  ``d`` stays full length.
+    """
+    m = len(basis)
+    ncols = len(d)
     it = start_iter
     stall = 0
     bland = False
@@ -223,8 +234,9 @@ def _iterate(T, xB, basis, status, ub, d, maxit, start_iter, allow_unbounded):
         else:
             score = np.where(elig_lo, -d, np.where(elig_up, d, -math.inf))
             q = int(np.argmax(score))
+        s = slot[q]
         sigma = 1.0 if status[q] == NB_LOWER else -1.0
-        scol = sigma * T[:, q]
+        scol = sigma * N[:, s]
 
         lims = np.full(m, math.inf)
         if m:
@@ -251,7 +263,7 @@ def _iterate(T, xB, basis, status, ub, d, maxit, start_iter, allow_unbounded):
 
         if step_basic > ub[q] + 1e-12:
             # bound flip, basis unchanged
-            xB -= sigma * ub[q] * T[:, q]
+            xB -= sigma * ub[q] * N[:, s]
             status[q] = NB_UPPER if status[q] == NB_LOWER else NB_LOWER
             continue
 
@@ -265,37 +277,45 @@ def _iterate(T, xB, basis, status, ub, d, maxit, start_iter, allow_unbounded):
         enter_val = (0.0 if status[q] == NB_LOWER else ub[q]) + sigma * step
         if enter_val < 0.0:
             enter_val = 0.0
-        xB -= sigma * step * T[:, q]
+        xB -= sigma * step * N[:, s]
         status[p] = NB_LOWER if scol[r] > 0 else NB_UPPER
-        piv = T[r, q]
+        piv = N[r, s]
         if abs(piv) <= ZERO_PIVOT:
             raise SimplexError(f"numerical breakdown: pivot {piv:.2e}")
-        trow = T[r] / piv
-        colq = T[:, q].copy()
-        T -= np.outer(colq, trow)
-        T[r] = trow
-        d -= d[q] * trow
+        trow = N[r] / piv
+        colq = N[:, s].copy()
+        N -= np.outer(colq, trow)
+        N[r] = trow
+        # column p was the unit vector e_r: the full update gives it these
+        tp = 1.0 / piv
+        N[:, s] = 0.0 - colq * tp
+        N[r, s] = tp
+        dq = d[q]
+        d[cols] -= dq * trow
+        d[p] -= dq * tp
         d[q] = 0.0
+        cols[s], slot[p], slot[q] = p, s, -1
         xB[r] = enter_val
         basis[r] = q
         status[q] = BASIC
 
 
-def _refine_basics(A, b, basis, status, ub, xB):
+def _refine_basics(A, b, basis, status, ub):
     """Recompute basic values from a fresh factorization of the basis.
 
     Tableau updates accumulate roundoff over many pivots; one direct solve
     restores the basic values to machine accuracy for the final answer.
     """
     if basis.size == 0:
-        return xB
+        return np.zeros(0)
     vals = np.where(status == NB_UPPER, np.where(np.isfinite(ub), ub, 0.0), 0.0)
     vals[basis] = 0.0
     rhs = b - A @ vals
     try:
         return np.linalg.solve(A[:, basis], rhs)
     except np.linalg.LinAlgError:
-        return xB
+        raise SimplexError(f"numerical breakdown: singular basis "
+                           f"({basis.size} columns)") from None
 
 
 def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
@@ -321,43 +341,51 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
     ctx = dict(extra_bounds=dict(extra_bounds) if extra_bounds else None)
     if isinstance(sf, str):
         return LPResult("infeasible", None, None, np.zeros(0, int),
-                        np.zeros(0, int), None, 0, **ctx)
+                        np.zeros(0, int), 0, **ctx)
 
     m, ncols = sf.A.shape
-    T = sf.A.copy()
     xB = sf.b.copy()
     basis = sf.init_basis.copy()
     status = np.full(ncols, NB_LOWER, dtype=int)
     status[basis] = BASIC
+    cols = np.flatnonzero(status != BASIC)
+    slot = np.full(ncols, -1)
+    slot[cols] = np.arange(len(cols))
+    N = np.ascontiguousarray(sf.A[:, cols])
     ub = sf.ub.copy()
     maxit = 50 * (m + ncols)
     iters = 0
+    T = sf.A  # the full tableau before the first pivot
 
     if sf.art_mask.any():
         c1 = sf.art_mask.astype(float)
         d = c1 - c1[basis] @ T
-        _, iters = _iterate(T, xB, basis, status, ub, d, maxit, iters,
-                            allow_unbounded=False)
-        xB = _refine_basics(sf.A, sf.b, basis, status, ub, xB)
+        _, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
+                            iters, allow_unbounded=False)
+        xB = _refine_basics(sf.A, sf.b, basis, status, ub)
         infeas = float(c1[basis] @ np.maximum(xB, 0.0))
         if infeas > FEAS_TOL:
-            return LPResult("infeasible", None, None, basis, status, None,
-                            iters, **ctx)
+            return LPResult("infeasible", None, None, basis, status, iters, **ctx)
         # pin artificials at zero; any still basic stay caged degenerate
         ub[sf.art_mask] = 0.0
-
+        # price on a full-width tableau: BLAS may round a column's sum
+        # differently in a narrower array, and that could flip pricing ties
+        T = np.zeros(sf.A.shape)
+        T[:, cols] = N
+        T[np.arange(m), basis] = 1.0
     d = sf.c - sf.c[basis] @ T
-    outcome, iters = _iterate(T, xB, basis, status, ub, d, maxit, iters,
-                              allow_unbounded=True)
+    del T
+    outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
+                              iters, allow_unbounded=True)
     if outcome == "unbounded":
-        return LPResult("unbounded", None, None, basis, status, d, iters, **ctx)
+        return LPResult("unbounded", None, None, basis, status, iters, **ctx)
 
-    xB = _refine_basics(sf.A, sf.b, basis, status, ub, xB)
+    xB = _refine_basics(sf.A, sf.b, basis, status, ub)
     x = _values_from_state(sf, basis, status, xB)
     objective = float(model.compiled().c @ x)
     _self_check(model, x)
     return LPResult("optimal", x, objective, basis.copy(), status.copy(),
-                    d.copy(), iters, **ctx)
+                    iters, **ctx)
 
 
 def _self_check(model: LinearModel, x: np.ndarray) -> None:

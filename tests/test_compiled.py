@@ -63,7 +63,6 @@ def test_compiled_arrays_match_terms(inst, key):
     assert cm.lo.tolist() == [v.lb for v in model.variables]
     assert cm.hi.tolist() == [v.ub for v in model.variables]
     assert np.array_equal(cm.c, model.objective_vector())
-    assert cm.binary.tolist() == [v.kind == "binary" for v in model.variables]
 
 
 def test_compiled_form_is_cached_until_a_change(toy3):

@@ -9,7 +9,8 @@ from hubloc.formulations import build_nc
 from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel
-from hubloc.simplex import SimplexError, solve_lp, verify_certificate
+from hubloc.simplex import (BASIC, NB_LOWER, SimplexError, _refine_basics,
+                            solve_lp, verify_certificate)
 
 
 def lp(objective, constraints, variables):
@@ -145,3 +146,12 @@ def test_relax_flag_demands_fixed_binaries(toy3):
     res = solve_lp(model, extra_bounds=fixed)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(25.0, abs=1e-9)
+
+
+def test_singular_basis_refinement_raises():
+    # columns 0 and 1 are equal, so the basis [0, 1] cannot be factored
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+    status = np.array([BASIC, BASIC, NB_LOWER])
+    with pytest.raises(SimplexError, match="singular basis .2 columns"):
+        _refine_basics(A, np.array([1.0, 3.0]), np.array([0, 1]), status,
+                       np.full(3, math.inf))

@@ -1,0 +1,230 @@
+"""The condensed simplex tableau against a frozen full-tableau reference.
+
+``solve_lp`` stores and updates only the tableau columns of the nonbasic
+variables.  The reference below is the full m x ncols pivot loop and
+two-phase solve it replaced, with the same arithmetic; it only adds a
+record of when the Bland fallback fires.  Both run on the module's own
+standard form, basis refinement and value recovery, so on every LP they
+must take the same pivots and report the same status, iteration count,
+basis, statuses and values, exactly.  The comparison needs no stored
+digest, so it holds on any BLAS build.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import make_toy3
+from hubloc import milp
+from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
+from hubloc.instance import GeneratorConfig, generate_instance
+from hubloc.model import LE, LinearModel
+from hubloc.regret import compute_baselines
+from hubloc.simplex import (BASIC, FEAS_TOL, NB_LOWER, NB_UPPER, OPT_TOL,
+                            PIVOT_TOL, ZERO_PIVOT, SimplexError, _refine_basics,
+                            _standardize, _values_from_state, solve_lp)
+
+
+def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
+                       allow_unbounded, events):
+    m, ncols = T.shape
+    it = start_iter
+    stall = 0
+    bland = False
+    while True:
+        elig_lo = (status == NB_LOWER) & (d < -OPT_TOL) & (ub > 0)
+        elig_up = (status == NB_UPPER) & (d > OPT_TOL) & (ub > 0)
+        if not elig_lo.any() and not elig_up.any():
+            return "optimal", it
+        if it - start_iter >= maxit:
+            raise SimplexError(
+                f"numerical breakdown: no progress within {maxit} pivots")
+        if bland:
+            cand = np.nonzero(elig_lo | elig_up)[0]
+            q = int(cand[0])
+        else:
+            score = np.where(elig_lo, -d, np.where(elig_up, d, -math.inf))
+            q = int(np.argmax(score))
+        sigma = 1.0 if status[q] == NB_LOWER else -1.0
+        scol = sigma * T[:, q]
+
+        lims = np.full(m, math.inf)
+        if m:
+            pos = scol > PIVOT_TOL
+            np.divide(np.maximum(xB, 0.0), scol, out=lims, where=pos)
+            ubB = ub[basis]
+            neg = (scol < -PIVOT_TOL) & np.isfinite(ubB)
+            if neg.any():
+                room = np.maximum(ubB - xB, 0.0)
+                lims[neg] = np.minimum(lims[neg], room[neg] / -scol[neg])
+        step_basic = float(lims.min()) if m else math.inf
+        step = min(step_basic, ub[q])
+        if step == math.inf:
+            if not allow_unbounded:
+                raise SimplexError("numerical breakdown: phase-1 ray")
+            return "unbounded", it
+
+        it += 1
+        stall = stall + 1 if step <= 1e-12 else 0
+        if stall >= m + ncols:
+            bland = True
+            events.append("bland")
+        elif step > 1e-12:
+            bland = False
+
+        if step_basic > ub[q] + 1e-12:
+            xB -= sigma * ub[q] * T[:, q]
+            status[q] = NB_UPPER if status[q] == NB_LOWER else NB_LOWER
+            continue
+
+        achievers = np.nonzero(lims <= step + 1e-9)[0]
+        if bland:
+            r = int(achievers[np.argmin(basis[achievers])])
+        else:
+            r = int(achievers[np.argmax(np.abs(scol[achievers]))])
+        p = basis[r]
+        enter_val = (0.0 if status[q] == NB_LOWER else ub[q]) + sigma * step
+        if enter_val < 0.0:
+            enter_val = 0.0
+        xB -= sigma * step * T[:, q]
+        status[p] = NB_LOWER if scol[r] > 0 else NB_UPPER
+        piv = T[r, q]
+        if abs(piv) <= ZERO_PIVOT:
+            raise SimplexError(f"numerical breakdown: pivot {piv:.2e}")
+        trow = T[r] / piv
+        colq = T[:, q].copy()
+        T -= np.outer(colq, trow)
+        T[r] = trow
+        d -= d[q] * trow
+        d[q] = 0.0
+        xB[r] = enter_val
+        basis[r] = q
+        status[q] = BASIC
+
+
+def _reference_solve(model, extra_bounds=None, events=None):
+    """(status, iterations, basis, vstatus, x) from the full tableau."""
+    events = [] if events is None else events
+    sf = _standardize(model, extra_bounds)
+    if isinstance(sf, str):
+        return "infeasible", 0, np.zeros(0, int), np.zeros(0, int), None
+    m, ncols = sf.A.shape
+    T = sf.A.copy()
+    xB = sf.b.copy()
+    basis = sf.init_basis.copy()
+    status = np.full(ncols, NB_LOWER, dtype=int)
+    status[basis] = BASIC
+    ub = sf.ub.copy()
+    maxit = 50 * (m + ncols)
+    iters = 0
+    if sf.art_mask.any():
+        c1 = sf.art_mask.astype(float)
+        d = c1 - c1[basis] @ T
+        _, iters = _reference_iterate(T, xB, basis, status, ub, d, maxit, iters,
+                                      False, events)
+        xB = _refine_basics(sf.A, sf.b, basis, status, ub)
+        if float(c1[basis] @ np.maximum(xB, 0.0)) > FEAS_TOL:
+            return "infeasible", iters, basis, status, None
+        ub[sf.art_mask] = 0.0
+    d = sf.c - sf.c[basis] @ T
+    outcome, iters = _reference_iterate(T, xB, basis, status, ub, d, maxit,
+                                        iters, True, events)
+    if outcome == "unbounded":
+        return "unbounded", iters, basis, status, None
+    xB = _refine_basics(sf.A, sf.b, basis, status, ub)
+    return "optimal", iters, basis, status, _values_from_state(sf, basis, status, xB)
+
+
+def _assert_same_pivots(model, extra_bounds=None):
+    want = _reference_solve(model, extra_bounds)
+    got = solve_lp(model, extra_bounds)
+    assert (got.status, got.iterations) == want[:2]
+    assert np.array_equal(got.basis, want[2])
+    assert np.array_equal(got.vstatus, want[3])
+    if want[4] is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want[4])
+
+
+def _hub_models(inst):
+    base = compute_baselines(inst)
+    return {"nc": build_nc(inst), "cc": build_cc(inst),
+            "ccu": build_ccu(inst, base), "ocu": build_ocu(inst, base)}
+
+
+CORPUS = {"toy3": make_toy3} | {
+    f"n4-seed{s}": (lambda s=s: generate_instance(
+        GeneratorConfig(seed=s, n=4, chain_count=2)))
+    for s in range(3)}
+# instances whose B&B branches, so node LPs with fixed binaries are checked
+BRANCHING = {"n4-seed0", "n4-seed2"}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
+    seen = []
+
+    def capture(model, extra_bounds=None):
+        seen.append((model, extra_bounds))
+        return solve_lp(model, extra_bounds)
+
+    monkeypatch.setattr(milp, "solve_lp", capture)
+    for model in _hub_models(CORPUS[name]()).values():
+        _assert_same_pivots(model)
+        assert milp.solve_milp(model).status == "optimal"
+    assert any(eb for _, eb in seen) == (name in BRANCHING)
+    for model, extra_bounds in seen:
+        _assert_same_pivots(model, extra_bounds)
+
+
+def test_ocu_root_lp_at_n6_matches_full_tableau():
+    inst = generate_instance(GeneratorConfig(seed=0, n=6, chain_count=2,
+                                             scenario_count=2))
+    model = build_ocu(inst, compute_baselines(inst))
+    _assert_same_pivots(model)
+
+
+def _lp(A, c, rhs, ub=math.inf):
+    model = LinearModel()
+    cols = [model.add_variable(f"x[{j}]", lb=0.0, ub=ub) for j in range(len(c))]
+    for i, row in enumerate(A):
+        model.add_constraint(f"eq1[{i}]", [(cols[j], a) for j, a in enumerate(row)
+                                           if a], LE, rhs[i])
+    model.set_objective([(cols[j], a) for j, a in enumerate(c) if a])
+    return model
+
+
+def test_lp_without_artificials_matches_full_tableau():
+    model = _lp([[1.0, 2.0, 1.0], [3.0, 1.0, 2.0], [1.0, -1.0, 4.0]],
+                [-2.0, -3.0, -1.0], [4.0, 6.0, 5.0], ub=1.5)
+    sf = _standardize(model, None)
+    assert not sf.art_mask.any()
+    _assert_same_pivots(model)
+    assert solve_lp(model).status == "optimal"
+
+
+# A 10-row cone through the origin: every pivot is degenerate, so the stall
+# counter reaches m + ncols and the Bland rule takes over before the ray.
+_BLAND_CONE = (
+    [[2, 2, 2, -3, -1, 2, -2, 2, -2, 2, -3, 2],
+     [-2, 1, 1, -1, 1, -3, -3, 3, 2, 1, 1, -1],
+     [1, 1, 0, 0, 2, -2, 2, 3, 3, -2, 0, -1],
+     [-1, 0, 2, -3, 3, -2, 3, 0, -3, 2, 3, 3],
+     [-3, -1, -2, -1, 2, -2, 3, 3, 2, -2, 0, 2],
+     [3, -3, 2, -2, 0, -3, -3, 3, 3, 0, -3, 0],
+     [1, 1, 1, 0, 2, 1, -3, 1, 1, 1, 0, 3],
+     [-1, 3, 0, 0, -2, 0, 3, 1, 2, -1, 2, 1],
+     [0, -2, 0, -2, -1, 3, -3, -1, 2, 1, 1, 3],
+     [-2, -2, -3, -2, -1, 0, -3, -1, 2, 0, -3, -2]],
+    [-1, -5, -5, -1, 2, 3, 6, -4, -4, 0, 4, 2])
+
+
+def test_bland_fallback_lp_matches_full_tableau():
+    A, c = _BLAND_CONE
+    model = _lp(np.array(A, float), np.array(c, float), np.zeros(len(A)))
+    events = []
+    assert _reference_solve(model, events=events)[0] == "unbounded"
+    assert "bland" in events
+    _assert_same_pivots(model)
