@@ -1,0 +1,161 @@
+"""Write the byte-identity corpus of this checkout to a directory.
+
+    python scripts/identity.py OUTDIR
+
+For each CLI command of the corpus, OUTDIR gets ``NN-<name>.out``,
+``.err`` and ``.rc`` files: its stdout, stderr and exit code.  It also
+gets ``lp_digest.txt``: the number of LPs and pivots, and one SHA-256 over
+the (status, objective, iterations, x, basis, vstatus) of every
+``LPResult`` that ``solve_lp`` returns on the LP corpus below.  A change
+that must keep every report and every pivot path passes when
+
+    python scripts/identity.py a     # in the parent checkout
+    python scripts/identity.py b     # in the changed checkout
+    diff -r a b
+
+prints nothing.  The script imports ``hubloc`` from the ``src`` directory
+next to it, so each checkout is measured on its own code.  Outputs name
+no path, so two checkouts in different directories can be compared.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# one BLAS thread, as in perfbench: a threaded gemv may sum in another order
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from hubloc import claims, cli, milp, regret, simplex  # noqa: E402
+from hubloc.formulations import (build_cc, build_ccu, build_nc,  # noqa: E402
+                                 build_ocu)
+from hubloc.instance import GeneratorConfig, generate_instance  # noqa: E402
+
+GEN7 = ["--seed", "7", "--chains", "2", "--scenarios", "2"]
+INSTANCE = "gen7-n4.json"
+INSTANCE_N6 = "gen7-n6.json"
+
+# (name, argv); argv may read the instance files that earlier commands wrote
+COMMANDS = (
+    [("gen-n4", ["gen", *GEN7, "--nodes", "4", "-o", INSTANCE]),
+     ("gen-n6", ["gen", *GEN7, "--nodes", "6", "-o", INSTANCE_N6]),
+     ("sweep-s0-n3", ["sweep", "--trials", "3", "--seed", "0", "--nodes", "3"]),
+     ("sweep-s5-n4-total-literal",
+      ["sweep", "--trials", "2", "--seed", "5", "--nodes", "4", "--big-m",
+       "total", "--distribution-cost", "literal"])]
+    + [(f"solve-{m}", ["solve", "--model", m, INSTANCE])
+       for m in ("nc", "cc", "ccu", "ocu")]
+    + [(f"regret-{m}", ["regret", "--model", m, INSTANCE]) for m in ("ccu", "ocu")]
+    + [(f"verify-{c}", ["verify", "--claim", c, INSTANCE])
+       for c in ("thm1", "eq20", "tk", "ivar", "ccnc")]
+    + [("regret-ocu-n6", ["regret", "--model", "ocu", INSTANCE_N6])])
+
+
+def oracle_instance(seed):
+    """n=4 with the scenario count, overlap and capacity tightness varied."""
+    return generate_instance(GeneratorConfig(
+        seed=seed, n=4, chain_count=2,
+        overlap_fraction=0.0 if seed % 2 else 0.3,
+        scenario_count=1 + seed % 3, demand_density=0.7,
+        capacity_tightness=0.5 if seed % 3 else 0.9))
+
+
+def sweep_lps(seed):
+    """Every LP of ``hubloc sweep`` on one n=4 instance: the five claims."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(["sweep", "--trials", "1", "--seed", str(seed), "--nodes", "4"])
+
+
+def oracle_lps(seed):
+    """Baselines, then nc/cc/ccu/ocu by branch and bound and by enumeration."""
+    inst = oracle_instance(seed)
+    base = regret.compute_baselines(inst)
+    for model in (build_nc(inst), build_cc(inst), build_ccu(inst, base),
+                  build_ocu(inst, base)):
+        milp.solve_milp(model)
+        milp.solve_by_enumeration(model)
+
+
+def regret_n6_lps(seed):
+    """The hub-split max-regret model at n=6 with two scenarios."""
+    regret.solve_ocu(generate_instance(GeneratorConfig(
+        seed=seed, n=6, chain_count=2, scenario_count=2)))
+
+
+LP_CORPUS = ([("sweep", sweep_lps, s) for s in range(6)]
+             + [("oracle", oracle_lps, s) for s in range(6)]
+             + [("regret_n6", regret_n6_lps, s) for s in range(4)])
+
+
+def run_commands(outdir: Path, commands) -> None:
+    """Run each command in ``outdir``, keeping its stdout, stderr and code."""
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        for i, (name, argv) in enumerate(commands):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.run(argv)
+            stem = f"{i:02d}-{name}"
+            Path(f"{stem}.out").write_text(out.getvalue(), encoding="utf-8")
+            Path(f"{stem}.err").write_text(err.getvalue(), encoding="utf-8")
+            Path(f"{stem}.rc").write_text(f"{rc}\n", encoding="utf-8")
+    finally:
+        os.chdir(cwd)
+
+
+def lp_digest(corpus) -> str:
+    """LP count, pivot count and one SHA-256 over every LP result."""
+    h = hashlib.sha256()
+    lps = pivots = 0
+    solve_lp = simplex.solve_lp
+
+    def recording(model, extra_bounds=None):
+        nonlocal lps, pivots
+        res = solve_lp(model, extra_bounds)
+        lps += 1
+        pivots += res.iterations
+        h.update(repr((res.status, res.objective, res.iterations)).encode())
+        for a in (res.x, res.basis, res.vstatus):
+            if a is not None:
+                h.update(np.ascontiguousarray(a).tobytes())
+        return res
+
+    patched = (milp, claims)
+    for mod in patched:
+        mod.solve_lp = recording
+    try:
+        for _, lps_of, seed in corpus:
+            lps_of(seed)
+    finally:
+        for mod in patched:
+            mod.solve_lp = solve_lp
+    names = ", ".join(sorted({name for name, _, _ in corpus}))
+    return (f"corpus: {names}\nlps: {lps}\npivots: {pivots}\n"
+            f"sha256: {h.hexdigest()}\n")
+
+
+def write_identity(outdir: Path, commands=COMMANDS, corpus=LP_CORPUS) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    run_commands(outdir, commands)
+    (outdir / "lp_digest.txt").write_text(lp_digest(corpus), encoding="utf-8")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/identity.py OUTDIR", file=sys.stderr)
+        return 1
+    write_identity(Path(argv[0]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -107,13 +107,14 @@ def flow_cost_pairs(inst: Instance, opts: ModelOptions) -> list[tuple[str, float
 
 class _FlowBlock(NamedTuple):
     """A model holding H[k], the flows and rows eq2..eq7, with the column
-    index of every H/Z/Y/X variable and the flow cost terms."""
+    index of every H/Z/Y/X variable (nested lists: ``Y[i][k][l]``) and the
+    flow cost terms."""
 
     model: LinearModel
-    H: np.ndarray
-    Z: np.ndarray
-    Y: np.ndarray
-    X: np.ndarray
+    H: list[int]
+    Z: list[list[int]]
+    Y: list[list[list[int]]]
+    X: list[list[list[int]]]
     flow_costs: list[tuple[int, float]]
 
     def cost_terms(self, setup: np.ndarray, setup_cols=None) -> list[tuple[int, float]]:
@@ -123,7 +124,7 @@ class _FlowBlock(NamedTuple):
 
 
 def _unit(cols, coeff: float = 1.0) -> list[tuple[int, float]]:
-    return [(j, coeff) for j in cols.tolist()]
+    return [(j, coeff) for j in cols]
 
 
 def _flow_block(inst: Instance, opts: ModelOptions) -> _FlowBlock:
@@ -140,31 +141,35 @@ def _flow_block(inst: Instance, opts: ModelOptions) -> _FlowBlock:
     for name, _ in pairs:
         model.add_variable(name, CONTINUOUS, 0.0, INF)
     cols = np.arange(n, n + len(pairs))
-    H = np.arange(n)
-    Z = cols[:n * n].reshape(n, n)
-    Y = cols[n * n:n * n + n ** 3].reshape(n, n, n)
-    X = cols[n * n + n ** 3:].reshape(n, n, n)
-    for i in range(n):
-        model.add_constraint(f"eq2[i={i}]", _unit(Z[i]), EQ, origin_supply(inst, i))
-    for i in range(n):
-        for j in range(n):
-            model.add_constraint(f"eq3[i={i},j={j}]", _unit(X[i, :, j]), EQ, W[i, j])
-    for k in range(n):
+    H = list(range(n))
+    Z = cols[:n * n].reshape(n, n).tolist()
+    Y = cols[n * n:n * n + n ** 3].reshape(n, n, n).tolist()
+    X = cols[n * n + n ** 3:].reshape(n, n, n).tolist()
+    nodes = range(n)
+    supply = [origin_supply(inst, i) for i in nodes]
+    inflow = [float(W[:, j].sum()) for j in nodes]
+    for i in nodes:
+        model.add_constraint(f"eq2[i={i}]", _unit(Z[i]), EQ, supply[i])
+    for i in nodes:
+        for j in nodes:
+            model.add_constraint(f"eq3[i={i},j={j}]",
+                                 _unit([X[i][l][j] for l in nodes]), EQ, W[i, j])
+    for k in nodes:
         model.add_constraint(f"eq4[k={k}]",
-                             _unit(Z[:, k]) + [(H[k], -inst.capacity[k])], LE, 0.0)
-    for i in range(n):
-        for k in range(n):
-            terms = (_unit(Y[i, k]) + _unit(X[i, k]) + _unit(Y[i, :, k], -1.0)
-                     + [(Z[i, k], -1.0)])
+                             _unit([Z[i][k] for i in nodes])
+                             + [(H[k], -inst.capacity[k])], LE, 0.0)
+    for i in nodes:
+        for k in nodes:
+            terms = (_unit(Y[i][k]) + _unit(X[i][k])
+                     + _unit([Y[i][l][k] for l in nodes], -1.0) + [(Z[i][k], -1.0)])
             model.add_constraint(f"eq5[i={i},k={k}]", terms, EQ, 0.0)
-    for i in range(n):
-        supply = origin_supply(inst, i)
-        for k in range(n):
+    for i in nodes:
+        for k in nodes:
             model.add_constraint(f"eq6[i={i},k={k}]",
-                                 [(Z[i, k], 1.0), (H[k], -supply)], LE, 0.0)
-    for l in range(n):
-        for j in range(n):
-            terms = _unit(X[:, l, j]) + [(H[l], -float(W[:, j].sum()))]
+                                 [(Z[i][k], 1.0), (H[k], -supply[i])], LE, 0.0)
+    for l in nodes:
+        for j in nodes:
+            terms = _unit([X[i][l][j] for i in nodes]) + [(H[l], -inflow[j])]
             model.add_constraint(f"eq7[l={l},j={j}]", terms, LE, 0.0)
     return _FlowBlock(model, H, Z, Y, X,
                       [(j, float(c)) for j, (_, c) in zip(cols.tolist(), pairs)])
@@ -275,17 +280,17 @@ def _add_coupling_rows(fb: _FlowBlock, I, T, inst: Instance,
                                  [(fb.H[k], 1.0), (I[k], -1.0), (T[k], -1.0)],
                                  EQ, 0.0)
     for i, k in patterns["eq16"] if "eq16" in families else ():
-        row(f"eq16[i={i},k={k}]", fb.Z[i, k], k, "eq16", (i, k))
+        row(f"eq16[i={i},k={k}]", fb.Z[i][k], k, "eq16", (i, k))
     for i, j, l in patterns["eq17"] if "eq17" in families else ():
-        row(f"eq17[i={i},j={j},l={l}]", fb.X[i, l, j], l, "eq17", (i, j, l))
+        row(f"eq17[i={i},j={j},l={l}]", fb.X[i][l][j], l, "eq17", (i, j, l))
     for i, k, l in patterns["eq18"] if "eq18" in families else ():
-        row(f"eq18[i={i},k={k},l={l}]", fb.Y[i, k, l], l, "eq18", (i, k, l))
+        row(f"eq18[i={i},k={k},l={l}]", fb.Y[i][k][l], l, "eq18", (i, k, l))
     for i, k, l in patterns["eq19"] if "eq19" in families else ():
-        row(f"eq19[i={i},k={k},l={l}]", fb.Y[i, k, l], k, "eq19", (i, k, l))
+        row(f"eq19[i={i},k={k},l={l}]", fb.Y[i][k][l], k, "eq19", (i, k, l))
     if "eq20" in families and opts.eq20_mode == "linearized":
         for i, k, l in patterns["eq20"]:
             for side, hub in (("k", k), ("l", l)):
-                row(f"eq20[i={i},k={k},l={l},side={side}]", fb.Y[i, k, l], hub,
+                row(f"eq20[i={i},k={k},l={l},side={side}]", fb.Y[i][k][l], hub,
                     "eq20", (i, k, l))
 
 

@@ -8,6 +8,11 @@ variables are split into differences of nonnegative columns at load time.
 The dense tableau keeps only the columns of the nonbasic variables: a
 basic column is a unit vector that a pivot changes by exact zeros only,
 so storing it only adds work, and dropping it changes no value a pivot reads.
+Pricing is one product of the reduced costs with a signed weight per
+column (-1 at a lower bound, +1 at an upper bound, 0 when basic or capped
+at zero), and the ratio test reads the basic upper bounds from an array
+kept in step with the basis, so a pivot makes few numpy calls besides the
+rank-1 update.
 
 The load step is a presolve over the model's compiled arrays
 (:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
@@ -120,33 +125,41 @@ def _standardize(model: LinearModel,
     fixed = np.full(n, np.nan)
 
     # presolve fixpoint: pin collapsed columns and move them to the rhs,
-    # retire emptied rows after checking them, turn singleton rows into bounds
+    # retire emptied rows after checking them, turn singleton rows into bounds;
+    # a round skips each step that has nothing to act on
     while True:
         empty_iv = free & (lo > hi + FEAS_TOL)
         if empty_iv.any():
             return f"empty bound interval for {model.variables[np.argmax(empty_iv)].name}"
         pin = free & (hi - lo <= 1e-12)
-        fixed[pin] = 0.5 * (lo[pin] + hi[pin])
-        free &= ~pin
-        hit = pin[cols] & live[rows]
-        _subtract_in_order(rhs, rows[hit], vals[hit] * fixed[cols[hit]])
+        any_pin = pin.any()
+        if any_pin:
+            fixed[pin] = 0.5 * (lo[pin] + hi[pin])
+            free &= ~pin
+            hit = pin[cols] & live[rows]
+            _subtract_in_order(rhs, rows[hit], vals[hit] * fixed[cols[hit]])
         open_ = free[cols] & live[rows]
         count = np.bincount(rows[open_], minlength=len(rhs))
         empty = live & (count == 0)
-        broken = empty & (_violation(0.0, rhs, sense) > FEAS_TOL)
-        if broken.any():
-            label = model.constraints[np.argmax(broken)].label
-            return f"constraint {label} unsatisfiable after fixing"
+        any_empty = empty.any()
+        if any_empty:
+            broken = empty & (_violation(0.0, rhs, sense) > FEAS_TOL)
+            if broken.any():
+                label = model.constraints[np.argmax(broken)].label
+                return f"constraint {label} unsatisfiable after fixing"
+            live &= ~empty
         single = live & (count == 1)
+        if not single.any():
+            if not (any_pin or any_empty):
+                break
+            continue
         one = open_ & single[rows]
         r, j, a = rows[one], cols[one], vals[one]
         v = rhs[r] / a
         side = sense[r] * np.sign(a)
         np.minimum.at(hi, j[side >= 0], v[side >= 0])
         np.maximum.at(lo, j[side <= 0], v[side <= 0])
-        live &= ~(empty | single)
-        if not (pin.any() or empty.any() or single.any()):
-            break
+        live &= ~single
 
     # column layout: structural (in variable order), slacks, artificials
     ref = np.flatnonzero(free)
@@ -214,40 +227,63 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     (-1 while basic).  Basic columns are unit vectors, which a pivot changes
     by exact zeros only, so they are not stored; the leaving variable takes
     the entering one's slot.  ``d`` stays full length.
+
+    Pricing is one product ``d * w``: the weight ``w`` is -1 at a lower
+    bound, +1 at an upper bound and 0 for a basic column or one with
+    ``ub <= 0``, so a column is eligible exactly when its score exceeds
+    ``OPT_TOL``, and the score of an eligible column has the bits of
+    ``-d`` or ``d``.  ``w`` and the basic upper bounds ``ub[basis]`` (with
+    their finite mask) are built here, because phase 2 caps the
+    artificials, and then change only at a flip or a pivot.
     """
     m = len(basis)
     ncols = len(d)
+    if not ncols:
+        return "optimal", start_iter
     it = start_iter
     stall = 0
     bland = False
+    w = np.where(status == NB_LOWER, -1.0, 1.0)
+    w[(status == BASIC) | ~(ub > 0)] = 0.0
+    ubB = ub[basis]
+    finB = np.isfinite(ubB)
+    lims = np.empty(m)
+    pos = np.empty(m, dtype=bool)
+    neg = np.empty(m, dtype=bool)
     while True:
-        elig_lo = (status == NB_LOWER) & (d < -OPT_TOL) & (ub > 0)
-        elig_up = (status == NB_UPPER) & (d > OPT_TOL) & (ub > 0)
-        if not elig_lo.any() and not elig_up.any():
+        score = d * w
+        q = int(score.argmax())
+        if not score[q] > OPT_TOL:
+            if math.isnan(score[q]):
+                raise SimplexError(
+                    f"numerical breakdown: non-finite reduced cost {d[q]} "
+                    f"(column {q})")
             return "optimal", it
         if it - start_iter >= maxit:
             raise SimplexError(
                 f"numerical breakdown: no progress within {maxit} pivots")
         if bland:
-            cand = np.nonzero(elig_lo | elig_up)[0]
-            q = int(cand[0])
-        else:
-            score = np.where(elig_lo, -d, np.where(elig_up, d, -math.inf))
-            q = int(np.argmax(score))
+            q = int((score > OPT_TOL).argmax())
         s = slot[q]
-        sigma = 1.0 if status[q] == NB_LOWER else -1.0
-        scol = sigma * N[:, s]
+        lower = status[q] == NB_LOWER
+        sigma = 1.0 if lower else -1.0
+        # scol = sigma * col and mscol = -scol, with no copy for sigma = 1
+        col = N[:, s]
+        flipped = -col
+        scol, mscol = (col, flipped) if lower else (flipped, col)
 
-        lims = np.full(m, math.inf)
         if m:
-            pos = scol > PIVOT_TOL
+            lims.fill(math.inf)
+            np.greater(scol, PIVOT_TOL, out=pos)
             np.divide(np.maximum(xB, 0.0), scol, out=lims, where=pos)
-            ubB = ub[basis]
-            neg = (scol < -PIVOT_TOL) & np.isfinite(ubB)
+            np.greater(mscol, PIVOT_TOL, out=neg)
+            neg &= finB
             if neg.any():
-                room = np.maximum(ubB - xB, 0.0)
-                lims[neg] = np.minimum(lims[neg], room[neg] / -scol[neg])
-        step_basic = float(lims.min()) if m else math.inf
+                # pos and neg are disjoint, so these rows still hold inf
+                np.divide(np.maximum(ubB - xB, 0.0), mscol, out=lims, where=neg)
+            step_basic = float(lims.min())
+        else:
+            step_basic = math.inf
         step = min(step_basic, ub[q])
         if step == math.inf:
             if not allow_unbounded:
@@ -263,8 +299,9 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
 
         if step_basic > ub[q] + 1e-12:
             # bound flip, basis unchanged
-            xB -= sigma * ub[q] * N[:, s]
-            status[q] = NB_UPPER if status[q] == NB_LOWER else NB_LOWER
+            xB -= sigma * ub[q] * col
+            status[q] = NB_UPPER if lower else NB_LOWER
+            w[q] = -w[q]
             continue
 
         achievers = np.nonzero(lims <= step + 1e-9)[0]
@@ -272,18 +309,21 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
             r = int(achievers[np.argmin(basis[achievers])])
         else:
             # prefer the numerically largest pivot among the blockers
-            r = int(achievers[np.argmax(np.abs(scol[achievers]))])
+            r = int(achievers[np.abs(scol[achievers]).argmax()])
         p = basis[r]
-        enter_val = (0.0 if status[q] == NB_LOWER else ub[q]) + sigma * step
+        enter_val = (0.0 if lower else ub[q]) + sigma * step
         if enter_val < 0.0:
             enter_val = 0.0
-        xB -= sigma * step * N[:, s]
-        status[p] = NB_LOWER if scol[r] > 0 else NB_UPPER
+        xB -= sigma * step * col
+        leaves_lower = scol[r] > 0
+        status[p] = NB_LOWER if leaves_lower else NB_UPPER
+        w[p] = 0.0 if not ub[p] > 0 else -1.0 if leaves_lower else 1.0
+        w[q] = 0.0
         piv = N[r, s]
         if abs(piv) <= ZERO_PIVOT:
             raise SimplexError(f"numerical breakdown: pivot {piv:.2e}")
         trow = N[r] / piv
-        colq = N[:, s].copy()
+        colq = col.copy()
         N -= np.outer(colq, trow)
         N[r] = trow
         # column p was the unit vector e_r: the full update gives it these
@@ -298,6 +338,8 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         xB[r] = enter_val
         basis[r] = q
         status[q] = BASIC
+        ubB[r] = ub[q]
+        finB[r] = math.isfinite(ub[q])
 
 
 def _refine_basics(A, b, basis, status, ub):

@@ -1,0 +1,44 @@
+"""scripts/identity.py on a tiny corpus: two runs write identical files."""
+
+import importlib.util
+from pathlib import Path
+
+from conftest import make_toy3
+from hubloc import milp, simplex
+from hubloc.formulations import build_nc
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "identity.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("identity_script", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identity_script_is_repeatable_on_a_tiny_corpus(tmp_path):
+    identity = _load_script()
+    commands = [("gen", ["gen", "--seed", "3", "--nodes", "3", "-o", "i.json"]),
+                ("solve-nc", ["solve", "--model", "nc", "i.json"]),
+                ("bad-model", ["solve", "--model", "xx", "i.json"])]
+    corpus = [("toy3", lambda _: milp.solve_milp(build_nc(make_toy3())), 0)]
+    for side in ("a", "b"):
+        identity.write_identity(tmp_path / side, commands, corpus)
+    assert milp.solve_lp is simplex.solve_lp
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    a = tmp_path / "a"
+    codes = [(a / f"{i:02d}-{name}.rc").read_text()
+             for i, (name, _) in enumerate(commands)]
+    assert codes == ["0\n", "0\n", "1\n"]
+    assert '"status": "optimal"' in (a / "01-solve-nc.out").read_text()
+    assert "usage error" in (a / "02-bad-model.err").read_text()
+    digest = dict(line.split(": ", 1)
+                  for line in (a / "lp_digest.txt").read_text().splitlines())
+    assert digest["corpus"] == "toy3"
+    assert int(digest["lps"]) > 0 and int(digest["pivots"]) > 0
+    assert len(digest["sha256"]) == 64

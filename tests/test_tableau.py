@@ -3,7 +3,8 @@
 ``solve_lp`` stores and updates only the tableau columns of the nonbasic
 variables.  The reference below is the full m x ncols pivot loop and
 two-phase solve it replaced, with the same arithmetic; it only adds a
-record of when the Bland fallback fires.  Both run on the module's own
+record of when the Bland fallback fires, when a column flips between its
+bounds and when a column enters from its upper bound.  Both run on the module's own
 standard form, basis refinement and value recovery, so on every LP they
 must take the same pivots and report the same status, iteration count,
 basis, statuses and values, exactly.  The comparison needs no stored
@@ -22,8 +23,9 @@ from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.model import LE, LinearModel
 from hubloc.regret import compute_baselines
 from hubloc.simplex import (BASIC, FEAS_TOL, NB_LOWER, NB_UPPER, OPT_TOL,
-                            PIVOT_TOL, ZERO_PIVOT, SimplexError, _refine_basics,
-                            _standardize, _values_from_state, solve_lp)
+                            PIVOT_TOL, ZERO_PIVOT, SimplexError, _iterate,
+                            _refine_basics, _standardize, _values_from_state,
+                            solve_lp)
 
 
 def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
@@ -76,6 +78,7 @@ def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
         if step_basic > ub[q] + 1e-12:
             xB -= sigma * ub[q] * T[:, q]
             status[q] = NB_UPPER if status[q] == NB_LOWER else NB_LOWER
+            events.append("flip")
             continue
 
         achievers = np.nonzero(lims <= step + 1e-9)[0]
@@ -84,6 +87,8 @@ def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
         else:
             r = int(achievers[np.argmax(np.abs(scol[achievers]))])
         p = basis[r]
+        if status[q] == NB_UPPER:
+            events.append("enter-upper")
         enter_val = (0.0 if status[q] == NB_LOWER else ub[q]) + sigma * step
         if enter_val < 0.0:
             enter_val = 0.0
@@ -228,3 +233,42 @@ def test_bland_fallback_lp_matches_full_tableau():
     assert _reference_solve(model, events=events)[0] == "unbounded"
     assert "bland" in events
     _assert_same_pivots(model)
+
+
+def test_compared_lps_flip_bounds_and_enter_from_upper_bounds():
+    """The root LPs compared above take both paths that update the signed
+    pricing weights without a plain pivot from a lower bound."""
+    events = []
+    for name in sorted(CORPUS):
+        _reference_solve(_hub_models(CORPUS[name]())["ccu"], events=events)
+    assert "flip" in events
+    assert "enter-upper" in events
+
+
+def test_pricing_tie_enters_the_lowest_index():
+    # columns 1 and 2 have the same reduced cost -2: column 1 must enter
+    model = _lp([[1.0, 1.0, 1.0]], [-1.0, -2.0, -2.0], [1.0])
+    res = solve_lp(model)
+    assert (res.status, res.iterations) == ("optimal", 1)
+    assert res.x.tolist() == [0.0, 1.0, 0.0]
+    _assert_same_pivots(model)
+
+
+def test_lp_with_every_column_fixed_is_optimal():
+    model = _lp([[1.0, 1.0]], [1.0, 2.0], [2.0])
+    fix = {0: (1.0, 1.0), 1: (0.5, 0.5)}
+    assert _standardize(model, fix).A.shape == (0, 0)
+    res = solve_lp(model, fix)
+    assert (res.status, res.iterations, res.objective) == ("optimal", 0, 2.0)
+    assert res.x.tolist() == [1.0, 0.5]
+    _assert_same_pivots(model, fix)
+
+
+@pytest.mark.parametrize("d", [[math.nan, -1.0, 0.0], [-1.0, math.nan, 0.0]])
+def test_nan_reduced_cost_raises(d):
+    # one row x0 + x1 + s = 1 with the slack s basic
+    N = np.array([[1.0, 1.0]])
+    with pytest.raises(SimplexError, match="non-finite reduced cost"):
+        _iterate(N, np.array([0, 1]), np.array([0, 1, -1]), np.array([1.0]),
+                 np.array([2]), np.array([NB_LOWER, NB_LOWER, BASIC]),
+                 np.full(3, math.inf), np.array(d), 100, 0, True)
