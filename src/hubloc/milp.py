@@ -4,18 +4,27 @@ Two independent routes to the optimum:
 
 * :func:`solve_milp` -- branch and bound on the binary variables with
   best-bound node selection and most-fractional branching, every incumbent
-  re-checked through the LP certificate machinery.
+  re-checked through the LP certificate machinery.  Each branching solves
+  both children.  Where a second CPU is free, the second child's LP runs
+  in one forked helper process while this process solves the first; the
+  two results are then processed in order, so the tree, the incumbents
+  and every reported value are those of the serial search.
 * :func:`solve_by_enumeration` -- walks all binary assignments and solves
   the residual LP for each; assignments that already violate a pure-binary
   row are rejected without an LP.  This is the oracle the test suite uses
-  to certify the branch-and-bound search.
+  to certify the branch-and-bound search.  It always runs in-process.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import os
+import pickle
+import signal
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,15 +91,190 @@ def _fractional_binaries(x: np.ndarray, bins) -> list[tuple[float, int]]:
     return out
 
 
+# -- the child-LP helper process ----------------------------------------
+
+# The LP solver this module was loaded with, in a tuple so that a wrapper
+# that rebinds every module attribute holding it leaves this one alone.
+# A rebound ``solve_lp`` wants to see every LP, so the helper stays off.
+_ORIGINAL_SOLVE_LP = (solve_lp,)
+
+# Test seam: None decides from CPUs and BLAS threads; True or False
+# overrides those two conditions (the others always hold).
+_FORCE_HELPER: bool | None = None
+
+_HELPER = None          # this process's _Helper, started at the first branching
+_IN_HELPER = False      # set inside the helper, which must never fork
+_TOKENS = itertools.count(1)
+
+
+class HelperError(RuntimeError):
+    """The branch-and-bound helper process died or could not answer."""
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_single_threaded(environ) -> bool:
+    threads = environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS"))
+    return threads == "1"
+
+
+# BLAS reads its thread count once, when it loads, so a later change to
+# the environment does not count: read it when this module is imported.
+_BLAS_ONE_THREAD = _blas_single_threaded(os.environ)
+
+
+def _helper_wanted() -> bool:
+    """May this solve hand child LPs to the helper?"""
+    if (_IN_HELPER or not hasattr(os, "fork")
+            or solve_lp is not _ORIGINAL_SOLVE_LP[0]
+            or threading.current_thread() is not threading.main_thread()):
+        return False
+    if _FORCE_HELPER is not None:
+        return _FORCE_HELPER
+    return _usable_cpus() > 1 and _BLAS_ONE_THREAD
+
+
+def _current_helper():
+    """This process's helper, forked now if there is none and no other
+    thread runs; None if it cannot be started."""
+    global _HELPER
+    if _HELPER is not None and _HELPER.owner == os.getpid():
+        return _HELPER
+    if threading.active_count() != 1:
+        return None
+    _HELPER = _Helper()
+    return _HELPER
+
+
+def _stop_helper() -> None:
+    """Stop this process's helper, if any; the next branching forks anew."""
+    if _HELPER is not None and _HELPER.owner == os.getpid():
+        _HELPER.close()
+
+
+def _serve(conn, parent_end) -> None:
+    """Helper main loop: answer (token, model or None, fixings) requests
+    with (True, LPResult) or (False, exception) until the pipe closes."""
+    global _IN_HELPER
+    _IN_HELPER = True
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    solve = _ORIGINAL_SOLVE_LP[0]
+    token = model = None
+    while True:
+        try:
+            req_token, req_model, fixings = conn.recv()
+        except (EOFError, OSError):  # the parent closed the pipe or died
+            return
+        if req_model is not None:
+            token, model = req_token, req_model
+        try:
+            if req_token != token:
+                raise HelperError(f"helper holds no model for token {req_token}")
+            reply = (True, solve(model, extra_bounds=fixings))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+class _Helper:
+    """One forked process, joined by a pipe, that solves the second child
+    of each branching while the parent solves the first."""
+
+    def __init__(self):
+        import multiprocessing  # here, so that importing hubloc stays cheap
+
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child_end, self.conn),
+                                name="hubloc-bnb-helper", daemon=True)
+        self.proc.start()
+        child_end.close()
+        self.owner = os.getpid()
+        self.token = None   # the MILP whose model the helper holds
+        self.pairs = 0
+
+    def _gone(self, exc: BaseException) -> HelperError:
+        self.close()
+        return HelperError(f"branch-and-bound helper process (pid "
+                           f"{self.proc.pid}) is gone, exit code "
+                           f"{self.proc.exitcode}: {exc!r}")
+
+    def _receive(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._gone(exc) from exc
+        except BaseException:  # an interrupt: the reply may still come
+            self.close()
+            raise
+
+    def close(self) -> None:
+        global _HELPER
+        if _HELPER is self:
+            _HELPER = None
+        self.conn.close()
+        self.proc.join(1.0)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join()
+
+    def solve_pair(self, model: LinearModel, token: int, children):
+        """Yield the LP results of ``children`` (two fixings dicts) in
+        order; the helper solves the second while this process solves the
+        first.  An exception raised in the helper is raised on the second
+        result."""
+        # The model goes without its compiled arrays, half the bytes: the
+        # helper compiles them again, to the same values.  Pickled here, not
+        # by Connection.send, whose buffer a failed send's traceback keeps.
+        sent = replace(model) if token != self.token else None
+        try:
+            self.conn.send_bytes(pickle.dumps((token, sent, children[1])))
+        except OSError as exc:
+            raise self._gone(exc) from exc
+        self.token = token
+        self.pairs += 1
+        try:
+            first = solve_lp(model, extra_bounds=children[0])
+        finally:
+            # even when the first LP raised, so that the pipe stays in step
+            ok, second = self._receive()
+        yield first
+        if not ok:
+            raise second
+        yield second
+
+
 def solve_milp(model: LinearModel) -> Solution:
     """Globally optimal solution via branch and bound.
 
     Node selection is best-bound with depth-first tie breaking; branching
     picks the most fractional binary (ties to the lowest index), so the
     search tree is a pure function of the model.
+
+    Both children of a branching are solved before either is processed.
+    The second child's LP runs in a forked helper process when all of
+    these hold: ``os.fork`` exists and more than one CPU is usable;
+    ``OPENBLAS_NUM_THREADS`` (or, if unset, ``OMP_NUM_THREADS``) was
+    ``"1"`` when this module was imported; ``solve_lp`` of this module is not rebound by a wrapper; and
+    the caller is the main thread of a process that had no other thread
+    when the helper was forked.  Otherwise both run here, one after the
+    other.  Either way the same LPs are solved by the same code, so the
+    result is the same bit for bit.  A helper that dies raises
+    :class:`HelperError`; the next solve forks a fresh one.
     """
     t0 = time.perf_counter()
     bins = model.binary_indices()
+    want_helper = _helper_wanted()
+    helper = None
+    token = next(_TOKENS)
     nodes = 0
     incumbent: LPResult | None = None
     incumbents: list[tuple[float, dict[str, float]]] = []
@@ -135,10 +319,14 @@ def solve_milp(model: LinearModel) -> Solution:
             break
         frac = _fractional_binaries(res.x, bins)
         _, j = max(frac, key=lambda t: (t[0], -t[1]))
-        for val in (0.0, 1.0):
-            child = dict(fixings)
-            child[j] = (val, val)
-            child_res = solve_lp(model, extra_bounds=child)
+        children = [{**fixings, j: (val, val)} for val in (0.0, 1.0)]
+        if want_helper:  # fork, or reuse, at the first branching only
+            helper, want_helper = _current_helper(), False
+        if helper is not None:
+            solved = helper.solve_pair(model, token, children)
+        else:
+            solved = (solve_lp(model, extra_bounds=c) for c in children)
+        for child, child_res in zip(children, solved):
             nodes += 1
             process(child_res, child, -negdepth + 1)
 
