@@ -12,7 +12,12 @@ Two independent routes to the optimum:
 * :func:`solve_by_enumeration` -- walks all binary assignments and solves
   the residual LP for each; assignments that already violate a pure-binary
   row are rejected without an LP.  This is the oracle the test suite uses
-  to certify the branch-and-bound search.  It always runs in-process.
+  to certify the branch-and-bound search.  It shares no search logic with
+  it (no bounds, no pruning, no incumbent), only the cold ``solve_lp``.
+  Where the helper may run, it solves the odd-numbered assignments of each
+  chunk while this process solves the even ones; the results are then
+  replayed in lexicographic order, and every running best is certified
+  here, so the result is that of the serial walk.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def _fractional_binaries(x: np.ndarray, bins) -> list[tuple[float, int]]:
     return out
 
 
-# -- the child-LP helper process ----------------------------------------
+# -- the helper process ------------------------------------------------
 
 # The LP solver this module was loaded with, in a tuple so that a wrapper
 # that rebinds every module attribute holding it leaves this one alone.
@@ -111,7 +116,8 @@ _FRAME = struct.Struct("!Q")   # length prefix of one pickled message
 
 
 class HelperError(RuntimeError):
-    """The branch-and-bound helper process died or could not answer."""
+    """The helper process died, could not answer, or sent a reply that
+    does not answer its request."""
 
 
 def _usable_cpus() -> int:
@@ -140,7 +146,7 @@ def _in_worker_process() -> bool:
 
 
 def _helper_wanted() -> bool:
-    """May this solve hand child LPs to the helper?"""
+    """May this solve hand LPs to the helper?"""
     if (_IN_HELPER or not hasattr(os, "fork")
             or solve_lp is not _ORIGINAL_SOLVE_LP[0]
             or threading.current_thread() is not threading.main_thread()
@@ -164,7 +170,7 @@ def _current_helper():
 
 
 def _stop_helper() -> None:
-    """Stop this process's helper, if any; the next branching forks anew."""
+    """Stop this process's helper, if any; the next search forks anew."""
     if _HELPER is not None and _HELPER.owner == os.getpid():
         _HELPER.close()
 
@@ -191,36 +197,70 @@ def _recv(fd: int):
     return pickle.loads(_read_exactly(fd, size))
 
 
+def _fixings(indices, row) -> dict:
+    """Extra bounds that fix variable ``indices[t]`` at ``row[t]``."""
+    return {j: (v, v) for j, v in zip(indices, row.tolist())}
+
+
+def _solve_share(model: LinearModel, indices, rows):
+    """Solve the LP of each row of ``rows`` (values of the variables
+    ``indices``) in order, up to the first that raises.
+
+    Returns ``(kept, failure)``.  ``kept`` has one entry per row solved:
+    the LPResult of an optimum strictly better than every earlier optimum
+    of this share, None for any other optimum (it can never be a running
+    best), or the status of a result that is not optimal.  ``failure`` is
+    None or ``(position, exception)``.  A share of a chunk of 2^16 rows
+    thus stays small, in memory and in a reply.
+    """
+    kept, best = [], None
+    for pos, row in enumerate(rows):
+        try:
+            res = solve_lp(model, extra_bounds=_fixings(indices, row))
+        except Exception as exc:
+            return kept, (pos, exc)
+        if res.status != "optimal":
+            kept.append(res.status)
+        elif best is None or res.objective < best:
+            best = res.objective
+            kept.append(res)
+        else:
+            kept.append(None)
+    return kept, None
+
+
 def _serve(requests: int, replies: int) -> None:
-    """Helper main loop: answer (token, model or None, fixings) requests
-    with (True, LPResult) or (False, exception) until the pipe closes."""
+    """Helper main loop: answer each (token, model or None, indices, rows)
+    request with the :func:`_solve_share` of its rows until the pipe
+    closes.  The model comes with the first request of each token."""
     global _IN_HELPER
     _IN_HELPER = True
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-    solve = _ORIGINAL_SOLVE_LP[0]
     token = model = None
     while True:
         try:
-            req_token, req_model, fixings = _recv(requests)
+            req_token, req_model, indices, rows = _recv(requests)
         except Exception:  # the parent closed the pipe, died mid-frame, ...
             return
         if req_model is not None:
             token, model = req_token, req_model
-        try:
-            if req_token != token:
-                raise HelperError(f"helper holds no model for token {req_token}")
-            reply = (True, solve(model, extra_bounds=fixings))
-        except Exception as exc:
-            reply = (False, exc)
+        if req_token == token:
+            reply = _solve_share(model, indices, rows)
+        else:
+            reply = [], (0, HelperError(f"helper holds no model for token {req_token}"))
         try:
             _send(replies, reply)
         except OSError:
             return
 
 
+_NO_BASIS = np.zeros(0, int)
+
+
 class _Helper:
-    """One forked process, joined by two pipes, that solves the second
-    child of each branching while the parent solves the first."""
+    """One forked process, joined by two pipes, that solves one share of
+    a batch of LPs while the parent solves the other: the second child of
+    a branching, or the odd rows of an enumeration chunk."""
 
     def __init__(self):
         req_read, self.requests = os.pipe()
@@ -245,9 +285,9 @@ class _Helper:
         self.owner = os.getpid()
         self.closed = False
         self.exitcode = None
-        self.token = None     # the MILP whose model the helper holds
+        self.token = None     # the solve whose model the helper holds
         self.pending = False  # a request was (maybe partly) sent, no reply read
-        self.pairs = 0
+        self.pairs = 0        # branchings served
 
     def _gone(self, exc: BaseException) -> HelperError:
         self.close()
@@ -262,6 +302,27 @@ class _Helper:
         self.pending = False
         return reply
 
+    def _check(self, reply, indices, rows) -> None:
+        """Stop the helper and raise unless ``reply`` answers ``rows``: one
+        entry per row up to its failure, and each kept result solved for
+        the fixings sent."""
+        kept, failure = reply
+        if failure is None:
+            answered = len(kept) == len(rows)
+        else:
+            answered = len(kept) == failure[0] < len(rows)
+        if not answered:
+            problem = f"{len(kept)} results for {len(rows)} rows"
+        elif any(isinstance(res, LPResult)
+                 and res.extra_bounds != _fixings(indices, row)
+                 for res, row in zip(kept, rows)):
+            problem = "a result for other fixings than sent"
+        else:
+            return
+        self.close()
+        raise HelperError(f"branch-and-bound helper process (pid {self.pid}) "
+                          f"sent a bad reply: {problem}")
+
     def close(self) -> None:
         global _HELPER
         if _HELPER is self:
@@ -275,37 +336,46 @@ class _Helper:
         os.close(self.replies)
         self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
-    def solve_pair(self, model: LinearModel, token: int, children):
-        """Yield the LP results of ``children`` (two fixings dicts) in
-        order; the helper solves the second while this process solves the
-        first.  An exception raised in the helper is raised on the second
-        result."""
+    def solve_split(self, model: LinearModel, token: int, indices, here, there):
+        """Solve the LPs of rows ``here`` in this process while the helper
+        solves those of rows ``there``; returns both :func:`_solve_share`
+        results, this process's first."""
         # The model goes without its compiled arrays, half the bytes: the
         # helper compiles them again, to the same values.
         sent = replace(model) if token != self.token else None
         self.pending = True
         try:
             try:
-                _send(self.requests, (token, sent, children[1]))
+                _send(self.requests, (token, sent, indices, there))
             except OSError as exc:
                 raise self._gone(exc) from exc
             self.token = token
-            self.pairs += 1
-            try:
-                first = solve_lp(model, extra_bounds=children[0])
-            except Exception:
-                self._receive()   # so that the pipe stays in step
-                raise
-            ok, second = self._receive()
+            local = _solve_share(model, indices, here)
+            remote = self._receive()
         finally:
             # A reply is still owed, or part of a request is in the pipe
             # (an interrupt, or a lost helper): never reuse this helper.
             if self.pending:
                 self.close()
-        yield first
-        if not ok:
-            raise second
-        yield second
+        self._check(remote, indices, there)
+        return local, remote
+
+    def solve_pair(self, model: LinearModel, token: int, children):
+        """Yield the LP results of ``children`` (two fixings dicts over the
+        same variables) in order; the helper solves the second while this
+        process solves the first.  An exception raised for the first child
+        is raised before anything is yielded, one for the second on the
+        second result."""
+        indices = list(children[1])
+        rows = [np.array([[lo for lo, _ in child.values()]]) for child in children]
+        self.pairs += 1
+        for kept, failure in self.solve_split(model, token, indices, *rows):
+            if failure is not None:
+                raise failure[1]
+            res = kept[0]
+            if isinstance(res, str):   # a status is all that came back
+                res = LPResult(res, None, None, _NO_BASIS, _NO_BASIS, 0)
+            yield res
 
 
 def solve_milp(model: LinearModel) -> Solution:
@@ -413,12 +483,40 @@ def _binary_screen(model: LinearModel, bins):
     return np.array(rows), rels, np.array(rhs)
 
 
+def _replay(model: LinearModel, shares, count: int, best: LPResult | None):
+    """Visit positions ``0..count-1`` of a chunk as the serial walk does,
+    position ``p`` being entry ``p // k`` of share ``p % k`` of the ``k``
+    shares: certify each new running best, and raise a share's failure at
+    its position.  Returns the running best."""
+    k = len(shares)
+    for pos in range(count):
+        kept, failure = shares[pos % k]
+        if pos // k == len(kept):   # the share stopped at its failure
+            raise failure[1]
+        res = kept[pos // k]
+        if isinstance(res, LPResult) and (best is None
+                                          or res.objective < best.objective):
+            cert = verify_certificate(model, res)
+            if not cert.passed:
+                raise SimplexError("enumeration incumbent failed certificate: "
+                                   + "; ".join(cert.failures[:3]))
+            best = res
+    return best
+
+
 def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
     """Exhaustive oracle: one residual LP per binary assignment.
 
     Assignments are visited in lexicographic order of the binary vector.
     Assignments that violate a row made up purely of binary variables are
     discarded without an LP, which cannot change the optimum.
+
+    Under the conditions of :func:`solve_milp`, the helper process solves
+    the odd-numbered assignments of each chunk while this process solves
+    the even ones, with the same cold ``solve_lp``.  The results are then
+    replayed in order here, where every running best is certified and the
+    error of the lowest failing assignment is raised, so the result, the
+    LP count and any error are those of the serial walk.
     """
     t0 = time.perf_counter()
     bins = model.binary_indices()
@@ -426,6 +524,8 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
     if nb > binary_cap:
         raise EnumerationCapError(
             f"{nb} binary variables exceed the enumeration cap {binary_cap}")
+    helper = _current_helper() if _helper_wanted() else None
+    token = next(_TOKENS)
     screen = _binary_screen(model, bins)
     shifts = np.array([nb - 1 - t for t in range(nb)], dtype=np.int64)
 
@@ -447,18 +547,14 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
                     keep &= acts[:, r] <= rhs[r] + 1e-9
                 else:
                     keep &= acts[:, r] >= rhs[r] - 1e-9
-        for row in bits[keep]:
-            extra = {j: (row[t], row[t]) for t, j in enumerate(bins)}
-            res = solve_lp(model, extra_bounds=extra)
-            lps += 1
-            if res.status != "optimal":
-                continue
-            if best is None or res.objective < best.objective:
-                cert = verify_certificate(model, res)
-                if not cert.passed:
-                    raise SimplexError("enumeration incumbent failed certificate: "
-                                       + "; ".join(cert.failures[:3]))
-                best = res
+        assignments = bits[keep]
+        if helper is None:
+            shares = [_solve_share(model, bins, assignments)]
+        else:
+            shares = helper.solve_split(model, token, bins, assignments[0::2],
+                                        assignments[1::2])
+        best = _replay(model, shares, len(assignments), best)
+        lps += len(assignments)
 
     wall = time.perf_counter() - t0
     if best is None:

@@ -22,7 +22,10 @@ branch-and-bound node LPs small.  It is a pure function of the inputs, so
 :func:`verify_certificate` can rebuild the identical standard form and
 recheck a result's basis with independent linear algebra.
 
-Tolerances: feasibility 1e-7, optimality 1e-7, zero pivot 1e-10.
+Tolerances: feasibility 1e-7, optimality 1e-7, zero pivot 1e-10.  The
+ratio test takes entries above 1e-9 as pivots; when the row it picks has
+an entry below 1e-6 and below 1e-9 times the entering column's largest
+|entry|, it runs again with that relative threshold.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .model import EQ, LE, LinearModel
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 PIVOT_TOL = 1e-9
+REL_PIVOT = 1e-9   # times the entering column's largest |entry|
 ZERO_PIVOT = 1e-10
 BOUND_TOL = 1e-9
 
@@ -272,44 +276,59 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         flipped = -col
         scol, mscol = (col, flipped) if lower else (flipped, col)
 
-        if m:
-            lims.fill(math.inf)
-            np.greater(scol, PIVOT_TOL, out=pos)
-            np.divide(np.maximum(xB, 0.0), scol, out=lims, where=pos)
-            np.greater(mscol, PIVOT_TOL, out=neg)
-            neg &= finB
-            if neg.any():
-                # pos and neg are disjoint, so these rows still hold inf
-                np.divide(np.maximum(ubB - xB, 0.0), mscol, out=lims, where=neg)
-            step_basic = float(lims.min())
-        else:
-            step_basic = math.inf
-        step = min(step_basic, ub[q])
-        if step == math.inf:
-            if not allow_unbounded:
-                raise SimplexError("numerical breakdown: phase-1 ray")
-            return "unbounded", it
+        # The ratio test treats an entry above PIVOT_TOL as a pivot.  If
+        # the row it picks has an entry below 1e-6 that is also below
+        # REL_PIVOT times the column's largest, the test runs again with
+        # that relative threshold: an absolute 1e-9 let a noise entry of
+        # 1.6e-9 in a column reaching 1.3e3 make the basis singular.
+        tol = PIVOT_TOL
+        while True:
+            if m:
+                lims.fill(math.inf)
+                np.greater(scol, tol, out=pos)
+                np.divide(np.maximum(xB, 0.0), scol, out=lims, where=pos)
+                np.greater(mscol, tol, out=neg)
+                neg &= finB
+                if neg.any():
+                    # pos and neg are disjoint, so these rows still hold inf
+                    np.divide(np.maximum(ubB - xB, 0.0), mscol, out=lims,
+                              where=neg)
+                step_basic = float(lims.min())
+            else:
+                step_basic = math.inf
+            step = min(step_basic, ub[q])
+            if step == math.inf:
+                if not allow_unbounded:
+                    raise SimplexError("numerical breakdown: phase-1 ray")
+                return "unbounded", it
+            next_stall = stall + 1 if step <= 1e-12 else 0
+            next_bland = next_stall >= m + ncols or (bland and step <= 1e-12)
+            flip = step_basic > ub[q] + 1e-12
+            if flip:
+                break
+            achievers = np.nonzero(lims <= step + 1e-9)[0]
+            if next_bland:
+                r = int(achievers[np.argmin(basis[achievers])])
+            else:
+                # prefer the numerically largest pivot among the blockers
+                r = int(achievers[np.abs(scol[achievers]).argmax()])
+            small = abs(scol[r])
+            if tol > PIVOT_TOL or small >= 1e-6:
+                break
+            rel = REL_PIVOT * float(np.abs(col).max())
+            if small > rel:
+                break
+            tol = rel
 
         it += 1
-        stall = stall + 1 if step <= 1e-12 else 0
-        if stall >= m + ncols:
-            bland = True
-        elif step > 1e-12:
-            bland = False
-
-        if step_basic > ub[q] + 1e-12:
+        stall, bland = next_stall, next_bland
+        if flip:
             # bound flip, basis unchanged
             xB -= sigma * ub[q] * col
             status[q] = NB_UPPER if lower else NB_LOWER
             w[q] = -w[q]
             continue
 
-        achievers = np.nonzero(lims <= step + 1e-9)[0]
-        if bland:
-            r = int(achievers[np.argmin(basis[achievers])])
-        else:
-            # prefer the numerically largest pivot among the blockers
-            r = int(achievers[np.abs(scol[achievers]).argmax()])
         p = basis[r]
         enter_val = (0.0 if lower else ub[q]) + sigma * step
         if enter_val < 0.0:

@@ -1,12 +1,14 @@
-"""Branch and bound with the child-LP helper process forced on and off.
+"""Branch and bound and enumeration with the helper process forced on and off.
 
-The helper may change only where the second child's LP of a branching
-runs.  Every field of every ``Solution`` must equal the serial search's,
-its failures must reach the caller as typed errors, and anything that
-wants to see each LP (a rebound ``milp.solve_lp``, another thread) must
-keep the in-process path.
+The helper may change only where an LP runs: the second child's LP of a
+branching, or the odd-numbered assignments of an enumeration chunk.
+Every field of every ``Solution`` must equal the serial search's, its
+failures must reach the caller as typed errors, and anything that wants
+to see each LP (a rebound ``milp.solve_lp``, another thread) must keep
+the in-process path.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -14,6 +16,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ import pytest
 from hubloc import milp, simplex
 from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
 from hubloc.instance import GeneratorConfig, generate_instance
-from hubloc.model import BINARY, EQ, LinearModel
+from hubloc.model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
 from hubloc.regret import compute_baselines
 from hubloc.simplex import SimplexError
 
@@ -47,6 +50,15 @@ def solve(model, helper):
     milp._FORCE_HELPER = helper
     try:
         return milp.solve_milp(model)
+    finally:
+        milp._FORCE_HELPER = saved
+
+
+def enumerate_(model, helper):
+    saved = milp._FORCE_HELPER
+    milp._FORCE_HELPER = helper
+    try:
+        return milp.solve_by_enumeration(model)
     finally:
         milp._FORCE_HELPER = saved
 
@@ -115,6 +127,52 @@ def split_parity():
     return m
 
 
+def descending():
+    """Three binaries whose sum is at most 2, so enumeration keeps codes
+    0 to 6, and each beats the one before it: the objective is minus the
+    assignment's code plus half its number of ones (``w``)."""
+    m = LinearModel()
+    h = [m.add_variable(f"H[{i}]", BINARY) for i in range(3)]
+    w = m.add_variable("w", CONTINUOUS, 0.0, 10.0)
+    m.add_constraint("cap", [(j, 1.0) for j in h], LE, 2.0)
+    m.add_constraint("cover", [(w, 1.0)] + [(j, -1.0) for j in h], GE, 0.0)
+    m.set_objective([(h[0], -4.0), (h[1], -2.0), (h[2], -1.0), (w, 0.5)])
+    return m
+
+
+def fixings_at(model, position):
+    """The enumeration fixings of the ``position``-th kept assignment of
+    :func:`descending`, which is code ``position``."""
+    bins = model.binary_indices()
+    return {j: (float(b), float(b))
+            for j, b in zip(bins, format(position, "03b"))}
+
+
+def enumerate_both_ways(model):
+    """Serial, then through the helper; checks a helper was forked."""
+    serial = enumerate_(model, False)
+    assert milp._HELPER is None
+    forked = enumerate_(model, True)
+    assert milp._HELPER is not None
+    assert_same(serial, forked)
+    return serial
+
+
+def count_lps_here(monkeypatch):
+    """Record the fixings of each LP this process solves from now on (the
+    helper, forked before, keeps the real presolve).  Certificates call
+    the presolve too; they are not counted."""
+    real, here = simplex._standardize, []
+
+    def counted(model, extra_bounds=None):
+        if sys._getframe(1).f_code is simplex.solve_lp.__code__:
+            here.append(extra_bounds)
+        return real(model, extra_bounds)
+
+    monkeypatch.setattr(simplex, "_standardize", counted)
+    return here
+
+
 # -- parity ----------------------------------------------------------
 
 
@@ -135,6 +193,39 @@ def test_helper_matches_serial_on_infeasible_milp():
     sol = solve_both_ways(split_parity())
     assert sol.status == "infeasible"
     assert sol.nodes_explored == 5
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("name", ["nc", "cc", "ccu", "ocu"])
+def test_split_enumeration_matches_serial_at_n4(name, seed):
+    enumerate_both_ways(hub_model(name, n4(seed)))
+
+
+def test_split_enumeration_without_binaries():
+    m = LinearModel()
+    x = m.add_variable("x", CONTINUOUS, 0.0, 5.0)
+    m.add_constraint("floor", [(x, 1.0)], GE, 1.5)
+    m.set_objective([(x, 2.0)])
+    sol = enumerate_both_ways(m)
+    assert (sol.objective, sol.nodes_explored) == (3.0, 1)
+
+
+def test_split_enumeration_with_odd_count(monkeypatch):
+    model = descending()
+    enumerate_(split_parity(), True)   # fork before counting
+    here = count_lps_here(monkeypatch)
+    sol = enumerate_(model, True)
+    assert sol.nodes_explored == 7   # every code but 111
+    assert here == [fixings_at(model, p) for p in (0, 2, 4, 6)]
+    assert_same(sol, enumerate_(model, False))
+    assert sol.objective == -5.0   # code 110
+
+
+def test_split_enumeration_with_no_lp_left():
+    """The screen rejects every assignment, so both shares are empty."""
+    sol = enumerate_both_ways(split_parity())
+    assert sol.status == "infeasible"
+    assert sol.nodes_explored == 0
 
 
 # -- failure modes ---------------------------------------------------
@@ -326,6 +417,145 @@ def test_rebound_solve_lp_sees_every_lp(monkeypatch):
     assert milp._HELPER is None
 
 
+def fail_at(monkeypatch, model, position):
+    """Make the LP of one kept assignment raise, in either process."""
+    real, bad = simplex._standardize, fixings_at(model, position)
+
+    def fails_there(m, extra_bounds=None):
+        if extra_bounds == bad:
+            raise SimplexError(f"breakdown at {sorted(extra_bounds.items())}")
+        return real(m, extra_bounds)
+
+    monkeypatch.setattr(simplex, "_standardize", fails_there)
+
+
+@pytest.mark.parametrize("position", [3, 4])
+def test_enumeration_error_matches_serial(monkeypatch, position):
+    """Position 3 is the helper's, position 4 this process's."""
+    model = descending()
+    fail_at(monkeypatch, model, position)
+    with pytest.raises(SimplexError) as serial:
+        enumerate_(model, False)
+    with pytest.raises(SimplexError) as forked:
+        enumerate_(model, True)
+    assert type(forked.value) is SimplexError
+    assert str(forked.value) == str(serial.value)
+    assert str(forked.value).startswith("breakdown at ")
+    helper = milp._HELPER
+    other = hub_model("nc", n4(0))   # four binaries: no LP of it fails
+    assert_same(enumerate_(other, True), enumerate_(other, False))
+    assert milp._HELPER is helper and alive(helper)
+
+
+def test_certificate_failure_before_an_error_wins(monkeypatch):
+    """A running best at position 1 fails its certificate; the LP at
+    position 4 raises.  The serial walk raises the first."""
+    model = descending()
+    fail_at(monkeypatch, model, 4)
+    real, bad = milp.verify_certificate, fixings_at(model, 1)
+
+    def rejects_one(m, res):
+        report = real(m, res)
+        if res.extra_bounds == bad:
+            report.passed, report.failures = False, ["rejected here"]
+        return report
+
+    monkeypatch.setattr(milp, "verify_certificate", rejects_one)
+    for helper in (False, True):
+        with pytest.raises(SimplexError, match="certificate: rejected here$"):
+            enumerate_(model, helper)
+
+
+def test_interrupt_during_enumeration_stops_the_helper(monkeypatch):
+    model = hub_model("ocu", n4(0))
+    expected = enumerate_(model, False)
+    enumerate_(split_parity(), True)
+    helper = milp._HELPER
+    real, calls = simplex._standardize, []
+
+    def interrupted_here(m, extra_bounds=None):
+        calls.append(extra_bounds)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(m, extra_bounds)
+
+    monkeypatch.setattr(simplex, "_standardize", interrupted_here)
+    with pytest.raises(KeyboardInterrupt):
+        enumerate_(model, True)
+    assert milp._HELPER is None
+    assert helper.exitcode == -signal.SIGKILL
+    monkeypatch.setattr(simplex, "_standardize", real)
+    assert_same(enumerate_(model, True), expected)
+    assert milp._HELPER is not helper and alive(milp._HELPER)
+
+
+def _other_fixings(kept, failure):
+    res = kept[0]
+    flipped = {j: (1.0 - lo, 1.0 - hi) for j, (lo, hi) in res.extra_bounds.items()}
+    return [replace(res, extra_bounds=flipped)] + kept[1:], failure
+
+
+def _one_short(kept, failure):
+    return kept[:-1], failure
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (_other_fixings, "a result for other fixings than sent"),
+    (_one_short, "2 results for 3 rows")])
+def test_tampered_reply_raises(monkeypatch, tamper, problem):
+    model = descending()
+    expected = enumerate_(model, False)
+    enumerate_(split_parity(), True)
+    helper = milp._HELPER
+    real = milp._recv
+
+    def tampered(fd):
+        return tamper(*real(fd))
+
+    monkeypatch.setattr(milp, "_recv", tampered)
+    with pytest.raises(milp.HelperError, match=f"sent a bad reply: {problem}$"):
+        enumerate_(model, True)
+    assert milp._HELPER is None and helper.closed
+    monkeypatch.setattr(milp, "_recv", real)
+    assert_same(enumerate_(model, True), expected)
+
+
+def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
+    model = hub_model("ocu", n4(0))
+    expected = enumerate_(model, False)
+    monkeypatch.setattr(milp, "_FORCE_HELPER", True)
+    milp.solve_milp(split_parity())   # fork while single-threaded
+    here = count_lps_here(monkeypatch)
+    results = {}
+    worker = threading.Thread(
+        target=lambda: results.update(sol=milp.solve_by_enumeration(model)))
+    worker.start()
+    worker.join(120)
+    assert not worker.is_alive()
+    assert_same(results["sol"], expected)
+    assert len(here) == expected.nodes_explored
+    del here[:]
+    assert_same(milp.solve_by_enumeration(model), expected)
+    assert len(here) == (expected.nodes_explored + 1) // 2
+
+
+def test_rebound_solve_lp_sees_every_enumeration_lp(monkeypatch):
+    seen = []
+    original = simplex.solve_lp
+
+    def traced(model, extra_bounds=None):
+        seen.append(extra_bounds)
+        return original(model, extra_bounds)
+
+    model = hub_model("ocu", n4(0))
+    for attr, value in list(vars(milp).items()):
+        if value is original:
+            monkeypatch.setattr(milp, attr, traced)
+    sol = enumerate_(model, True)
+    assert len(seen) == sol.nodes_explored > 1
+    assert milp._HELPER is None
+
+
 # -- hygiene ---------------------------------------------------------
 
 
@@ -391,6 +621,41 @@ def test_hubloc_does_not_load_multiprocessing():
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     assert out.split() == ["True", "False"]
+
+
+@pytest.mark.skipif(milp._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_enumeration_uses_the_helper_unforced_with_one_blas_thread(
+        monkeypatch):
+    """As the benchmark runs: OPENBLAS_NUM_THREADS=1 before numpy loads."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = _run_python("""
+        import json
+        from hubloc import milp
+        from hubloc.formulations import build_ocu
+        from hubloc.instance import GeneratorConfig, generate_instance
+        from hubloc.regret import compute_baselines
+        inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2))
+        model = build_ocu(inst, compute_baselines(inst))
+        shares, real = [], milp._Helper.solve_split
+
+        def spy(self, model, token, indices, here, there):
+            shares.append((len(here), len(there)))
+            return real(self, model, token, indices, here, there)
+
+        milp._Helper.solve_split = spy
+        auto = milp.solve_by_enumeration(model)
+        milp._FORCE_HELPER = False
+        serial = milp.solve_by_enumeration(model)
+        print(json.dumps([shares, auto.nodes_explored, serial.nodes_explored,
+                          auto.objective == serial.objective,
+                          auto.values == serial.values]))
+    """)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    shares, nodes, serial_nodes, same_obj, same_values = json.loads(out)
+    assert same_obj and same_values
+    assert nodes == serial_nodes > 1
+    assert shares == [[(nodes + 1) // 2, nodes // 2]]
 
 
 def _solve_in_worker(name, seed):
