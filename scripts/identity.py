@@ -6,8 +6,13 @@ For each CLI command of the corpus, OUTDIR gets ``NN-<name>.out``,
 ``.err`` and ``.rc`` files: its stdout, stderr and exit code.  It also
 gets ``lp_digest.txt``: the number of LPs and pivots, and one SHA-256 over
 the (status, objective, iterations, x, basis, vstatus) of every
-``LPResult`` that ``solve_lp`` returns on the LP corpus below.  A change
-that must keep every report and every pivot path passes when
+``LPResult`` that ``solve_lp`` returns on the LP corpus below.  Last, it
+gets ``solution_digest.txt``: the number of MILP ``Solution``s that the
+same corpus produces with the B&B helper process forced on, and one
+SHA-256 over their status, objective, ``nodes_explored``, value bits and
+incumbents, so the path that splits LPs between two processes is covered
+too.  A change that must keep every report and every pivot path passes
+when
 
     python scripts/identity.py a     # in the parent checkout
     python scripts/identity.py b     # in the changed checkout
@@ -143,10 +148,68 @@ def lp_digest(corpus) -> str:
             f"sha256: {h.hexdigest()}\n")
 
 
+def _solution_hash(sol) -> str:
+    h = hashlib.sha256()
+    h.update(repr((sol.status, sol.objective, sol.nodes_explored,
+                   list(sol.values))).encode())
+    h.update(np.array(list(sol.values.values()), dtype=float).tobytes())
+    for objective, values in sol.incumbents:
+        h.update(repr((objective, list(values))).encode())
+        h.update(np.array(list(values.values()), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def solution_digest(corpus) -> str:
+    """Solution count and one SHA-256 over every MILP Solution of the
+    corpus, solved with the helper forced on.  Searches that may run side
+    by side can finish in another order, so the hashes of one corpus item
+    are sorted before they are combined."""
+    originals = [getattr(milp, name) for name in
+                 ("solve_milp", "solve_milps", "solve_by_enumeration")
+                 if hasattr(milp, name)]
+    item: list[str] = []
+
+    def keep(outcome):
+        if isinstance(outcome, milp.Solution):
+            item.append(_solution_hash(outcome))
+        return outcome
+
+    def recording(fn):
+        if fn.__name__ == "solve_milps":
+            return lambda models: (keep(o) for o in fn(models))
+        return lambda *args, **kwargs: keep(fn(*args, **kwargs))
+
+    wrappers = {id(fn): recording(fn) for fn in originals}
+    patched = []
+    for mod in (milp, regret, claims, cli):
+        for attr, value in list(vars(mod).items()):
+            if id(value) in wrappers:
+                patched.append((mod, attr, value))
+                setattr(mod, attr, wrappers[id(value)])
+    forced, milp._FORCE_HELPER = milp._FORCE_HELPER, True
+    h = hashlib.sha256()
+    count = 0
+    try:
+        for name, solutions_of, seed in corpus:
+            item.clear()
+            solutions_of(seed)
+            count += len(item)
+            h.update(repr((name, seed, sorted(item))).encode())
+    finally:
+        milp._FORCE_HELPER = forced
+        for mod, attr, value in patched:
+            setattr(mod, attr, value)
+    names = ", ".join(sorted({name for name, _, _ in corpus}))
+    return (f"corpus: {names}\nsolutions: {count}\n"
+            f"sha256: {h.hexdigest()}\n")
+
+
 def write_identity(outdir: Path, commands=COMMANDS, corpus=LP_CORPUS) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     run_commands(outdir, commands)
     (outdir / "lp_digest.txt").write_text(lp_digest(corpus), encoding="utf-8")
+    (outdir / "solution_digest.txt").write_text(solution_digest(corpus),
+                                                encoding="utf-8")
 
 
 def main(argv) -> int:

@@ -5,6 +5,11 @@ INCONCLUSIVE for one instance, never a universal verdict: CONFIRMED means
 no counterexample was found under the stated procedure.  Counterexample
 witnesses are always re-validated through code paths independent of the
 solver that produced them (feasibility replay plus objective recompute).
+
+The checks of one instance can share a :class:`SolveMemo`, which builds
+and solves each model they need once; where the B&B helper process runs,
+it solves them side by side (:func:`hubloc.milp.solve_milps`) before the
+first check reads them, without changing any report.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .formulations import (ModelOptions, build_cc, build_ccu,
                            build_coupling_polytope, build_nc, build_ocu,
                            compute_big_m, coupling_patterns)
 from .instance import Instance, instance_fingerprint, origin_supply
-from .milp import solve_milp
+from .milp import attempt, helper_available, solve_milp, solve_milps, unwrap
 from .model import GE, LinearModel, check_feasibility, with_extra_constraint
 from .regret import InfeasibleScenarioError, compute_baselines, evaluate_design
 from .simplex import solve_lp
@@ -53,41 +58,110 @@ def _tol(x: float) -> float:
     return REL_TOL * max(1.0, abs(x))
 
 
+# The distinct models each check solves, by SolveMemo key; "ocu" is the
+# split model under the memo's own eq20 mode.
+_NEEDS = {
+    "thm1": ("ccu", "ocu"),
+    "eq20": ("ocu-omit", "ocu-linearized"),
+    "tk": ("ocu", "tk-forced"),
+    "ivar": ("ocu", "ivar-slim"),
+    "ccnc": ("nc", "cc-zero"),
+}
+
+
 class SolveMemo:
-    """Baselines and (model, Solution) pairs for one instance and options,
-    each built and solved once and then only read; it lives only as long
-    as the caller keeps it, so nothing is cached across instances."""
+    """Baselines, models and solutions for one instance and options, each
+    built and solved once and then only read; it lives only as long as
+    the caller keeps it, so nothing is cached across instances.
+
+    :meth:`prepare` solves the models of a list of checks side by side
+    (:func:`solve_milps`).  An exception met while building or solving a
+    model is kept with it and raised when a check reads that model, so
+    errors surface where the serial checks would raise them.  Where the
+    searches cannot overlap, :meth:`prepare` does nothing and each model
+    is built and solved on first use, in the serial order.
+    """
 
     def __init__(self, inst: Instance, opts: ModelOptions = ModelOptions()):
         self.inst, self.opts = inst, opts
-        self._baselines = None
-        self._solved: dict = {}
+        self._baselines = None   # ScenarioBaseline, or the exception raised
+        self._models: dict = {}
+        self._outcomes: dict = {}   # Solution, or the exception raised
+
+    def _key(self, name: str) -> str:
+        return f"ocu-{self.opts.eq20_mode}" if name == "ocu" else name
+
+    def prepare(self, claims) -> None:
+        """Build, then solve side by side, the models ``claims`` (keys
+        of :data:`CLAIM_CHECKS`) need and this memo does not hold yet."""
+        if not helper_available():
+            return
+        keys = []
+        for key in dict.fromkeys(self._key(name) for claim in claims
+                                 for name in _NEEDS[claim]):
+            if key not in self._outcomes:
+                built = attempt(self.model, key)
+                if isinstance(built, Exception):
+                    self._outcomes[key] = built
+                else:
+                    keys.append(key)
+        if keys:
+            outcomes = solve_milps([self._models[key] for key in keys])
+            self._outcomes.update(zip(keys, outcomes))
 
     def baselines(self):
         if self._baselines is None:
-            if len(self.inst.chains) < 2:
-                raise ValueError("claim requires at least two supply chains")
-            self._baselines = compute_baselines(self.inst, self.opts)
-        return self._baselines
+            self._baselines = attempt(self._compute_baselines)
+        return unwrap(self._baselines)
 
-    def solved(self, name: str, opts: ModelOptions, build):
-        """(model, Solution) of ``build()``, built and solved on first use."""
-        if (name, opts) not in self._solved:
-            model = build()
-            self._solved[name, opts] = (model, solve_milp(model))
-        return self._solved[name, opts]
+    def _compute_baselines(self):
+        if len(self.inst.chains) < 2:
+            raise ValueError("claim requires at least two supply chains")
+        return compute_baselines(self.inst, self.opts)
 
-    def ocu(self, eq20_mode: str | None = None):
-        """The split model; the memo's own ``eq20_mode`` is the same entry."""
-        opts = replace(self.opts, eq20_mode=eq20_mode or self.opts.eq20_mode)
-        return self.solved("ocu", opts,
-                           lambda: build_ocu(self.inst, self.baselines(), opts))
+    def model(self, name: str) -> LinearModel:
+        """The model of key ``name``, built on first use."""
+        key = self._key(name)
+        if key not in self._models:
+            self._models[key] = self._build(key)
+        return self._models[key]
+
+    def _build(self, key: str) -> LinearModel:
+        inst, opts = self.inst, self.opts
+        if key == "nc":
+            return build_nc(inst, opts)
+        if key == "cc-zero":
+            zero = replace(inst, scenarios=np.zeros_like(inst.scenarios))
+            return build_cc(zero, opts)
+        if key == "ccu":
+            return build_ccu(inst, self.baselines(), opts)
+        if key.startswith("ocu-"):
+            return build_ocu(inst, self.baselines(),
+                             replace(opts, eq20_mode=key[len("ocu-"):]))
+        ocu = self.model("ocu")
+        if key == "tk-forced":
+            t_terms = [(ocu.name_index[f"T[{k}]"], 1.0) for k in range(inst.n)]
+            return with_extra_constraint(ocu, "tk_floor[sum]", t_terms, GE, 1.0)
+        if key == "ivar-slim":
+            return eliminate_collaborative_vars(ocu)
+        raise KeyError(key)
+
+    def solved(self, name: str):
+        """(model, Solution) of key ``name``, solved on first use."""
+        key = self._key(name)
+        if key not in self._outcomes:
+            self._outcomes[key] = solve_milp(self.model(key))
+        solution = unwrap(self._outcomes[key])
+        return self._models[key], solution
 
 
-def _memo(inst: Instance, opts: ModelOptions, memo: SolveMemo | None):
+def _memo(inst: Instance, opts: ModelOptions, memo: SolveMemo | None,
+          claim: str) -> SolveMemo:
     if memo is not None and (memo.inst is not inst or memo.opts != opts):
         raise ValueError("solve memo belongs to another instance or options")
-    return memo or SolveMemo(inst, opts)
+    memo = memo or SolveMemo(inst, opts)
+    memo.prepare([claim])
+    return memo
 
 
 def project_to_ccu(inst: Instance, values: dict, baselines, ccu_model,
@@ -119,11 +193,10 @@ def check_theorem1(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     replays every incumbent the split-model search accepted against the
     plain model (projected through the regret equality).
     """
-    memo = _memo(inst, opts, memo)
+    memo = _memo(inst, opts, memo, "thm1")
     baselines = memo.baselines()
-    ccu_model, ccu = memo.solved(
-        "ccu", opts, lambda: build_ccu(inst, baselines, opts))
-    ocu = memo.ocu()[1]
+    ccu_model, ccu = memo.solved("ccu")
+    ocu = memo.solved("ocu")[1]
     evidence = {
         "obj_ccu": ccu.objective,
         "obj_ocu": ocu.objective,
@@ -171,9 +244,9 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
     that family.  The maximized variable is capped by its commodity supply
     so the probe ignores free-circulation artifacts that no optimum uses.
     """
-    memo = _memo(inst, opts, memo)
-    obj_omit = memo.ocu("omit")[1].objective
-    obj_lin = memo.ocu("linearized")[1].objective
+    memo = _memo(inst, opts, memo, "eq20")
+    obj_omit = memo.solved("ocu-omit")[1].objective
+    obj_lin = memo.solved("ocu-linearized")[1].objective
     evidence = {
         "obj_eq20_omitted": obj_omit,
         "obj_eq20_linearized": obj_lin,
@@ -253,11 +326,9 @@ def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     some T[k] = 1, a strict increase (or infeasibility) confirms the claim
     on this instance.
     """
-    memo = _memo(inst, opts, memo)
-    model, sol = memo.ocu()
-    t_terms = [(model.name_index[f"T[{k}]"], 1.0) for k in range(inst.n)]
-    sol_forced = memo.solved("tk-forced", opts, lambda: with_extra_constraint(
-        model, "tk_floor[sum]", t_terms, GE, 1.0))[1]
+    memo = _memo(inst, opts, memo, "tk")
+    sol = memo.solved("ocu")[1]
+    sol_forced = memo.solved("tk-forced")[1]
     evidence = {
         "obj_ocu": sol.objective,
         "zero_objective": bool(abs(sol.objective) <= 1e-9),
@@ -329,10 +400,9 @@ def check_i_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     optimal H/T patterns across the two models to confirm each pattern
     stays feasible and equally priced in the other.
     """
-    memo = _memo(inst, opts, memo)
-    full, sol_full = memo.ocu()
-    slim, sol_slim = memo.solved("ivar-slim", opts,
-                                 lambda: eliminate_collaborative_vars(full))
+    memo = _memo(inst, opts, memo, "ivar")
+    full, sol_full = memo.solved("ocu")
+    slim, sol_slim = memo.solved("ivar-slim")
     evidence = {
         "obj_full": sol_full.objective,
         "obj_eliminated": sol_slim.objective,
@@ -374,14 +444,12 @@ def check_i_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(), *,
 def check_cc_nc_consistency(inst: Instance, opts: ModelOptions = ModelOptions(),
                             *, memo: SolveMemo | None = None) -> ClaimReport:
     """With zero supplements the worst-case model must match the base one."""
-    memo = _memo(inst, opts, memo)
-    nc = memo.solved("nc", opts, lambda: build_nc(inst, opts))[1]
+    memo = _memo(inst, opts, memo, "ccnc")
+    nc = memo.solved("nc")[1]
     if nc.status != "optimal":
         raise InfeasibleScenarioError("base model admits no feasible design")
     obj_nc = nc.objective
-    zero = replace(inst, scenarios=np.zeros_like(inst.scenarios))
-    obj_cc = memo.solved("cc-zero", opts,
-                         lambda: build_cc(zero, opts))[1].objective
+    obj_cc = memo.solved("cc-zero")[1].objective
     diff = abs(obj_cc - obj_nc)
     tol = 1e-9 * max(1.0, abs(obj_nc))
     evidence = {"obj_nc": obj_nc, "obj_cc_zero_sigma": obj_cc, "gap": diff,

@@ -201,7 +201,8 @@ def _emit_solution(args, inst: Instance, opts: ModelOptions, sol,
 
 def _sweep_rows(claim_keys, trials, args, opts):
     """One CSV body per (seed, claim); ordering is by seed then claim.
-    The checks of one instance share one memo, dropped with the instance."""
+    The checks of one instance share one memo, which first solves every
+    model they need side by side, and is dropped with the instance."""
     buf = io.StringIO()
     buf.write("seed,n,claim,verdict,value_a,value_b,value_c,flag\n")
     tally: dict[str, int] = {}
@@ -209,6 +210,7 @@ def _sweep_rows(claim_keys, trials, args, opts):
         cfg = _config_from(args, args.seed + t)
         inst = generate_instance(cfg)
         memo = SolveMemo(inst, opts)
+        memo.prepare(claim_keys)
         for key in claim_keys:
             report = CLAIM_CHECKS[key](inst, opts, memo=memo)
             tally[report.verdict] = tally.get(report.verdict, 0) + 1

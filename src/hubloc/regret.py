@@ -15,7 +15,7 @@ from .formulations import (COUPLING_FAMILIES, ModelOptions, build_ccu,
                            build_coupling_polytope, build_nc, build_ocu,
                            build_scenario_deterministic, flow_cost_pairs)
 from .instance import Instance
-from .milp import Solution, solve_milp
+from .milp import Solution, solve_milp, solve_milps, unwrap
 from .model import check_feasibility
 
 CORE_LABELS = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7")
@@ -49,10 +49,17 @@ class ScenarioBaseline:
 
 def compute_baselines(inst: Instance,
                       opts: ModelOptions = ModelOptions()) -> ScenarioBaseline:
-    """Solve every scenario's deterministic problem to optimality."""
+    """Solve every scenario's deterministic problem to optimality.
+
+    The scenario MILPs are independent, so they are solved side by side
+    (:func:`solve_milps`); their outcomes are read in scenario order, so
+    the first scenario that fails, by error or infeasibility, decides.
+    """
+    models = [build_scenario_deterministic(inst, s, opts)
+              for s in range(inst.num_scenarios)]
     values, witnesses = [], []
-    for s in range(inst.num_scenarios):
-        sol = solve_milp(build_scenario_deterministic(inst, s, opts))
+    for s, outcome in enumerate(solve_milps(models)):
+        sol = unwrap(outcome)
         if sol.status != "optimal":
             raise InfeasibleScenarioError(
                 f"scenario {s} admits no feasible design")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy3
-from hubloc import claims, cli, regret
+from hubloc import claims, cli, milp
 from hubloc.claims import (CLAIM_CHECKS, CONFIRMED, COUNTEREXAMPLE,
                            INCONCLUSIVE, SolveMemo, check_cc_nc_consistency,
                            check_eq20_redundancy, check_i_redundancy,
@@ -194,6 +194,8 @@ def _sweep_args(*extra):
 @pytest.mark.parametrize("extra", [(), ("--eq20", "omit")],
                          ids=["linearized", "omit"])
 def test_sweep_solves_each_model_once(monkeypatch, extra):
+    """Counts branch-and-bound searches, which the serial path and the
+    joint solve with the helper both start once per model solved."""
     calls = Counter()
 
     def counting(module, name):
@@ -204,12 +206,15 @@ def test_sweep_solves_each_model_once(monkeypatch, extra):
             return original(*a, **kw)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((claims, "solve_milp"), (regret, "solve_milp"),
-                         (claims, "compute_baselines")):
-        counting(module, name)
+    counting(milp, "_search")
+    counting(claims, "compute_baselines")
     args, opts = _sweep_args(*extra)
-    cli._sweep_rows(sorted(CLAIM_CHECKS), 1, args, opts)
-    assert calls == {"solve_milp": args.scenarios + 7, "compute_baselines": 1}
+    for helper in (False, True):
+        monkeypatch.setattr(milp, "_FORCE_HELPER", helper)
+        calls.clear()
+        cli._sweep_rows(sorted(CLAIM_CHECKS), 1, args, opts)
+        assert calls == {"_search": args.scenarios + 7, "compute_baselines": 1}
+    milp._stop_helper()
 
 
 def test_sweep_csv_equals_standalone_checks():

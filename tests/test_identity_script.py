@@ -42,3 +42,8 @@ def test_identity_script_is_repeatable_on_a_tiny_corpus(tmp_path):
     assert digest["corpus"] == "toy3"
     assert int(digest["lps"]) > 0 and int(digest["pivots"]) > 0
     assert len(digest["sha256"]) == 64
+    solutions = dict(line.split(": ", 1) for line in
+                     (a / "solution_digest.txt").read_text().splitlines())
+    assert solutions["corpus"] == "toy3"
+    assert solutions["solutions"] == "1"
+    assert len(solutions["sha256"]) == 64

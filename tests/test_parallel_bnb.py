@@ -1,13 +1,15 @@
 """Branch and bound and enumeration with the helper process forced on and off.
 
-The helper may change only where an LP runs: the second child's LP of a
-branching, or the odd-numbered assignments of an enumeration chunk.
-Every field of every ``Solution`` must equal the serial search's, its
-failures must reach the caller as typed errors, and anything that wants
-to see each LP (a rebound ``milp.solve_lp``, another thread) must keep
-the in-process path.
+The helper may change only where an LP runs: an LP of one of the searches
+solved side by side, the second child's LP of a branching, or the
+odd-numbered assignments of an enumeration chunk.  Every field of every
+``Solution`` must equal the serial search's, its failures must reach the
+caller as typed errors, in the serial order, and anything that wants to
+see each LP (a rebound ``milp.solve_lp``, another thread) must keep the
+in-process path and its order.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -22,11 +24,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hubloc import milp, simplex
-from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
-from hubloc.instance import GeneratorConfig, generate_instance
+from conftest import make_toy3
+from hubloc import claims, cli, milp, regret, simplex
+from hubloc.claims import CLAIM_CHECKS, SolveMemo
+from hubloc.formulations import (build_cc, build_ccu, build_nc, build_ocu,
+                                 build_scenario_deterministic)
+from hubloc.instance import GeneratorConfig, generate_instance, save_instance
 from hubloc.model import BINARY, CONTINUOUS, EQ, GE, LE, LinearModel
-from hubloc.regret import compute_baselines
+from hubloc.regret import InfeasibleScenarioError, compute_baselines
 from hubloc.simplex import SimplexError
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -45,22 +50,22 @@ def fresh_helper(monkeypatch):
     milp._stop_helper()
 
 
-def solve(model, helper):
+def run_with(helper, fn, *args):
+    """``fn(*args)`` with the helper forced on or off."""
     saved = milp._FORCE_HELPER
     milp._FORCE_HELPER = helper
     try:
-        return milp.solve_milp(model)
+        return fn(*args)
     finally:
         milp._FORCE_HELPER = saved
+
+
+def solve(model, helper):
+    return run_with(helper, milp.solve_milp, model)
 
 
 def enumerate_(model, helper):
-    saved = milp._FORCE_HELPER
-    milp._FORCE_HELPER = helper
-    try:
-        return milp.solve_by_enumeration(model)
-    finally:
-        milp._FORCE_HELPER = saved
+    return run_with(helper, milp.solve_by_enumeration, model)
 
 
 def pairs():
@@ -510,7 +515,8 @@ def test_tampered_reply_raises(monkeypatch, tamper, problem):
     real = milp._recv
 
     def tampered(fd):
-        return tamper(*real(fd))
+        token, kept, failure = real(fd)
+        return (token, *tamper(kept, failure))
 
     monkeypatch.setattr(milp, "_recv", tampered)
     with pytest.raises(milp.HelperError, match=f"sent a bad reply: {problem}$"):
@@ -554,6 +560,330 @@ def test_rebound_solve_lp_sees_every_enumeration_lp(monkeypatch):
     sol = enumerate_(model, True)
     assert len(seen) == sol.nodes_explored > 1
     assert milp._HELPER is None
+
+
+# -- searches side by side ---------------------------------------------
+
+
+def joint(models, helper):
+    """The Solutions of ``solve_milps``, raising the first error kept."""
+    return [milp.unwrap(outcome) for outcome in
+            run_with(helper, lambda: list(milp.solve_milps(models)))]
+
+
+def three_searches():
+    return [hub_model(name, n4(seed))
+            for name, seed in (("ocu", 0), ("ccu", 2), ("nc", 2))]
+
+
+def sweep_args(nodes, seed):
+    args = cli.build_parser().parse_args(
+        ["sweep", "--nodes", str(nodes), "--seed", str(seed)])
+    return args, cli._options_from(args)
+
+
+@pytest.mark.parametrize("scenarios", [2, 3])
+def test_joint_baselines_match_serial(scenarios):
+    inst = generate_instance(GeneratorConfig(seed=1, n=4, chain_count=2,
+                                             scenario_count=scenarios))
+    serial = run_with(False, compute_baselines, inst)
+    assert milp._HELPER is None
+    forked = run_with(True, compute_baselines, inst)
+    assert milp._HELPER is not None
+    assert forked.values == serial.values
+    for a, b in zip(serial.witnesses, forked.witnesses, strict=True):
+        assert_same(a, b)
+
+
+def test_joint_memo_matches_serial():
+    inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2,
+                                             scenario_count=2))
+    serial, forked = SolveMemo(inst), SolveMemo(inst)
+    run_with(False, serial.prepare, sorted(CLAIM_CHECKS))
+    assert serial._outcomes == {}   # nothing to overlap: solved on first use
+    run_with(True, forked.prepare, sorted(CLAIM_CHECKS))
+    assert sorted(forked._outcomes) == ["cc-zero", "ccu", "ivar-slim", "nc",
+                                        "ocu-linearized", "ocu-omit",
+                                        "tk-forced"]
+    assert pairs() > 0
+    for a, b in zip(run_with(False, serial.baselines).witnesses,
+                    forked.baselines().witnesses, strict=True):
+        assert_same(a, b)
+    for key in forked._outcomes:
+        assert_same(run_with(False, serial.solved, key)[1],
+                    forked.solved(key)[1])
+
+
+def test_joint_sweep_csv_matches_serial():
+    args, opts = sweep_args(4, 3)
+    serial = run_with(False, cli._sweep_rows, sorted(CLAIM_CHECKS), 2, args,
+                      opts)
+    assert milp._HELPER is None
+    forked = run_with(True, cli._sweep_rows, sorted(CLAIM_CHECKS), 2, args,
+                      opts)
+    assert pairs() > 0
+    assert forked == serial
+
+
+def test_rebound_solve_lp_keeps_the_serial_lp_order(monkeypatch):
+    """As the LP digest of scripts/identity.py rebinds it: each model of a
+    sweep instance is then solved on its first use by the checks, run in
+    CSV order, and each LP of the eq20 and ivar probes comes in its place."""
+    original = simplex.solve_lp
+    lps, searched, memos = [], [], []
+
+    def traced(model, extra_bounds=None):
+        lps.append(model)
+        return original(model, extra_bounds)
+
+    def search(model, real=milp._search):
+        searched.append(model)
+        return real(model)
+
+    class KeptMemo(SolveMemo):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            memos.append(self)
+
+    for mod in (milp, claims):
+        monkeypatch.setattr(mod, "solve_lp", traced)
+    monkeypatch.setattr(milp, "_search", search)
+    monkeypatch.setattr(cli, "SolveMemo", KeptMemo)
+    monkeypatch.setattr(milp, "_FORCE_HELPER", True)   # the rebinding wins
+    args, opts = sweep_args(4, 0)
+    cli._sweep_rows(sorted(CLAIM_CHECKS), 1, args, opts)
+    assert milp._HELPER is None
+    (memo,) = memos
+    scenarios = [m for m in searched if m not in memo._models.values()]
+    labels = {id(m): key for key, m in memo._models.items()}
+    labels.update({id(m): f"s{s}" for s, m in enumerate(scenarios)})
+    seen = [labels.get(id(m), "probe") for m in lps]
+
+    nodes = {key: memo.solved(key)[1].nodes_explored for key in memo._models}
+    for s, witness in enumerate(memo.baselines().witnesses):
+        nodes[f"s{s}"] = witness.nodes_explored
+    del lps[:]
+    probes = claims.check_eq20_redundancy(
+        memo.inst, opts, memo=memo).evidence["lps_solved"]
+    assert len(lps) == probes > 0   # the memo solved nothing again
+    expected = []
+    for key in ("nc", "cc-zero", "s0", "s1", "ocu-omit", "ocu-linearized"):
+        expected += [key] * nodes[key]
+    expected += ["probe"] * probes
+    expected += ["ivar-slim"] * nodes["ivar-slim"]
+    expected += ["ivar-slim", "ocu-linearized"]   # the swapped patterns
+    for key in ("ccu", "tk-forced"):
+        expected += [key] * nodes[key]
+    assert len(scenarios) == 2
+    assert seen == expected
+
+
+BOOM = "boom"
+
+
+def boom_model():
+    """:func:`split_parity` plus a variable that makes each LP raise
+    under :func:`explode_on_boom`, in either process."""
+    m = split_parity()
+    m.add_variable(BOOM, CONTINUOUS, 0.0, 1.0)
+    return m
+
+
+def explode_on_boom(monkeypatch):
+    real = simplex._standardize
+
+    def standardize(model, extra_bounds=None):
+        if model.variables[-1].name == BOOM:
+            raise SimplexError(f"breakdown in pid {os.getpid()}")
+        return real(model, extra_bounds)
+
+    monkeypatch.setattr(simplex, "_standardize", standardize)
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_first_failing_scenario_decides(monkeypatch, helper):
+    """Scenario 0 infeasible, scenario 1 raising: the serial loop stops
+    at scenario 0, so the joint solve must report scenario 0 too."""
+    explode_on_boom(monkeypatch)
+    inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2,
+                                             scenario_count=2))
+    models = [split_parity(), boom_model()]
+    monkeypatch.setattr(regret, "build_scenario_deterministic",
+                        lambda inst, s, opts: models[s])
+    with pytest.raises(InfeasibleScenarioError,
+                       match="^scenario 0 admits no feasible design$"):
+        run_with(helper, compute_baselines, inst)
+    models.reverse()
+    with pytest.raises(SimplexError, match="^breakdown in pid"):
+        run_with(helper, compute_baselines, inst)
+    assert (milp._HELPER is not None) == helper
+    if helper:
+        assert alive(milp._HELPER)
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_verify_ccnc_infeasible_base_wins_over_a_failing_cc_zero(
+        monkeypatch, tmp_path, capsys, helper):
+    explode_on_boom(monkeypatch)
+    monkeypatch.setattr(claims, "build_cc", lambda inst, opts: boom_model())
+    monkeypatch.setattr(milp, "_FORCE_HELPER", helper)
+    inst = make_toy3(capacity=(3.0, 3.0, 3.0))
+    path = tmp_path / "tight.json"
+    path.write_text(save_instance(inst))
+    assert cli.run(["verify", "--claim", "ccnc", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "infeasible", "detail": "base model admits no feasible design"}
+    memo = SolveMemo(inst)
+    with pytest.raises(InfeasibleScenarioError):
+        claims.check_cc_nc_consistency(inst, memo=memo)
+    if helper:   # solved side by side with nc, and its error kept
+        assert isinstance(memo._outcomes["cc-zero"], SimplexError)
+    else:        # never solved, as in the serial check
+        assert "cc-zero" not in memo._outcomes
+
+
+def act_with_two_replies_owed(monkeypatch, action):
+    """Call ``action(helper)`` in this process's first presolve that runs
+    while the helper owes two replies; returns the helpers acted on."""
+    real, parent, acted = simplex._standardize, os.getpid(), []
+
+    def standardize(model, extra_bounds=None):
+        helper = milp._HELPER
+        if (os.getpid() == parent and not acted and helper is not None
+                and helper.pending == 2):
+            acted.append(helper)
+            action(helper)
+        return real(model, extra_bounds)
+
+    monkeypatch.setattr(simplex, "_standardize", standardize)
+    return acted
+
+
+def test_interrupt_with_two_replies_owed_stops_the_helper(monkeypatch):
+    models = three_searches()
+    expected = joint(models, False)
+
+    def interrupt(helper):
+        raise KeyboardInterrupt
+
+    acted = act_with_two_replies_owed(monkeypatch, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        joint(models, True)
+    (helper,) = acted
+    assert milp._HELPER is None
+    assert helper.exitcode == -signal.SIGKILL
+    for a, b in zip(expected, joint(models, True), strict=True):
+        assert_same(a, b)
+    assert milp._HELPER is not helper and alive(milp._HELPER)
+
+
+def test_killed_helper_with_two_replies_owed_raises(monkeypatch):
+    models = three_searches()
+    expected = joint(models, False)
+
+    def kill(helper):
+        os.kill(helper.pid, signal.SIGKILL)
+        wait_until_dead(helper.pid)
+
+    acted = act_with_two_replies_owed(monkeypatch, kill)
+    with pytest.raises(milp.HelperError) as info:
+        joint(models, True)
+    (helper,) = acted
+    assert f"helper process (pid {helper.pid}) is gone, exit code " \
+        f"{-signal.SIGKILL}" in str(info.value)
+    assert milp._HELPER is None
+    for a, b in zip(expected, joint(models, True), strict=True):
+        assert_same(a, b)
+    assert milp._HELPER.pid != helper.pid and alive(milp._HELPER)
+
+
+def _other_token(token, kept, failure):
+    return token + 1, kept, failure
+
+
+def _child_with_other_fixings(token, kept, failure):
+    res = kept[0] if kept else None
+    if isinstance(res, simplex.LPResult) and res.extra_bounds:
+        flipped = {j: (1.0 - lo, 1.0 - hi)
+                   for j, (lo, hi) in res.extra_bounds.items()}
+        kept = [replace(res, extra_bounds=flipped)]
+    return token, kept, failure
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (_other_token, r"a reply for token \d+, not \d+"),
+    (_child_with_other_fixings, "a result for other fixings than sent")])
+def test_tampered_joint_reply_raises(monkeypatch, tamper, problem):
+    models = three_searches()
+    expected = joint(models, False)
+    solve(split_parity(), True)   # fork before _recv is patched
+    helper = milp._HELPER
+    real = milp._recv
+    monkeypatch.setattr(milp, "_recv", lambda fd: tamper(*real(fd)))
+    with pytest.raises(milp.HelperError, match=f"sent a bad reply: {problem}$"):
+        joint(models, True)
+    assert milp._HELPER is None and helper.closed
+    monkeypatch.setattr(milp, "_recv", real)
+    for a, b in zip(expected, joint(models, True), strict=True):
+        assert_same(a, b)
+
+
+@pytest.mark.skipif(not hasattr(__import__("fcntl"), "F_SETPIPE_SZ"),
+                    reason="needs pipes whose size can be set")
+def test_small_pipes_do_not_deadlock(monkeypatch):
+    """With one-page pipes, a model sent while two replies are owed
+    waits for room while the helper waits to write a reply; the parent
+    must read that reply meanwhile.  The helper gets the newest root
+    first: the ``ocu`` one, whose reply is larger than a page."""
+    import fcntl
+
+    models = three_searches()[::-1]
+    expected = joint(models, False)
+    solve(split_parity(), True)
+    helper = milp._HELPER
+    for fd in (helper.requests, helper.replies):
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 4096)
+    early = []
+    real = milp._Helper._receive
+
+    def receive(self):
+        reply = real(self)
+        if sys._getframe(1).f_code.co_name == "_post":
+            early.append(reply[0])
+        return reply
+
+    monkeypatch.setattr(milp._Helper, "_receive", receive)
+
+    def stuck(signum, frame):
+        raise TimeoutError("joint solve deadlocked")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)
+    try:
+        got = joint(models, True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert milp._HELPER is helper and early
+    for a, b in zip(expected, got, strict=True):
+        assert_same(a, b)
+
+
+def test_finished_searches_leave_no_model_in_the_helper(monkeypatch):
+    models = three_searches()
+    monkeypatch.setattr(milp, "_TOKENS", itertools.count(1000))
+    joint(models, True)                 # tokens 1000 to 1002
+    solve(split_parity(), True)         # 1003
+    enumerate_(descending(), True)      # 1004
+    helper = milp._HELPER
+    assert helper.pairs > 0 and helper.holding == set()
+    rows = np.zeros((1, 0))
+    for token in range(1000, 1005):
+        helper._post((token, None, [], rows))
+        got, kept, failure = helper._receive()
+        assert (got, kept, failure[0]) == (token, [], 0)
+        assert str(failure[1]) == f"helper holds no model for token {token}"
+    assert alive(helper)
 
 
 # -- hygiene ---------------------------------------------------------
