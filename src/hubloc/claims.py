@@ -23,7 +23,7 @@ from .formulations import (ModelOptions, build_cc, build_ccu,
                            build_coupling_polytope, build_nc, build_ocu,
                            compute_big_m, coupling_patterns)
 from .instance import Instance, instance_fingerprint, origin_supply
-from .milp import attempt, helper_available, solve_milp, solve_milps, unwrap
+from .milp import _helper_wanted, attempt, solve_milp, solve_milps, unwrap
 from .model import GE, LinearModel, check_feasibility, with_extra_constraint
 from .regret import InfeasibleScenarioError, compute_baselines, evaluate_design
 from .simplex import solve_lp
@@ -94,7 +94,7 @@ class SolveMemo:
     def prepare(self, claims) -> None:
         """Build, then solve side by side, the models ``claims`` (keys
         of :data:`CLAIM_CHECKS`) need and this memo does not hold yet."""
-        if not helper_available():
+        if not _helper_wanted():
             return
         keys = []
         for key in dict.fromkeys(self._key(name) for claim in claims

@@ -174,7 +174,9 @@ def _in_worker_process() -> bool:
 
 
 def _helper_wanted() -> bool:
-    """May this solve hand LPs to the helper?"""
+    """May this solve hand LPs to the helper?  If not, :func:`solve_milps`
+    overlaps nothing, and a caller gains nothing by solving models ahead
+    of their first use."""
     if (_IN_HELPER or not hasattr(os, "fork")
             or solve_lp is not _ORIGINAL_SOLVE_LP[0]
             or threading.current_thread() is not threading.main_thread()
@@ -183,12 +185,6 @@ def _helper_wanted() -> bool:
     if _FORCE_HELPER is not None:
         return _FORCE_HELPER
     return _usable_cpus() > 1 and _BLAS_ONE_THREAD
-
-
-def helper_available() -> bool:
-    """Would :func:`solve_milps` overlap its searches here, now?  If not,
-    a caller gains nothing by solving models ahead of their first use."""
-    return _helper_wanted()
 
 
 def _current_helper():

@@ -12,7 +12,10 @@ Pricing is one product of the reduced costs with a signed weight per
 column (-1 at a lower bound, +1 at an upper bound, 0 when basic or capped
 at zero), and the ratio test reads the basic upper bounds from an array
 kept in step with the basis, so a pivot makes few numpy calls besides the
-rank-1 update.
+rank-1 update.  That update forms its products with ``np.einsum``, which
+rounds each one as ``np.outer`` does but may write a zero as +0 where
+``np.outer`` gives -0; no pivot decision and no reported value reads the
+sign of a zero tableau entry.
 
 The load step is a presolve over the model's compiled arrays
 (:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
@@ -343,7 +346,12 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
             raise SimplexError(f"numerical breakdown: pivot {piv:.2e}")
         trow = N[r] / piv
         colq = col.copy()
-        N -= np.outer(colq, trow)
+        # einsum rounds each product once, as np.outer does, at about half
+        # the cost, but writes a -0 product as +0.  No pivot decision reads
+        # the sign of a zero (tests are tolerances, abs or argmax; divisions
+        # are masked or checked against ZERO_PIVOT), and x comes from
+        # _refine_basics on sf.A, not from N.
+        N -= np.einsum("i,j->ij", colq, trow)
         N[r] = trow
         # column p was the unit vector e_r: the full update gives it these
         tp = 1.0 / piv

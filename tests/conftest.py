@@ -1,9 +1,16 @@
-import itertools
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads, as the README asks of users: the
+# suite then runs the B&B helper process wherever a second CPU is free.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from hubloc.instance import Instance
+import itertools  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from hubloc.instance import Instance  # noqa: E402
 
 
 def make_toy3(scenarios=((0.0, 0.0, 0.0),), chains=((0, 1), (1, 2)),

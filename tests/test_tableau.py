@@ -2,13 +2,15 @@
 
 ``solve_lp`` stores and updates only the tableau columns of the nonbasic
 variables.  The reference below is the full m x ncols pivot loop and
-two-phase solve it replaced, with the same arithmetic; it only adds a
+two-phase solve it replaced, with its ``np.outer`` update; it only adds a
 record of when the Bland fallback fires, when a column flips between its
-bounds and when a column enters from its upper bound.  Both run on the module's own
-standard form, basis refinement and value recovery, so on every LP they
-must take the same pivots and report the same status, iteration count,
-basis, statuses and values, exactly.  The comparison needs no stored
-digest, so it holds on any BLAS build.
+bounds and when a column enters from its upper bound.  The two agree on
+every tableau value and may differ only in the sign of a zero entry,
+because ``solve_lp``'s ``np.einsum`` update writes a -0 product as +0.
+Both run on the module's own standard form, basis refinement and value
+recovery, so on every LP they must take the same pivots and report the
+same status, iteration count, basis, statuses and values, exactly.  The
+comparison needs no stored digest, so it holds on any BLAS build.
 """
 
 import math
@@ -167,8 +169,8 @@ CORPUS = {"toy3": make_toy3} | {
 BRANCHING = {"n4-seed0", "n4-seed2"}
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
+def _capture_lps(monkeypatch):
+    """Record the (model, extra_bounds) of every LP that ``milp`` solves."""
     seen = []
 
     def capture(model, extra_bounds=None):
@@ -176,6 +178,12 @@ def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
         return solve_lp(model, extra_bounds)
 
     monkeypatch.setattr(milp, "solve_lp", capture)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
+    seen = _capture_lps(monkeypatch)
     for model in _hub_models(CORPUS[name]()).values():
         _assert_same_pivots(model)
         assert milp.solve_milp(model).status == "optimal"
@@ -184,11 +192,45 @@ def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
         _assert_same_pivots(model, extra_bounds)
 
 
-def test_ocu_root_lp_at_n6_matches_full_tableau():
+def test_ocu_root_lp_at_n6_matches_full_tableau(monkeypatch):
+    """The root and node LPs of one n=6 model: tableaux this large are
+    where the update's +0 and the reference's -0 entries differ most."""
     inst = generate_instance(GeneratorConfig(seed=0, n=6, chain_count=2,
                                              scenario_count=2))
     model = build_ocu(inst, compute_baselines(inst))
-    _assert_same_pivots(model)
+    seen = _capture_lps(monkeypatch)
+    assert milp.solve_milp(model).status == "optimal"
+    assert seen[0][1] is None and any(eb for _, eb in seen)
+    for node, extra_bounds in seen:
+        _assert_same_pivots(node, extra_bounds)
+
+
+def test_signed_zero_entries_pivot_like_the_full_tableau():
+    """Pivot rows and columns holding +0.0 and -0.0.  On this LP two zeros
+    of the final N have the other sign than in the full tableau; every
+    value and every pivot is the same."""
+    A = np.array([[-0.0, -0.0, 2.0, 1.0],
+                  [0.0, -0.0, 3.0, 2.0],
+                  [-0.0, 1.0, 0.0, -0.0]])
+    m, n = A.shape
+    T = np.hstack([A, np.eye(m)])
+    start = dict(xB=np.array([4.0, 3.0, 6.0]), basis=np.arange(n, n + m),
+                 status=np.array([NB_LOWER] * n + [BASIC] * m),
+                 ub=np.array([1.5] + [math.inf] * (n - 1 + m)),
+                 d=np.array([-3.0, -2.0, -1.0, -1.0] + [0.0] * m))
+    want = {k: v.copy() for k, v in start.items()}
+    outcome = _reference_iterate(T, want["xB"], want["basis"], want["status"],
+                                 want["ub"], want["d"], 100, 0, True, [])
+    got = {k: v.copy() for k, v in start.items()}
+    cols = np.arange(n)
+    slot = np.array(list(range(n)) + [-1] * m)
+    N = A.copy()
+    assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
+                    got["ub"], got["d"], 100, 0, True) == outcome
+    assert outcome == ("optimal", 4)
+    assert np.array_equal(got["basis"], want["basis"])
+    assert np.array_equal(got["status"], want["status"])
+    assert (N == T[:, cols]).all()
 
 
 def _lp(A, c, rhs, ub=math.inf):
