@@ -5,8 +5,10 @@ variables.  The reference below is the full m x ncols pivot loop and
 two-phase solve it replaced, with its ``np.outer`` update; it only adds a
 record of when the Bland fallback fires, when a column flips between its
 bounds and when a column enters from its upper bound.  The two agree on
-every tableau value and may differ only in the sign of a zero entry,
-because ``solve_lp``'s ``np.einsum`` update writes a -0 product as +0.
+every tableau value and may differ only in the sign of a zero entry, for
+two reasons: ``solve_lp``'s ``np.einsum`` update writes a -0 product as
++0, and on a large tableau with a sparse pivot row it skips the columns
+whose pivot-row entry is zero, so they keep their own zero sign.
 Both run on the module's own standard form, basis refinement and value
 recovery, so on every LP they must take the same pivots and report the
 same status, iteration count, basis, statuses and values, exactly.  The
@@ -25,9 +27,9 @@ from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.model import LE, LinearModel
 from hubloc.regret import compute_baselines
 from hubloc.simplex import (BASIC, FEAS_TOL, NB_LOWER, NB_UPPER, OPT_TOL,
-                            PIVOT_TOL, ZERO_PIVOT, SimplexError, _iterate,
-                            _refine_basics, _standardize, _values_from_state,
-                            solve_lp)
+                            PIVOT_TOL, SPARSE_CELLS, SPARSE_ROW, ZERO_PIVOT,
+                            SimplexError, _iterate, _refine_basics,
+                            _standardize, _values_from_state, solve_lp)
 
 
 def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
@@ -194,7 +196,9 @@ def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
 
 def test_ocu_root_lp_at_n6_matches_full_tableau(monkeypatch):
     """The root and node LPs of one n=6 model: tableaux this large are
-    where the update's +0 and the reference's -0 entries differ most."""
+    where the update's +0 and the reference's -0 entries differ most, and
+    above the SPARSE_CELLS gate, so they also cover the update that skips
+    the zero columns of a sparse pivot row."""
     inst = generate_instance(GeneratorConfig(seed=0, n=6, chain_count=2,
                                              scenario_count=2))
     model = build_ocu(inst, compute_baselines(inst))
@@ -230,6 +234,50 @@ def test_signed_zero_entries_pivot_like_the_full_tableau():
     assert outcome == ("optimal", 4)
     assert np.array_equal(got["basis"], want["basis"])
     assert np.array_equal(got["status"], want["status"])
+    assert (N == T[:, cols]).all()
+
+
+def test_sparse_pivot_rows_of_a_large_tableau_pivot_like_the_full_tableau():
+    """A 100 x 200 condensed N, above the SPARSE_CELLS gate, whose rows
+    hold 8 nonzeros each among +0.0 and -0.0 entries, so the update skips
+    the columns with a zero pivot-row entry.  The first pivot is row 0,
+    column 0 by construction: column 0 has the most negative reduced cost
+    and its only positive entry in row 0."""
+    rng = np.random.default_rng(23)
+    m, n = 100, 200
+    A = np.where(rng.random((m, n)) < 0.5, -0.0, 0.0)
+    for i in range(m):
+        js = rng.choice(np.arange(1, n), size=8, replace=False)
+        A[i, js] = rng.uniform(0.5, 2.0, size=8)
+    A[0, 0] = 1.0
+    assert A.size >= SPARSE_CELLS
+    assert np.count_nonzero(A[0]) < SPARSE_ROW * n
+    zeros = A[0][A[0] == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    ub = np.where(rng.random(n) < 0.3, rng.uniform(0.5, 3.0, n), math.inf)
+    ub[(A <= 0.0).all(axis=0)] = 2.0
+    d = -rng.uniform(0.1, 1.0, n)
+    d[0] = -5.0
+    T = np.hstack([A, np.eye(m)])
+    start = dict(xB=rng.uniform(1.0, 10.0, m), basis=np.arange(n, n + m),
+                 status=np.array([NB_LOWER] * n + [BASIC] * m),
+                 ub=np.concatenate([ub, np.full(m, math.inf)]),
+                 d=np.concatenate([d, np.zeros(m)]))
+    want = {k: v.copy() for k, v in start.items()}
+    events = []
+    outcome = _reference_iterate(T, want["xB"], want["basis"], want["status"],
+                                 want["ub"], want["d"], 10_000, 0, True, events)
+    got = {k: v.copy() for k, v in start.items()}
+    cols = np.arange(n)
+    slot = np.array(list(range(n)) + [-1] * m)
+    N = A.copy()
+    assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
+                    got["ub"], got["d"], 10_000, 0, True) == outcome
+    assert outcome[0] == "optimal" and "flip" in events
+    assert np.array_equal(got["basis"], want["basis"])
+    assert np.array_equal(got["status"], want["status"])
+    assert np.array_equal(got["xB"], want["xB"])
+    assert np.array_equal(got["d"], want["d"])
     assert (N == T[:, cols]).all()
 
 
