@@ -8,7 +8,7 @@ gets ``lp_digest.txt``: the number of LPs and pivots, and one SHA-256 over
 the (status, objective, iterations, x, basis, vstatus) of every
 ``LPResult`` that ``solve_lp`` returns on the LP corpus below.  Last, it
 gets ``solution_digest.txt``: the number of MILP ``Solution``s that the
-same corpus produces with the B&B helper process forced on, and one
+same corpus produces with the helper process forced on, and one
 SHA-256 over their status, objective, ``nodes_explored``, value bits and
 incumbents, so the path that splits LPs between two processes is covered
 too.  A change that must keep every report and every pivot path passes

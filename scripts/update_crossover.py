@@ -12,8 +12,10 @@ reduced costs ``d`` after each pivot in one of two forms:
 It takes the sparse form when ``N`` has at least ``SPARSE_CELLS`` cells
 and ``trow`` has under ``SPARSE_ROW`` of its entries nonzero.  This script
 times both forms on random tableaux of the sizes the benchmark workloads
-meet (66 x 129 and 104 x 144 at n=4, 267 x 463 at n=6), at 5%, 25% and 50%
-pivot-row density, with one BLAS thread.  It prints one line per case:
+meet (66 x 129 and 104 x 144 at n=4, 267 x 463 at n=6), and of three sizes
+that straddle the gate as the larger n=4 tableaux do (16,428 to 25,277
+cells): 120 x 140, 132 x 150 and 150 x 168.  It uses 5%, 25% and 50%
+pivot-row density and one BLAS thread.  It prints one line per case:
 the best time per update over R alternating repeats of K updates, the
 ratio, and the form that the gate in ``hubloc.simplex`` picks.  Where the
 sparse form is slower than the dense one but picked, or faster by a wide
@@ -36,7 +38,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hubloc.simplex import SPARSE_CELLS, SPARSE_ROW  # noqa: E402
 
-SIZES = [(66, 129), (104, 144), (267, 463)]
+SIZES = [(66, 129), (104, 144), (120, 140), (132, 150), (150, 168),
+         (267, 463)]
 DENSITIES = [0.05, 0.25, 0.5]
 
 

@@ -17,11 +17,15 @@ Two independent routes to the optimum:
   the residual LP for each; assignments that already violate a pure-binary
   row are rejected without an LP.  This is the oracle the test suite uses
   to certify the branch-and-bound search.  It shares no search logic with
-  it (no bounds, no pruning, no incumbent), only the cold ``solve_lp``.
-  Where the helper may run, it solves the odd-numbered assignments of each
-  chunk while this process solves the even ones; the results are then
-  replayed in lexicographic order, and every running best is certified
-  here, so the result is that of the serial walk.
+  it (no bounds, no pruning, no incumbent), only the cold ``solve_lp``
+  and the scheduler.  Where the helper may run, it solves the odd-numbered
+  assignments of each chunk while this process solves the even ones; the
+  results are then replayed in lexicographic order, and every running best
+  is certified here, so the result is that of the serial walk.
+
+Both run on one scheduler, :func:`_run_searches`, whose unit of work is a
+job ``(indices, rows)``: the LPs that fix the variables ``indices`` at the
+values of each row of ``rows``, answered by :func:`_solve_share`.
 """
 
 from __future__ import annotations
@@ -250,7 +254,7 @@ def _solve_share(model: LinearModel, indices, rows):
     kept, best = [], None
     for pos, row in enumerate(rows):
         try:
-            res = solve_lp(model, extra_bounds=_fixings(indices, row))
+            res = solve_lp(model, extra_bounds=_fixings(indices, row) or None)
         except Exception as exc:
             return kept, (pos, exc)
         if res.status != "optimal":
@@ -294,14 +298,13 @@ def _serve(requests: int, replies: int) -> None:
             return
 
 
-_NO_BASIS = np.zeros(0, int)
-
-
 class _Helper:
-    """One forked process, joined by two pipes, that solves LPs while the
-    parent solves others: LPs of the B&B searches, or the odd rows of an
-    enumeration chunk.  It keeps one model per live search, keyed by the
-    search's token."""
+    """One forked process, joined by two pipes, that solves jobs while the
+    parent solves others: the second child of a branching, or the odd
+    rows of an enumeration chunk.  It keeps one model per live search,
+    keyed by the search's token.  ``pairs`` counts the steps of a search
+    (a branching, an enumeration chunk) whose jobs were split between
+    the two processes."""
 
     def __init__(self):
         req_read, self.requests = os.pipe()
@@ -332,12 +335,12 @@ class _Helper:
         self.holding = set()   # tokens whose model the helper holds
         self.early = collections.deque()   # replies read while sending
         self.pending = 0   # replies owed, plus a request being written
-        self.pairs = 0     # branchings split between the two processes
+        self.pairs = 0     # steps whose jobs the two processes split
 
     def _gone(self, exc: BaseException) -> HelperError:
         self.close()
-        return HelperError(f"branch-and-bound helper process (pid {self.pid}) "
-                           f"is gone, exit code {self.exitcode}: {exc!r}")
+        return HelperError(f"helper process (pid {self.pid}) is gone, "
+                           f"exit code {self.exitcode}: {exc!r}")
 
     def _receive(self):
         try:
@@ -398,8 +401,8 @@ class _Helper:
         else:
             return kept, failure
         self.close()
-        raise HelperError(f"branch-and-bound helper process (pid {self.pid}) "
-                          f"sent a bad reply: {problem}")
+        raise HelperError(f"helper process (pid {self.pid}) sent a bad "
+                          f"reply: {problem}")
 
     def drop(self, token: int) -> None:
         """Tell the helper to forget the model of a search that ended."""
@@ -421,23 +424,6 @@ class _Helper:
         os.close(self.replies)
         self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
-    def solve_split(self, model: LinearModel, token: int, indices, here, there):
-        """Solve the LPs of rows ``here`` in this process while the helper
-        solves those of rows ``there``; returns both :func:`_solve_share`
-        results, this process's first.  The model goes with each call
-        and is dropped after it, as the caller never says which is last."""
-        try:
-            self.request(token, model, indices, there)
-            local = _solve_share(model, indices, here)
-            remote = self.reply(token, indices, there)
-            self.drop(token)
-        finally:
-            # A reply is still owed (an interrupt, or a lost helper):
-            # never reuse this helper.
-            if self.pending:
-                self.close()
-        return local, remote
-
 
 # -- branch and bound ----------------------------------------------------
 
@@ -445,10 +431,10 @@ class _Helper:
 def _search(model: LinearModel):
     """Branch and bound on ``model``, as a generator.
 
-    It yields the LPs it needs next, as a list of extra-bounds dicts
-    (None for the root), and is sent back one outcome per LP in that
-    order: the LPResult, or the exception its solve raised, which is
-    raised here at that LP's place.  It returns the Solution.
+    It yields the LPs it needs next as one-row jobs: the root, or the two
+    children of a branching.  It is sent back one :func:`_solve_share`
+    answer per job in that order, and raises a job's failure at that LP's
+    place.  It returns the Solution.
 
     Node selection is best-bound with depth-first tie breaking; branching
     picks the most fractional binary (ties to the lowest index), chosen
@@ -475,11 +461,15 @@ def _search(model: LinearModel):
                       for j, var in enumerate(model.variables)}
             incumbents.append((float(res.objective), values))
 
-    def process(res: LPResult, fixings: dict, depth: int):
+    def process(share, job, depth: int):
         nonlocal seq
-        if res.status == "unbounded":
-            raise SimplexError("relaxation is unbounded")
-        if res.status != "optimal":
+        kept, failure = share
+        if failure is not None:
+            raise failure[1]
+        (res,) = kept
+        if isinstance(res, str):   # the status of a result not optimal
+            if res == "unbounded":
+                raise SimplexError("relaxation is unbounded")
             return
         if incumbent is not None and res.objective >= incumbent.objective - _gap(
                 incumbent.objective):
@@ -490,23 +480,25 @@ def _search(model: LinearModel):
             return
         _, j = max(frac, key=lambda t: (t[0], -t[1]))
         # -seq is unique, so the key never compares the branching variable
-        heapq.heappush(heap, (res.objective, -depth, -seq, j, fixings))
+        heapq.heappush(heap, (res.objective, -depth, -seq, j, job))
         seq += 1
 
-    (root,) = yield [None]
+    root = ([], np.zeros((1, 0)))
+    (share,) = yield [root]
     nodes += 1
-    process(unwrap(root), {}, 0)
+    process(share, root, 0)
 
     while heap:
-        bound, negdepth, _, j, fixings = heapq.heappop(heap)
+        bound, negdepth, _, j, (indices, row) = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent.objective - _gap(
                 incumbent.objective):
             break
-        children = [{**fixings, j: (val, val)} for val in (0.0, 1.0)]
-        solved = yield children
-        for child, child_res in zip(children, solved):
+        children = [(indices + [j], np.append(row, val)[None])
+                    for val in (0.0, 1.0)]
+        shares = yield children
+        for child, share in zip(children, shares):
             nodes += 1
-            process(unwrap(child_res), child, -negdepth + 1)
+            process(share, child, -negdepth + 1)
 
     wall = time.perf_counter() - t0
     if incumbent is None:
@@ -515,85 +507,62 @@ def _search(model: LinearModel):
                                  nodes, wall, incumbents)
 
 
-def _solve_here(model: LinearModel, fixings):
-    """One LP of a search, in this process: its LPResult or exception."""
-    try:
-        if fixings is None:
-            return solve_lp(model)
-        return solve_lp(model, extra_bounds=fixings)
-    except Exception as exc:
-        return exc
-
-
 class _Run:
-    """One search of a joint solve and the LPs it waits for."""
+    """One search on :func:`_run_searches` and the jobs it waits for."""
 
-    __slots__ = ("model", "token", "search", "lps", "results", "owed",
+    __slots__ = ("model", "token", "search", "jobs", "shares", "owed",
                  "remote", "outcome")
 
-    def __init__(self, model: LinearModel):
+    def __init__(self, model: LinearModel, search):
         self.model = model
         self.token = next(_TOKENS)
-        self.search = _search(model)
-        self.outcome = None
+        self.search = search
 
 
-def _run_searches(models, helper) -> list:
-    """Run one :func:`_search` per model to its end and return each one's
-    Solution, or the exception it raised.
+def _run_searches(runs, helper) -> list:
+    """Run each search of ``runs`` (:class:`_Run`) to its end and return
+    each one's result, or the exception it raised.
 
-    Ready LPs of every live search wait in one FIFO.  While two or more
-    wait, the newest goes to the helper, with at most two in flight, so
-    the helper has its next LP queued when it finishes one.  This process
-    solves the oldest itself, and between its LPs it collects the replies
-    that have come in.  A search resumes when all its LPs are back, with
-    their outcomes in its own order; no search logic runs in the helper.
-    An exception other than one a search raised (an interrupt, a lost
-    helper) ends every search and stops a helper that still owes replies.
+    A search is a generator that yields a list of jobs and is sent one
+    :func:`_solve_share` answer per job, in order.  Ready jobs of every
+    live search wait in one FIFO.  While two or more wait, the newest goes
+    to the helper, with at most two in flight, so the helper has its next
+    job queued when it finishes one.  This process solves the oldest
+    itself, and between its jobs it collects the replies that have come
+    in.  A search resumes when all its jobs are back; no search logic runs
+    here or in the helper.  An exception other than one a search raised
+    (an interrupt, a lost helper) ends every search and stops a helper
+    that still owes replies.
     """
-    runs = [_Run(m) for m in models]
-    ready = collections.deque()   # (run, position) of LPs not yet started
-    sent = collections.deque()    # (run, position, indices, rows), in order
+    ready = collections.deque()   # (run, position) of jobs not yet started
+    sent = collections.deque()    # (run, position) of jobs sent, in order
 
     def resume(run, value):
         try:
-            run.lps = run.search.send(value)
+            run.jobs = run.search.send(value)
         except StopIteration as stop:
             run.outcome = stop.value
         except Exception as exc:
             run.outcome = exc
         else:
-            run.results = [None] * len(run.lps)
-            run.owed, run.remote = len(run.lps), 0
-            ready.extend((run, k) for k in range(len(run.lps)))
+            run.shares = [None] * len(run.jobs)
+            run.owed, run.remote = len(run.jobs), 0
+            ready.extend((run, k) for k in range(len(run.jobs)))
             return
         if helper is not None:
             helper.drop(run.token)
 
-    def deliver(run, k, outcome):
-        run.results[k] = outcome
+    def deliver(run, k, share):
+        run.shares[k] = share
         run.owed -= 1
-        if isinstance(outcome, Exception):
-            # the search raises here, so it never reads its later LPs
-            later = [item for item in ready if item[0] is run and item[1] > k]
-            for item in later:
-                ready.remove(item)
-            run.owed -= len(later)
         if run.owed == 0:
-            if 0 < run.remote < len(run.lps):
+            if 0 < run.remote < len(run.jobs):
                 helper.pairs += 1
-            resume(run, run.results)
+            resume(run, run.shares)
 
     def collect():
-        run, k, indices, rows = sent.popleft()
-        kept, failure = helper.reply(run.token, indices, rows)
-        if failure is not None:
-            deliver(run, k, failure[1])
-        elif isinstance(kept[0], str):   # a status is all that came back
-            deliver(run, k, LPResult(kept[0], None, None, _NO_BASIS,
-                                     _NO_BASIS, 0))
-        else:
-            deliver(run, k, kept[0])
+        run, k = sent.popleft()
+        deliver(run, k, helper.reply(run.token, *run.jobs[k]))
 
     try:
         for run in runs:
@@ -601,15 +570,12 @@ def _run_searches(models, helper) -> list:
         while ready or sent:
             while helper is not None and len(ready) >= 2 and len(sent) < 2:
                 run, k = ready.pop()
-                fixings = run.lps[k] or {}
-                indices = list(fixings)
-                rows = np.array([[lo for lo, _ in fixings.values()]])
-                helper.request(run.token, run.model, indices, rows)
-                sent.append((run, k, indices, rows))
+                helper.request(run.token, run.model, *run.jobs[k])
+                sent.append((run, k))
                 run.remote += 1
             if ready:
                 run, k = ready.popleft()
-                deliver(run, k, _solve_here(run.model, run.lps[k]))
+                deliver(run, k, _solve_share(run.model, *run.jobs[k]))
                 while sent and helper.reply_ready():
                     collect()
             else:
@@ -641,7 +607,7 @@ def solve_milp(model: LinearModel) -> Solution:
     # parent's peak RSS on n=6 regret solves by up to 1.4 MB, this one by
     # about 0.2 MB.
     helper = _current_helper() if _helper_wanted() else None
-    (outcome,) = _run_searches([model], helper)
+    (outcome,) = _run_searches([_Run(model, _search(model))], helper)
     return unwrap(outcome)
 
 
@@ -666,7 +632,8 @@ def solve_milps(models):
         for model in models:
             yield attempt(solve_milp, model)
     else:
-        yield from _run_searches(models, helper)
+        yield from _run_searches([_Run(m, _search(m)) for m in models],
+                                 helper)
 
 
 def _binary_screen(model: LinearModel, bins):
@@ -707,28 +674,13 @@ def _replay(model: LinearModel, shares, count: int, best: LPResult | None):
     return best
 
 
-def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
-    """Exhaustive oracle: one residual LP per binary assignment.
-
-    Assignments are visited in lexicographic order of the binary vector.
-    Assignments that violate a row made up purely of binary variables are
-    discarded without an LP, which cannot change the optimum.
-
-    Under the conditions of :func:`solve_milp`, the helper process solves
-    the odd-numbered assignments of each chunk while this process solves
-    the even ones, with the same cold ``solve_lp``.  The results are then
-    replayed in order here, where every running best is certified and the
-    error of the lowest failing assignment is raised, so the result, the
-    LP count and any error are those of the serial walk.
-    """
+def _enumerate(model: LinearModel, bins, k: int):
+    """The walk of :func:`solve_by_enumeration`, as a search for
+    :func:`_run_searches`: it yields each chunk's kept assignments as
+    ``k`` interleaved jobs, ``assignments[i::k]``, replays their answers
+    in lexicographic order and returns the Solution."""
     t0 = time.perf_counter()
-    bins = model.binary_indices()
     nb = len(bins)
-    if nb > binary_cap:
-        raise EnumerationCapError(
-            f"{nb} binary variables exceed the enumeration cap {binary_cap}")
-    helper = _current_helper() if _helper_wanted() else None
-    token = next(_TOKENS)
     screen = _binary_screen(model, bins)
     shifts = np.array([nb - 1 - t for t in range(nb)], dtype=np.int64)
 
@@ -751,11 +703,7 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
                 else:
                     keep &= acts[:, r] >= rhs[r] - 1e-9
         assignments = bits[keep]
-        if helper is None:
-            shares = [_solve_share(model, bins, assignments)]
-        else:
-            shares = helper.solve_split(model, token, bins, assignments[0::2],
-                                        assignments[1::2])
+        shares = yield [(bins, assignments[i::k]) for i in range(k)]
         best = _replay(model, shares, len(assignments), best)
         lps += len(assignments)
 
@@ -763,6 +711,32 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
     if best is None:
         return _infeasible(lps, wall)
     return _solution_from_values(model, best.x, best.objective, lps, wall, [])
+
+
+def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
+    """Exhaustive oracle: one residual LP per binary assignment.
+
+    Assignments are visited in lexicographic order of the binary vector.
+    Assignments that violate a row made up purely of binary variables are
+    discarded without an LP, which cannot change the optimum.
+
+    Under the conditions of :func:`solve_milp`, each chunk of the walk
+    (:func:`_enumerate`) is two jobs for :func:`_run_searches`: the helper
+    process solves the odd-numbered assignments while this process solves
+    the even ones, with the same cold ``solve_lp``; otherwise it is one
+    job, solved here.  The results are replayed in order here, where every
+    running best is certified and the error of the lowest failing
+    assignment is raised, so the result, the LP count and any error are
+    those of the serial walk.
+    """
+    bins = model.binary_indices()
+    if len(bins) > binary_cap:
+        raise EnumerationCapError(f"{len(bins)} binary variables exceed "
+                                  f"the enumeration cap {binary_cap}")
+    helper = _current_helper() if _helper_wanted() else None
+    search = _enumerate(model, bins, 1 if helper is None else 2)
+    (outcome,) = _run_searches([_Run(model, search)], helper)
+    return unwrap(outcome)
 
 
 def solution_to_json(sol: Solution) -> dict:

@@ -422,12 +422,13 @@ def test_rebound_solve_lp_sees_every_lp(monkeypatch):
     assert milp._HELPER is None
 
 
-def fail_at(monkeypatch, model, position):
-    """Make the LP of one kept assignment raise, in either process."""
-    real, bad = simplex._standardize, fixings_at(model, position)
+def fail_at(monkeypatch, model, *positions):
+    """Make the LPs of these kept assignments raise, in either process."""
+    real = simplex._standardize
+    bad = [fixings_at(model, p) for p in positions]
 
     def fails_there(m, extra_bounds=None):
-        if extra_bounds == bad:
+        if extra_bounds in bad:
             raise SimplexError(f"breakdown at {sorted(extra_bounds.items())}")
         return real(m, extra_bounds)
 
@@ -450,6 +451,20 @@ def test_enumeration_error_matches_serial(monkeypatch, position):
     other = hub_model("nc", n4(0))   # four binaries: no LP of it fails
     assert_same(enumerate_(other, True), enumerate_(other, False))
     assert milp._HELPER is helper and alive(helper)
+
+
+@pytest.mark.parametrize("positions", [(3, 4), (2, 5), (4, 6)])
+def test_two_failures_raise_the_lowest_one(monkeypatch, positions):
+    """One failing assignment in each share, or both in this process's:
+    the serial walk raises the lower one's error, so both paths must."""
+    model = descending()
+    fail_at(monkeypatch, model, *positions)
+    lowest = fixings_at(model, positions[0])
+    expected = f"breakdown at {sorted(lowest.items())}"
+    for helper in (False, True):
+        with pytest.raises(SimplexError) as info:
+            enumerate_(model, helper)
+        assert str(info.value) == expected
 
 
 def test_certificate_failure_before_an_error_wins(monkeypatch):
@@ -966,26 +981,26 @@ def test_enumeration_uses_the_helper_unforced_with_one_blas_thread(
         from hubloc.regret import compute_baselines
         inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2))
         model = build_ocu(inst, compute_baselines(inst))
-        shares, real = [], milp._Helper.solve_split
+        sent, real = [], milp._Helper.request
 
-        def spy(self, model, token, indices, here, there):
-            shares.append((len(here), len(there)))
-            return real(self, model, token, indices, here, there)
+        def spy(self, token, model, indices, rows):
+            sent.append(len(rows))
+            return real(self, token, model, indices, rows)
 
-        milp._Helper.solve_split = spy
+        milp._Helper.request = spy
         auto = milp.solve_by_enumeration(model)
         milp._FORCE_HELPER = False
         serial = milp.solve_by_enumeration(model)
-        print(json.dumps([shares, auto.nodes_explored, serial.nodes_explored,
+        print(json.dumps([sent, auto.nodes_explored, serial.nodes_explored,
                           auto.objective == serial.objective,
                           auto.values == serial.values]))
     """)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    shares, nodes, serial_nodes, same_obj, same_values = json.loads(out)
+    sent, nodes, serial_nodes, same_obj, same_values = json.loads(out)
     assert same_obj and same_values
     assert nodes == serial_nodes > 1
-    assert shares == [[(nodes + 1) // 2, nodes // 2]]
+    assert sent == [nodes // 2]   # the odd half of the one chunk
 
 
 def _solve_in_worker(name, seed):
