@@ -61,7 +61,9 @@ COMMANDS = (
     + [(f"regret-{m}", ["regret", "--model", m, INSTANCE]) for m in ("ccu", "ocu")]
     + [(f"verify-{c}", ["verify", "--claim", c, INSTANCE])
        for c in ("thm1", "eq20", "tk", "ivar", "ccnc")]
-    + [("regret-ocu-n6", ["regret", "--model", "ocu", INSTANCE_N6])])
+    + [("regret-ocu-n6", ["regret", "--model", "ocu", INSTANCE_N6]),
+       ("verify-tk-trials",
+        ["verify", "--claim", "tk", "--trials", "2", "--seed", "3", "--nodes", "3"])])
 
 
 def oracle_instance(seed):

@@ -131,14 +131,12 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--model", choices=("nc", "cc", "ccu", "ocu"), required=True)
     _add_option_flags(p)
-    p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("regret", help="run the regret pipeline")
     p.add_argument("instance")
     p.add_argument("--model", choices=("ccu", "ocu"), required=True)
     _add_option_flags(p)
-    p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="check one claim")
@@ -189,9 +187,6 @@ def _cmd_regret(args) -> int:
 def _emit_solution(args, inst: Instance, opts: ModelOptions, sol,
                    report: dict) -> int:
     """Shared tail of ``solve`` and ``regret``: stamp and write the report."""
-    if args.verbose:
-        print(f"{args.command}: {sol.status} nodes={sol.nodes_explored} "
-              f"wall={sol.wall_time:.3f}s", file=sys.stderr)
     report["model"] = args.model
     report["options"] = opts.to_dict()
     report["instance"] = instance_fingerprint(inst)
@@ -203,6 +198,8 @@ def _sweep_rows(claim_keys, trials, args, opts):
     """One CSV body per (seed, claim); ordering is by seed then claim.
     The checks of one instance share one memo, which first solves every
     model they need side by side, and is dropped with the instance."""
+    if trials < 1:
+        raise UsageError("--trials must be at least 1")
     buf = io.StringIO()
     buf.write("seed,n,claim,verdict,value_a,value_b,value_c,flag\n")
     tally: dict[str, int] = {}

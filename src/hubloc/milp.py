@@ -40,7 +40,6 @@ import signal
 import struct
 import sys
 import threading
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,9 +61,6 @@ class Solution:
     ``values`` keeps the raw pre-rounding variable values; the hub sets
     are derived by rounding H/I/T at 0.5.  ``incumbents`` records every
     accepted incumbent as (objective, values) pairs, in discovery order.
-    ``wall_time`` runs from the start of the search to its end; in a
-    joint solve (:func:`solve_milps`) that span includes the work of the
-    other searches interleaved with it.
     """
 
     status: str
@@ -74,7 +70,6 @@ class Solution:
     collaborative_hubs: tuple[int, ...]
     noncollaborative_hubs: tuple[int, ...]
     nodes_explored: int
-    wall_time: float
     incumbents: list[tuple[float, dict[str, float]]] = field(default_factory=list)
     scenario_costs: list[float] | None = None
     regrets: list[float] | None = None
@@ -82,7 +77,7 @@ class Solution:
 
 
 def _solution_from_values(model: LinearModel, x: np.ndarray, objective: float,
-                          nodes: int, wall: float, incumbents) -> Solution:
+                          nodes: int, incumbents) -> Solution:
     values = {var.name: float(x[j]) for j, var in enumerate(model.variables)}
     sets = {"H": [], "I": [], "T": []}
     for j, var in enumerate(model.variables):
@@ -91,11 +86,11 @@ def _solution_from_values(model: LinearModel, x: np.ndarray, objective: float,
             sets[var.name[0]].append(int(var.name[2:-1]))
     hubs, collab, noncollab = (tuple(sorted(sets[h])) for h in "HIT")
     return Solution("optimal", values, float(objective), hubs, collab,
-                    noncollab, nodes, wall, incumbents)
+                    noncollab, nodes, incumbents)
 
 
-def _infeasible(nodes: int, wall: float) -> Solution:
-    return Solution("infeasible", {}, None, (), (), (), nodes, wall, [])
+def _infeasible(nodes: int) -> Solution:
+    return Solution("infeasible", {}, None, (), (), (), nodes, [])
 
 
 def _gap(objective: float) -> float:
@@ -192,9 +187,11 @@ def _helper_wanted() -> bool:
 
 
 def _current_helper():
-    """This process's helper, forked now if there is none and no other
-    thread runs; None if it cannot be started."""
+    """This process's helper if :func:`_helper_wanted`, forked now if there
+    is none and no other thread runs; None otherwise."""
     global _HELPER
+    if not _helper_wanted():
+        return None
     if _HELPER is not None and _HELPER.owner == os.getpid():
         return _HELPER
     if threading.active_count() != 1:
@@ -441,7 +438,6 @@ def _search(model: LinearModel):
     once when the node is queued, so the search tree is a pure function
     of the model.
     """
-    t0 = time.perf_counter()
     bins = model.binary_indices()
     nodes = 0
     incumbent: LPResult | None = None
@@ -500,11 +496,10 @@ def _search(model: LinearModel):
             nodes += 1
             process(share, child, -negdepth + 1)
 
-    wall = time.perf_counter() - t0
     if incumbent is None:
-        return _infeasible(nodes, wall)
+        return _infeasible(nodes)
     return _solution_from_values(model, incumbent.x, incumbent.objective,
-                                 nodes, wall, incumbents)
+                                 nodes, incumbents)
 
 
 class _Run:
@@ -606,7 +601,7 @@ def solve_milp(model: LinearModel) -> Solution:
     # Forked before the root LP: a fork at the first branching raised the
     # parent's peak RSS on n=6 regret solves by up to 1.4 MB, this one by
     # about 0.2 MB.
-    helper = _current_helper() if _helper_wanted() else None
+    helper = _current_helper()
     (outcome,) = _run_searches([_Run(model, _search(model))], helper)
     return unwrap(outcome)
 
@@ -620,14 +615,13 @@ def solve_milps(models):
     side over this process and the helper (:func:`_run_searches`), all to
     their end before the first outcome is yielded.  Each search gets the
     same LPs, results and tree as alone, so each Solution is bit for bit
-    the one :func:`solve_milp` gives, but ``wall_time`` spans the
-    interleaved work of the others.  Otherwise each model is solved by
+    the one :func:`solve_milp` gives.  Otherwise each model is solved by
     the module attribute ``solve_milp`` when its outcome is asked for, so
     a caller that stops early solves no more than a serial loop would,
     and in the same order.
     """
     models = list(models)
-    helper = _current_helper() if _helper_wanted() else None
+    helper = _current_helper()
     if helper is None:
         for model in models:
             yield attempt(solve_milp, model)
@@ -679,7 +673,6 @@ def _enumerate(model: LinearModel, bins, k: int):
     :func:`_run_searches`: it yields each chunk's kept assignments as
     ``k`` interleaved jobs, ``assignments[i::k]``, replays their answers
     in lexicographic order and returns the Solution."""
-    t0 = time.perf_counter()
     nb = len(bins)
     screen = _binary_screen(model, bins)
     shifts = np.array([nb - 1 - t for t in range(nb)], dtype=np.int64)
@@ -707,10 +700,9 @@ def _enumerate(model: LinearModel, bins, k: int):
         best = _replay(model, shares, len(assignments), best)
         lps += len(assignments)
 
-    wall = time.perf_counter() - t0
     if best is None:
-        return _infeasible(lps, wall)
-    return _solution_from_values(model, best.x, best.objective, lps, wall, [])
+        return _infeasible(lps)
+    return _solution_from_values(model, best.x, best.objective, lps, [])
 
 
 def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
@@ -733,14 +725,14 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
     if len(bins) > binary_cap:
         raise EnumerationCapError(f"{len(bins)} binary variables exceed "
                                   f"the enumeration cap {binary_cap}")
-    helper = _current_helper() if _helper_wanted() else None
+    helper = _current_helper()
     search = _enumerate(model, bins, 1 if helper is None else 2)
     (outcome,) = _run_searches([_Run(model, search)], helper)
     return unwrap(outcome)
 
 
 def solution_to_json(sol: Solution) -> dict:
-    """Deterministic report body (wall time deliberately excluded)."""
+    """Deterministic report body: no field depends on timing."""
     out = {
         "status": sol.status,
         "objective": sol.objective,

@@ -178,17 +178,17 @@ def as_value_array(model: LinearModel, values) -> np.ndarray:
 class Violation:
     label: str
     amount: float
-    slack: float
 
 
-def check_feasibility(model: LinearModel, values, tol: float = 1e-7,
+def check_feasibility(model: LinearModel, values,
                       labels: tuple[str, ...] | None = None) -> list[Violation]:
-    """List every constraint (and bound) violated beyond ``tol``.
+    """List every constraint (and bound) violated beyond 1e-7.
 
     ``values`` may be a name->value mapping, where missing names count as 0
     and a name the model does not have raises ``ValueError``, or a vector
-    with one value per variable.  An empty return value means the point is
-    feasible.
+    with one value per variable.  ``labels`` keeps only the rows whose
+    label starts with one of these prefixes, and no bounds.  An empty
+    return value means the point is feasible.
     """
     x = as_value_array(model, values)
     out = []
@@ -203,15 +203,15 @@ def check_feasibility(model: LinearModel, values, tol: float = 1e-7,
             slack = con.rhs - act
         else:
             slack = act - con.rhs
-        if slack < -tol:
-            out.append(Violation(con.label, -slack, slack))
+        if slack < -1e-7:
+            out.append(Violation(con.label, -slack))
     if prefixes is None:
         for j, var in enumerate(model.variables):
             below = var.lb - x[j]
             above = x[j] - var.ub
             worst = max(below, above)
-            if worst > tol:
-                out.append(Violation(f"bound[{var.name}]", worst, -worst))
+            if worst > 1e-7:
+                out.append(Violation(f"bound[{var.name}]", worst))
     return out
 
 

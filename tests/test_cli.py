@@ -119,6 +119,32 @@ def test_usage_errors_exit_1(capsys):
     assert run(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--trials", "-2", "--nodes", "3"],
+    ["verify", "--claim", "thm1", "--trials", "0", "--nodes", "3"]])
+def test_trials_below_one_is_a_usage_error(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --trials must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--model", "nc", "-v"],
+                                  ["regret", "--model", "ccu", "--verbose"]])
+def test_no_verbose_flag(argv, toy3_file, capsys):
+    assert run(argv + [toy3_file]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,model", [("solve", "nc"), ("regret", "ccu")])
+def test_successful_solve_writes_nothing_to_stderr(command, model, toy3_file,
+                                                   capsys):
+    assert run([command, "--model", model, toy3_file]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["model"] == model
+    assert captured.err == ""
+
+
 def test_missing_file_exits_1(capsys):
     assert run(["solve", "--model", "nc", "/no/such/file.json"]) == 1
 

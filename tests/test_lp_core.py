@@ -9,8 +9,9 @@ from hubloc.formulations import build_nc
 from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel
-from hubloc.simplex import (BASIC, NB_LOWER, SimplexError, _refine_basics,
-                            solve_lp, verify_certificate)
+from hubloc.simplex import (BASIC, NB_LOWER, NB_UPPER, SimplexError,
+                            _refine_basics, _standardize, solve_lp,
+                            verify_certificate)
 
 
 def lp(objective, constraints, variables):
@@ -155,3 +156,33 @@ def test_singular_basis_refinement_raises():
     with pytest.raises(SimplexError, match="singular basis .2 columns"):
         _refine_basics(A, np.array([1.0, 3.0]), np.array([0, 1]), status,
                        np.full(3, math.inf))
+
+
+def test_certificate_failure_messages_in_order():
+    # an nc relaxation with nonbasic columns at both bounds
+    model = build_nc(generate_instance(GeneratorConfig(seed=7, n=3,
+                                                       chain_count=2,
+                                                       scenario_count=2)))
+    r = solve_lp(model)
+    sf = _standardize(model, None)
+    y = np.linalg.solve(sf.A[:, r.basis].T, sf.c[r.basis])
+    d = sf.c - sf.A.T @ y
+    flip = np.flatnonzero((r.vstatus != BASIC) & (np.abs(d) > 1e-6))
+    vstatus = r.vstatus.copy()
+    vstatus[flip] = np.where(vstatus[flip] == NB_LOWER, NB_UPPER, NB_LOWER)
+    # 5e-9 below a zero lower bound: past BOUND_TOL, within the row and
+    # objective tolerances
+    j = next(j for j, var in enumerate(model.variables)
+             if var.name.startswith("X[") and var.lb == 0.0 and r.x[j] == 0.0)
+    x = r.x.copy()
+    x[j] = -5e-9
+    rep = verify_certificate(model, replace(r, x=x, vstatus=vstatus))
+    expected = [f"bound {model.variables[j].name}: violated by 5.000e-09"]
+    for k in flip[~sf.art_mask[flip]]:
+        side = "upper" if vstatus[k] == NB_UPPER else "lower"
+        expected.append(f"reduced cost {d[k]:.3e} at {side} bound (column {k})")
+    assert sf.art_mask[flip].any()   # flipped artificials report nothing
+    assert any("at lower" in f for f in expected)
+    assert any("at upper" in f for f in expected)
+    assert not rep.passed
+    assert rep.failures == expected
