@@ -63,7 +63,10 @@ COMMANDS = (
        for c in ("thm1", "eq20", "tk", "ivar", "ccnc")]
     + [("regret-ocu-n6", ["regret", "--model", "ocu", INSTANCE_N6]),
        ("verify-tk-trials",
-        ["verify", "--claim", "tk", "--trials", "2", "--seed", "3", "--nodes", "3"])])
+        ["verify", "--claim", "tk", "--trials", "2", "--seed", "3", "--nodes", "3"]),
+       ("regret-ocu-omit", ["regret", "--model", "ocu", "--eq20", "omit", INSTANCE]),
+       ("verify-eq20-omit",
+        ["verify", "--claim", "eq20", "--eq20", "omit", INSTANCE])])
 
 
 def oracle_instance(seed):

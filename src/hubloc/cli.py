@@ -239,6 +239,8 @@ def _cmd_verify(args) -> int:
         report = CLAIM_CHECKS[args.claim](inst, opts)
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
         return 0 if report.verdict == CONFIRMED else 2
+    if args.instance:
+        raise UsageError("verify takes an instance file or --trials, not both")
     body, all_confirmed = _sweep_rows([args.claim], args.trials, args, opts)
     _emit(body, args.output)
     return 0 if all_confirmed else 2

@@ -350,18 +350,17 @@ def build_ocu(inst: Instance, baselines,
                       families=("eq15",) + COUPLING_FAMILIES)
 
 
-def build_coupling_polytope(inst: Instance, opts: ModelOptions = ModelOptions(),
-                            include_eq20: bool = False) -> LinearModel:
-    """Flow polytope eq2..eq7 plus the hub-split rows eq15..eq19 (and
-    optionally eq20), with no regret machinery and a zero objective.
+def build_coupling_polytope(inst: Instance,
+                            opts: ModelOptions = ModelOptions()) -> LinearModel:
+    """Flow polytope eq2..eq7 plus the hub-split rows eq15..eq20, with no
+    regret machinery and a zero objective.  As in :func:`build_ocu`, eq20
+    is built exactly when ``opts.eq20_mode`` is ``linearized``.
 
-    Used by redundancy probes that maximize a single flow variable under a
-    fixed binary pattern.
+    Used to check fixed split designs and by redundancy probes that
+    maximize a single flow variable under a fixed binary pattern.
     """
     _require_two_chains(inst)
     fb = _flow_block(inst, opts)
     I, T = _add_hub_split(fb.model, inst.n)
-    families = ("eq15",) + COUPLING_FAMILIES
-    _add_coupling_rows(fb, I, T, inst, opts,
-                       families if include_eq20 else families[:-1])
+    _add_coupling_rows(fb, I, T, inst, opts, ("eq15",) + COUPLING_FAMILIES)
     return fb.model

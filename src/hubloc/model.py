@@ -180,38 +180,43 @@ class Violation:
     amount: float
 
 
-def check_feasibility(model: LinearModel, values,
-                      labels: tuple[str, ...] | None = None) -> list[Violation]:
-    """List every constraint (and bound) violated beyond 1e-7.
+def effective_bounds(model: LinearModel,
+                     extra_bounds: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Variable bounds after per-variable overrides."""
+    lo = np.array([v.lb for v in model.variables], dtype=float)
+    hi = np.array([v.ub for v in model.variables], dtype=float)
+    for j, (l, u) in (extra_bounds or {}).items():
+        lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
+    return lo, hi
+
+
+def row_violations(model: LinearModel, x: np.ndarray) -> list[Violation]:
+    """Every row that the value vector ``x`` violates beyond 1e-7, in row
+    order, each activity summed term by term from ``model.constraints``."""
+    out = []
+    for con in model.constraints:
+        act = sum(c * x[j] for j, c in con.terms)
+        err = (abs(act - con.rhs) if con.relation == EQ
+               else act - con.rhs if con.relation == LE else con.rhs - act)
+        if err > 1e-7:
+            out.append(Violation(con.label, err))
+    return out
+
+
+def check_feasibility(model: LinearModel, values) -> list[Violation]:
+    """List every constraint, then every variable bound, violated beyond 1e-7.
 
     ``values`` may be a name->value mapping, where missing names count as 0
     and a name the model does not have raises ``ValueError``, or a vector
-    with one value per variable.  ``labels`` keeps only the rows whose
-    label starts with one of these prefixes, and no bounds.  An empty
-    return value means the point is feasible.
+    with one value per variable.  An empty return value means the point is
+    feasible.
     """
     x = as_value_array(model, values)
-    out = []
-    prefixes = tuple(labels) if labels is not None else None
-    for con in model.constraints:
-        if prefixes is not None and not con.label.startswith(prefixes):
-            continue
-        act = sum(c * x[j] for j, c in con.terms)
-        if con.relation == EQ:
-            slack = -abs(act - con.rhs)
-        elif con.relation == LE:
-            slack = con.rhs - act
-        else:
-            slack = act - con.rhs
-        if slack < -1e-7:
-            out.append(Violation(con.label, -slack))
-    if prefixes is None:
-        for j, var in enumerate(model.variables):
-            below = var.lb - x[j]
-            above = x[j] - var.ub
-            worst = max(below, above)
-            if worst > 1e-7:
-                out.append(Violation(f"bound[{var.name}]", worst))
+    out = row_violations(model, x)
+    lo, hi = effective_bounds(model)
+    err = np.maximum(lo - x, x - hi)
+    for j in np.flatnonzero(err > 1e-7):
+        out.append(Violation(f"bound[{model.variables[j].name}]", err[j]))
     return out
 
 

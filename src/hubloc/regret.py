@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .formulations import (COUPLING_FAMILIES, ModelOptions, build_ccu,
-                           build_coupling_polytope, build_nc, build_ocu,
-                           build_scenario_deterministic, flow_cost_pairs)
+from .formulations import (ModelOptions, build_ccu, build_coupling_polytope,
+                           build_nc, build_ocu, build_scenario_deterministic,
+                           flow_cost_pairs)
 from .instance import Instance
 from .milp import Solution, solve_milp, solve_milps, unwrap
 from .model import check_feasibility
-
-CORE_LABELS = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7")
-COUPLING_LABELS = ("eq15",) + COUPLING_FAMILIES
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -27,7 +24,7 @@ class InfeasibleScenarioError(RuntimeError):
 
 
 class InfeasibleDesignError(ValueError):
-    """A fixed design violates the flow or coupling constraints."""
+    """A fixed design violates a flow or coupling row or a variable bound."""
 
     def __init__(self, violations):
         self.violations = violations
@@ -73,24 +70,21 @@ def evaluate_design(inst: Instance, design: dict, s: int,
                     check: bool = True) -> float:
     """Scenario-s cost of a fixed design (H/I/T plus flows, by name).
 
-    Missing variables default to zero.  With ``check`` on, the flow rows
-    and (when the design carries the hub split) the coupling rows are
-    verified first; violations raise :class:`InfeasibleDesignError`.
+    Missing variables default to zero.  With ``check`` on, the design is
+    first checked against every row and variable bound of the flow
+    polytope (:func:`build_nc`) or, when it carries the hub split, of
+    :func:`build_coupling_polytope` under ``opts``; violations raise
+    :class:`InfeasibleDesignError`.
     """
     if not (0 <= s < inst.num_scenarios):
         raise ValueError(f"scenario index {s} out of range")
     has_split = any(name.startswith("T[") or name.startswith("I[")
                     for name in design)
     if check:
-        if has_split:
-            probe = build_coupling_polytope(
-                inst, opts, include_eq20=opts.eq20_mode == "linearized")
-            labels = CORE_LABELS + COUPLING_LABELS
-        else:
-            probe = build_nc(inst, opts)
-            labels = CORE_LABELS
+        probe = (build_coupling_polytope(inst, opts) if has_split
+                 else build_nc(inst, opts))
         values = {name: design.get(name, 0.0) for name in probe.name_index}
-        bad = check_feasibility(probe, values, labels=labels)
+        bad = check_feasibility(probe, values)
         if bad:
             raise InfeasibleDesignError(bad)
 

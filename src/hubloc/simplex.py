@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EQ, LE, LinearModel
+from .model import LinearModel, effective_bounds, row_violations
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -96,16 +96,6 @@ class StandardForm:
     fixed: np.ndarray
     red_lo: np.ndarray
     red_hi: np.ndarray
-
-
-def effective_bounds(model: LinearModel,
-                     extra_bounds: dict | None) -> tuple[np.ndarray, np.ndarray]:
-    """Variable bounds after per-variable overrides."""
-    lo = np.array([v.lb for v in model.variables], dtype=float)
-    hi = np.array([v.ub for v in model.variables], dtype=float)
-    for j, (l, u) in (extra_bounds or {}).items():
-        lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
-    return lo, hi
 
 
 def _violation(act, rhs, sense):
@@ -505,21 +495,19 @@ class CertificateReport:
 def verify_certificate(model: LinearModel, result: LPResult) -> CertificateReport:
     """Recheck an optimal LP result without trusting solver internals.
 
-    Primal residuals are measured against the original rows and bounds;
-    reduced costs are recomputed from the reported basis by rebuilding
-    the standard form and solving ``B^T y = c_B`` afresh.  Tolerances:
-    ``FEAS_TOL`` (rows, objective), ``BOUND_TOL``, ``OPT_TOL`` (duals).
+    Rows are rechecked term by term by :func:`~hubloc.model.row_violations`,
+    the row check of :func:`~hubloc.model.check_feasibility`, and bounds
+    against :func:`~hubloc.model.effective_bounds` under the result's
+    fixings; reduced costs are recomputed from the reported basis by
+    rebuilding the standard form and solving ``B^T y = c_B`` afresh.
+    Tolerances: 1e-7 (rows), ``FEAS_TOL`` (objective), ``BOUND_TOL``,
+    ``OPT_TOL`` (duals).
     """
     if result.status != "optimal":
         raise ValueError("certificate replay requires an optimal result")
-    failures = []
     x = result.x
-    for con in model.constraints:
-        act = sum(c * x[j] for j, c in con.terms)
-        err = (abs(act - con.rhs) if con.relation == EQ
-               else act - con.rhs if con.relation == LE else con.rhs - act)
-        if err > FEAS_TOL:
-            failures.append(f"row {con.label}: violated by {err:.3e}")
+    failures = [f"row {v.label}: violated by {v.amount:.3e}"
+                for v in row_violations(model, x)]
     lo, hi = effective_bounds(model, result.extra_bounds)
     err = np.maximum(lo - x, x - hi)
     for j in np.flatnonzero(err > BOUND_TOL):

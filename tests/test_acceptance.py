@@ -148,7 +148,7 @@ def test_criterion_6_eq20_checker_self_consistency():
             if not rep.evidence["optima_equal"]:
                 bad.append((6000 + t, "confirmed but optima differ"))
         elif rep.verdict == COUNTEREXAMPLE:
-            base = build_coupling_polytope(inst, include_eq20=False)
+            base = build_coupling_polytope(inst, ModelOptions(eq20_mode="omit"))
             residuals = check_feasibility(base, rep.witness)
             if residuals:
                 bad.append((6000 + t, "witness violates linear rows"))

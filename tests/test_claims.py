@@ -71,7 +71,7 @@ def test_eq20_counterexample_on_disjoint_chains():
     assert report.verdict == COUNTEREXAMPLE
     w = report.witness
     # independent replay: the witness satisfies the linear coupling rows
-    base = build_coupling_polytope(inst, include_eq20=False)
+    base = build_coupling_polytope(inst, ModelOptions(eq20_mode="omit"))
     assert check_feasibility(base, w) == []
     i, k, l = map(int, re.match(
         r"eq20\[i=(\d+),k=(\d+),l=(\d+)\]", report.evidence["violated_row"]).groups())
@@ -91,6 +91,17 @@ def test_eq20_verdict_recorded_on_overlapping_chains():
 def test_eq20_cap_gives_inconclusive():
     report = check_eq20_redundancy(cross_demand_disjoint(), max_patterns=1)
     assert report.verdict == INCONCLUSIVE
+
+
+def test_eq20_cap_counts_the_patterns_examined():
+    # the first violation comes at the second pattern with some T[k] = 1
+    found = check_eq20_redundancy(cross_demand_disjoint(), max_patterns=2)
+    assert found.verdict == COUNTEREXAMPLE
+    assert found.evidence["patterns_examined"] == 2
+    capped = check_eq20_redundancy(cross_demand_disjoint(), max_patterns=1)
+    assert (capped.evidence["patterns_examined"],
+            capped.evidence["lps_solved"]) == (1, 1)
+    assert "patterns_skipped" not in capped.evidence
 
 
 def test_tk_confirmed_on_toy3():

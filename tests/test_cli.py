@@ -61,6 +61,17 @@ def test_verify_ccnc_infeasible_base_exits_2(tmp_path, capsys):
     assert "base model admits no feasible design" in out["detail"]
 
 
+@pytest.mark.parametrize("real_file", [True, False])
+def test_verify_file_with_trials_is_a_usage_error(real_file, toy3_file, capsys):
+    path = toy3_file if real_file else "/no/such/file.json"
+    argv = ["verify", "--claim", "ccnc", path, "--trials", "1", "--nodes", "3"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("usage error: verify takes an instance file or --trials, not both"
+            in captured.err)
+
+
 def test_regret_report(toy3_file, capsys):
     assert run(["regret", "--model", "ccu", toy3_file]) == 0
     report = json.loads(capsys.readouterr().out)

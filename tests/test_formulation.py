@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,9 +259,9 @@ def _digest_builders():
         "cc": lambda inst, opts: [build_cc(inst, opts)],
         "ccu": lambda inst, opts: [build_ccu(inst, base(inst), opts)],
         "ocu": lambda inst, opts: [build_ocu(inst, base(inst), opts)],
-        "coupling": lambda inst, opts: [build_coupling_polytope(inst, opts)],
-        "coupling+eq20": lambda inst, opts: [
-            build_coupling_polytope(inst, opts, include_eq20=True)],
+        "coupling": lambda inst, opts: [
+            build_coupling_polytope(inst, replace(opts, eq20_mode="omit"))],
+        "coupling+eq20": lambda inst, opts: [build_coupling_polytope(inst, opts)],
     }
     for fam in ("eq15",) + COUPLING_FAMILIES:
         builders[f"ocu[{fam}]"] = (

@@ -108,6 +108,18 @@ def test_certificate_fails_on_perturbed_primal(toy3):
     assert any("eq" in f or "bound" in f for f in rep.failures)
 
 
+def test_certificate_row_messages_on_perturbed_nc(toy3):
+    model = build_nc(toy3)
+    r = solve_lp(model)
+    x = r.x.copy()
+    x[model.name_index["Z[0,1]"]] += 1e-3   # Z[0,1] carries the 10 units
+    rep = verify_certificate(model, replace(r, x=x))
+    assert rep.failures == ["row eq2[i=0]: violated by 1.000e-03",
+                            "row eq5[i=0,k=1]: violated by 1.000e-03",
+                            "row eq6[i=0,k=1]: violated by 1.000e-03",
+                            "objective mismatch 1.000e-03"]
+
+
 def test_certificate_requires_optimal():
     m = lp([("x", -1.0)], [], [("x", 0.0, math.inf)])
     with pytest.raises(ValueError):

@@ -256,6 +256,24 @@ def test_simplex_error_in_helper_reaches_caller(monkeypatch):
     assert milp._HELPER is helper and alive(helper)
 
 
+@pytest.mark.parametrize("helper", [False, True])
+def test_incumbent_failing_its_certificate_raises(monkeypatch, helper):
+    # the root LP is fractional, so the first incumbent comes after a
+    # branching whose second child the helper, when on, has solved
+    model = build_nc(generate_instance(GeneratorConfig(seed=0, n=4,
+                                                       chain_count=2,
+                                                       scenario_count=2)))
+    failures = ["row eq2[i=0]: violated by 1.000e-03", "objective mismatch"]
+    monkeypatch.setattr(milp, "verify_certificate",
+                        lambda m, res: simplex.CertificateReport(False, failures))
+    with pytest.raises(SimplexError) as info:
+        solve(model, helper)
+    assert str(info.value) == ("incumbent failed certificate replay: "
+                               "row eq2[i=0]: violated by 1.000e-03; "
+                               "objective mismatch")
+    assert (pairs() > 0) == helper
+
+
 def test_error_in_first_child_keeps_the_pipe_in_step(monkeypatch):
     real = simplex._standardize
     parent, raised = os.getpid(), []

@@ -111,6 +111,14 @@ def test_evaluate_design_rejects_infeasible(toy3):
         evaluate_design(toy3, design, 0)
 
 
+def test_evaluate_design_rejects_a_bound_violation(toy3):
+    design = dict(solve_milp(build_nc(toy3)).values)
+    design["H[1]"] = 2.0   # every row still holds, the binary bound does not
+    with pytest.raises(InfeasibleDesignError,
+                       match=r"1 rows violated, worst bound\[H\[1\]\] by 1.000e\+00"):
+        evaluate_design(toy3, design, 0)
+
+
 def test_regret_replay_still_rejects_an_infeasible_design():
     inst = make_toy3(scenarios=TWO_SCEN)
     sol = solve_ocu(inst)
