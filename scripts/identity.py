@@ -66,7 +66,9 @@ COMMANDS = (
         ["verify", "--claim", "tk", "--trials", "2", "--seed", "3", "--nodes", "3"]),
        ("regret-ocu-omit", ["regret", "--model", "ocu", "--eq20", "omit", INSTANCE]),
        ("verify-eq20-omit",
-        ["verify", "--claim", "eq20", "--eq20", "omit", INSTANCE])])
+        ["verify", "--claim", "eq20", "--eq20", "omit", INSTANCE]),
+       ("verify-eq20-n8",
+        ["verify", "--claim", "eq20", "--trials", "1", "--nodes", "8"])])
 
 
 def oracle_instance(seed):

@@ -241,7 +241,9 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
     split model with the product family omitted versus linearized; (b) an
     implication search that, for every hub-split pattern deactivating a
     product row, maximizes the row's flow variable over everything except
-    that family.  The maximized variable is capped by its commodity supply,
+    that family.  Each row's probe LP is built once per check and reused by
+    every pattern; an infeasible probe ends its pattern, whose fixings then
+    admit no point.  The maximized variable is capped by its commodity supply,
     which keeps the LP bounded but does not exclude free circulation: a
     witness may be a 2-cycle ``Y[i,k,l] = Y[i,l,k] = cap``.  The search
     reads INCONCLUSIVE when it has examined ``max_patterns`` patterns with
@@ -256,15 +258,20 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
         "optima_equal": bool(abs(obj_omit - obj_lin) <= _tol(obj_lin)),
     }
 
-    n = inst.n
     base = build_coupling_polytope(inst, replace(opts, eq20_mode="omit"))
     ix = base.name_index
-    targets = coupling_patterns(inst)["eq20"]
-    lps = 0
-    patterns = 0
+    probes = []
+    for (i, k, l) in coupling_patterns(inst)["eq20"]:
+        m_row = compute_big_m(inst, "eq20", (i, k, l), opts.big_m_mode)
+        threshold = max(1e-4 * m_row, 1e-9)
+        cap = origin_supply(inst, i)
+        if cap > threshold:
+            y = ix[f"Y[{i},{k},{l}]"]
+            probes.append(((i, k, l), y, m_row, threshold, cap,
+                           replace(base, objective=[(y, -1.0)])))
+    lps = patterns = 0
     verdict = CONFIRMED
-    for pattern in _split_patterns(n):
-        h = [p[0] for p in pattern]
+    for pattern in _split_patterns(inst.n):
         t = [p[2] for p in pattern]
         if not any(t):
             continue
@@ -272,32 +279,15 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
             verdict = INCONCLUSIVE
             break
         patterns += 1
-        fix = {}
-        for k in range(n):
-            fix[ix[f"H[{k}]"]] = (h[k], h[k])
-            fix[ix[f"I[{k}]"]] = (pattern[k][1], pattern[k][1])
-            fix[ix[f"T[{k}]"]] = (t[k], t[k])
-        pattern_feasible = True
-        for (i, k, l) in targets:
+        fix = {ix[f"{v}[{k}]"]: (x, x)
+               for k, p in enumerate(pattern) for v, x in zip("HIT", p)}
+        for (i, k, l), y, m_row, threshold, cap, probe in probes:
             if t[k] + t[l] < 1:
                 continue
-            if not pattern_feasible:
-                break
-            m_row = compute_big_m(inst, "eq20", (i, k, l), opts.big_m_mode)
-            threshold = max(1e-4 * m_row, 1e-9)
-            cap = origin_supply(inst, i)
-            if cap <= threshold:
-                continue
-            y = ix[f"Y[{i},{k},{l}]"]
-            probe = LinearModel(variables=base.variables,
-                                objective=[(y, -1.0)],
-                                constraints=base.constraints,
-                                name_index=base.name_index)
             res = solve_lp(probe, extra_bounds={**fix, y: (0.0, cap)})
             lps += 1
             if res.status == "infeasible":
-                pattern_feasible = False
-                continue
+                break
             max_y = float(res.x[y])
             if max_y > threshold:
                 witness = {var.name: float(res.x[j])

@@ -29,7 +29,9 @@ class InfeasibleDesignError(ValueError):
     def __init__(self, violations):
         self.violations = violations
         worst = max(violations, key=lambda v: v.amount)
-        super().__init__(f"design infeasible: {len(violations)} rows violated, "
+        bounds = sum(v.label.startswith("bound[") for v in violations)
+        super().__init__(f"design infeasible: {len(violations) - bounds} rows "
+                         f"and {bounds} bounds violated, "
                          f"worst {worst.label} by {worst.amount:.3e}")
 
 

@@ -104,16 +104,10 @@ def _violation(act, rhs, sense):
 
 
 def _subtract_in_order(target, idx, amounts):
-    """Apply ``target[idx] -= amounts`` in order, rounding as a loop would.
-    Equal ``idx`` values must be adjacent; zero amounts are skipped."""
+    """``target[idx] -= amounts`` term by term in order, as a loop rounds
+    (``np.subtract.at`` is unbuffered); zero amounts are skipped (no -0.0)."""
     keep = amounts != 0.0
-    idx, amounts = idx[keep], amounts[keep]
-    pos = np.arange(idx.size)
-    start = np.ones(idx.size, dtype=bool)
-    start[1:] = idx[1:] != idx[:-1]
-    rank = pos - np.maximum.accumulate(np.where(start, pos, 0))
-    for t in range(int(rank.max(initial=-1)) + 1):
-        target[idx[rank == t]] -= amounts[rank == t]
+    np.subtract.at(target, idx[keep], amounts[keep])
 
 
 def _standardize(model: LinearModel,

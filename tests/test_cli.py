@@ -147,7 +147,8 @@ def test_no_verbose_flag(argv, toy3_file, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,model", [("solve", "nc"), ("regret", "ccu")])
+@pytest.mark.parametrize("command,model",
+                         [("solve", "nc"), ("solve", "cc"), ("regret", "ccu")])
 def test_successful_solve_writes_nothing_to_stderr(command, model, toy3_file,
                                                    capsys):
     assert run([command, "--model", model, toy3_file]) == 0

@@ -10,8 +10,8 @@ from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel
 from hubloc.simplex import (BASIC, NB_LOWER, NB_UPPER, SimplexError,
-                            _refine_basics, _standardize, solve_lp,
-                            verify_certificate)
+                            _refine_basics, _standardize, _subtract_in_order,
+                            solve_lp, verify_certificate)
 
 
 def lp(objective, constraints, variables):
@@ -198,3 +198,21 @@ def test_certificate_failure_messages_in_order():
     assert any("at upper" in f for f in expected)
     assert not rep.passed
     assert rep.failures == expected
+
+
+def test_subtract_in_order_matches_a_scalar_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        size = int(rng.integers(1, 40))
+        idx = np.sort(rng.integers(0, 8, size))   # repeated indices, adjacent
+        amounts = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+        amounts[rng.random(size) < 0.2] = 0.0
+        amounts[rng.random(size) < 0.1] = -0.0
+        start = rng.choice([0.0, -0.0, 1.0, 1e-8], 8) * rng.uniform(-1e8, 1e8, 8)
+        expect = start.copy()
+        for i, a in zip(idx, amounts):
+            if a != 0.0:
+                expect[i] -= a
+        got = start.copy()
+        _subtract_in_order(got, idx, amounts)
+        assert got.tobytes() == expect.tobytes()

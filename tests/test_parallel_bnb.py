@@ -1073,3 +1073,14 @@ def test_ctrl_c_prints_no_helper_traceback():
         time.sleep(0.05)
     else:
         pytest.fail("helper outlived its parent")
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_unbounded_relaxation_raises(helper):
+    m = LinearModel()
+    b = m.add_variable("b", BINARY)
+    x = m.add_variable("x", CONTINUOUS, lb=-np.inf)
+    m.add_constraint("cap", [(b, 1.0), (x, 1.0)], LE, 5.0)
+    m.set_objective([(b, 1.0), (x, 1.0)])
+    with pytest.raises(SimplexError, match="relaxation is unbounded"):
+        solve(m, helper)

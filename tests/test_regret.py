@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_max_regret, make_toy3
+from hubloc import regret
 from hubloc.formulations import FormulationError, ModelOptions, build_nc
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.milp import solve_milp
@@ -107,7 +108,8 @@ def test_evaluate_nc_design_under_supplement():
 
 def test_evaluate_design_rejects_infeasible(toy3):
     design = {"Z[0,1]": 10.0, "X[0,1,2]": 10.0}  # flows without an open hub
-    with pytest.raises(InfeasibleDesignError, match="design infeasible"):
+    with pytest.raises(InfeasibleDesignError,
+                       match=r"design infeasible: \d+ rows and 0 bounds violated"):
         evaluate_design(toy3, design, 0)
 
 
@@ -115,7 +117,8 @@ def test_evaluate_design_rejects_a_bound_violation(toy3):
     design = dict(solve_milp(build_nc(toy3)).values)
     design["H[1]"] = 2.0   # every row still holds, the binary bound does not
     with pytest.raises(InfeasibleDesignError,
-                       match=r"1 rows violated, worst bound\[H\[1\]\] by 1.000e\+00"):
+                       match=r"0 rows and 1 bounds violated, "
+                             r"worst bound\[H\[1\]\] by 1.000e\+00"):
         evaluate_design(toy3, design, 0)
 
 
@@ -128,6 +131,17 @@ def test_regret_replay_still_rejects_an_infeasible_design():
     with pytest.raises(InfeasibleDesignError, match="design infeasible"):
         _attach_regrets(inst, replace(sol, values=closed),
                         compute_baselines(inst), ModelOptions())
+
+
+def test_regret_replay_mismatch_raises(monkeypatch):
+    evaluate = regret.evaluate_design
+
+    def shifted(inst, design, s, *args, **kwargs):
+        return evaluate(inst, design, s, *args, **kwargs) + (1.0 if s == 1 else 0.0)
+
+    monkeypatch.setattr(regret, "evaluate_design", shifted)
+    with pytest.raises(RuntimeError, match="regret replay mismatch for scenario 1"):
+        solve_ccu(make_toy3(scenarios=TWO_SCEN))
 
 
 def test_baseline_monotone_in_sigma():
