@@ -21,6 +21,14 @@ back: the columns it skips would only have had a zero subtracted, so they
 keep their values, at most with another zero sign.  No pivot decision and
 no reported value reads the sign of a zero tableau entry.
 
+Phase 2 prices once on the full-width tableau, then drops the nonbasic
+artificial columns from it: phase 2 caps the artificials at zero, so
+their weight is 0 and they never enter.  The ratio test skips its
+upper-bound pass while no basic variable has a finite bound, negates the
+entering column only where that pass needs it, and takes the blocking
+row directly when only one row reaches the minimum ratio.  None of this
+changes a value that a pivot reads.
+
 The load step is a presolve over the model's compiled arrays
 (:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
 passes substitute variables whose effective bounds pin them to a single
@@ -226,15 +234,26 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     ``cols[s]`` is ``N[:, s]`` and ``slot`` maps a column back to its ``s``
     (-1 while basic).  Basic columns are unit vectors, which a pivot changes
     by exact zeros only, so they are not stored; the leaving variable takes
-    the entering one's slot.  ``d`` stays full length.
+    the entering one's slot.  In phase 2, ``N`` also lacks the columns of
+    the artificials that were nonbasic when it began.  ``d`` stays full
+    length; the entries of those dropped columns go stale, and only ever
+    meet a weight of 0.
 
     Pricing is one product ``d * w``: the weight ``w`` is -1 at a lower
     bound, +1 at an upper bound and 0 for a basic column or one with
     ``ub <= 0``, so a column is eligible exactly when its score exceeds
     ``OPT_TOL``, and the score of an eligible column has the bits of
     ``-d`` or ``d``.  ``w`` and the basic upper bounds ``ub[basis]`` (with
-    their finite mask) are built here, because phase 2 caps the
-    artificials, and then change only at a flip or a pivot.
+    their finite mask and its count) are built here, because phase 2 caps
+    the artificials, and then change only at a flip or a pivot.
+
+    The ratio test makes the fewest numpy calls that give the same
+    values: ``score`` and the clipped ``xB`` go into buffers made once;
+    the upper-bound pass runs only while some basic variable has a
+    finite bound, and tests ``col < -tol`` for ``-col > tol`` when the
+    column enters from its lower bound, so ``-col`` is formed only to
+    divide by it; and a minimum ratio reached by one row alone takes
+    that row without the tie-breaking rules.
     """
     m = len(basis)
     ncols = len(d)
@@ -247,11 +266,14 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     w[(status == BASIC) | ~(ub > 0)] = 0.0
     ubB = ub[basis]
     finB = np.isfinite(ubB)
+    nfin = int(np.count_nonzero(finB))
+    score = np.empty(ncols)
+    xBc = np.empty(m)
     lims = np.empty(m)
     pos = np.empty(m, dtype=bool)
     neg = np.empty(m, dtype=bool)
     while True:
-        score = d * w
+        np.multiply(d, w, out=score)
         q = int(score.argmax())
         if not score[q] > OPT_TOL:
             if math.isnan(score[q]):
@@ -267,10 +289,8 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         s = slot[q]
         lower = status[q] == NB_LOWER
         sigma = 1.0 if lower else -1.0
-        # scol = sigma * col and mscol = -scol, with no copy for sigma = 1
         col = N[:, s]
-        flipped = -col
-        scol, mscol = (col, flipped) if lower else (flipped, col)
+        scol = col if lower else -col   # sigma * col
 
         # The ratio test treats an entry above PIVOT_TOL as a pivot.  If
         # the row it picks has an entry below 1e-6 that is also below
@@ -282,14 +302,21 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
             if m:
                 lims.fill(math.inf)
                 np.greater(scol, tol, out=pos)
-                np.divide(np.maximum(xB, 0.0), scol, out=lims, where=pos)
-                np.greater(mscol, tol, out=neg)
-                neg &= finB
-                if neg.any():
-                    # pos and neg are disjoint, so these rows still hold inf
-                    np.divide(np.maximum(ubB - xB, 0.0), mscol, out=lims,
-                              where=neg)
-                step_basic = float(lims.min())
+                np.maximum(xB, 0.0, out=xBc)
+                np.divide(xBc, scol, out=lims, where=pos)
+                if nfin:
+                    # rows where -scol > tol, that is col < -tol when lower
+                    if lower:
+                        np.less(col, -tol, out=neg)
+                    else:
+                        np.greater(col, tol, out=neg)
+                    neg &= finB
+                    if np.logical_or.reduce(neg):
+                        # pos and neg are disjoint, so these rows still
+                        # hold inf; the divisor is -scol
+                        np.divide(np.maximum(ubB - xB, 0.0),
+                                  -col if lower else col, out=lims, where=neg)
+                step_basic = float(np.minimum.reduce(lims))
             else:
                 step_basic = math.inf
             step = min(step_basic, ub[q])
@@ -302,8 +329,10 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
             flip = step_basic > ub[q] + 1e-12
             if flip:
                 break
-            achievers = np.nonzero(lims <= step + 1e-9)[0]
-            if next_bland:
+            achievers = (lims <= step + 1e-9).nonzero()[0]
+            if len(achievers) == 1:
+                r = int(achievers[0])
+            elif next_bland:
                 r = int(achievers[np.argmin(basis[achievers])])
             else:
                 # prefer the numerically largest pivot among the blockers
@@ -378,7 +407,9 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         basis[r] = q
         status[q] = BASIC
         ubB[r] = ub[q]
-        finB[r] = math.isfinite(ub[q])
+        fin = math.isfinite(ub[q])
+        nfin += int(fin) - int(finB[r])
+        finB[r] = fin
 
 
 def _refine_basics(A, b, basis, status, ub):
@@ -436,11 +467,10 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
     ub = sf.ub.copy()
     maxit = 50 * (m + ncols)
     iters = 0
-    T = sf.A  # the full tableau before the first pivot
 
     if sf.art_mask.any():
         c1 = sf.art_mask.astype(float)
-        d = c1 - c1[basis] @ T
+        d = c1 - c1[basis] @ sf.A   # sf.A is the tableau before any pivot
         _, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
                             iters, allow_unbounded=False)
         xB = _refine_basics(sf.A, sf.b, basis, status, ub)
@@ -454,8 +484,17 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
         T = np.zeros(sf.A.shape)
         T[:, cols] = N
         T[np.arange(m), basis] = 1.0
-    d = sf.c - sf.c[basis] @ T
-    del T
+        d = sf.c - sf.c[basis] @ T
+        del T
+        # then drop the nonbasic artificials: their weight is 0 from here
+        # on, so they never enter, and their d entries, left stale, only
+        # ever meet that weight
+        keep = ~sf.art_mask[cols]
+        N, cols = N.compress(keep, axis=1), cols[keep]   # C-contiguous
+        slot.fill(-1)
+        slot[cols] = np.arange(len(cols))
+    else:
+        d = sf.c - sf.c[basis] @ sf.A
     outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
                               iters, allow_unbounded=True)
     if outcome == "unbounded":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_nc, make_toy3
+from hubloc import simplex
 from hubloc.formulations import build_nc
 from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
@@ -216,3 +217,39 @@ def test_subtract_in_order_matches_a_scalar_loop():
         got = start.copy()
         _subtract_in_order(got, idx, amounts)
         assert got.tobytes() == expect.tobytes()
+
+
+def test_phase2_drops_nonbasic_artificials(monkeypatch):
+    # the second row is twice the first: once x enters, its artificial
+    # stays basic at 0 into phase 2, caged there, and phase 2 then moves
+    # from x to y under the nonbasic artificial of the first row
+    m = lp([("x", 2.0), ("y", 1.0)],
+           [("eq1[a]", [("x", 1.0), ("y", 1.0)], EQ, 2.0),
+            ("eq1[b]", [("x", 2.0), ("y", 2.0)], EQ, 4.0)],
+           [("x", 0.0, math.inf), ("y", 0.0, math.inf)])
+    real, calls = simplex._iterate, []
+
+    def spy(N, cols, slot, xB, basis, status, *args, **kwargs):
+        calls.append((N.shape[1], cols.copy(), slot.copy(), basis.copy(),
+                      status.copy()))
+        return real(N, cols, slot, xB, basis, status, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_iterate", spy)
+    r = solve_lp(m)
+    assert r.status == "optimal"
+    assert r.x.tolist() == [0.0, 2.0]
+    assert r.objective == 2.0
+    assert r.iterations == 2
+    assert verify_certificate(m, r).passed
+
+    art = _standardize(m, None).art_mask
+    assert len(calls) == 2 and art.sum() == 2
+    width, cols, slot, basis, status = calls[1]
+    assert art[basis].sum() == 1   # the caged artificial
+    nonbasic = np.flatnonzero(status != BASIC)
+    assert art[nonbasic].sum() == 1   # the one phase 2 leaves out
+    assert width == len(cols) == len(nonbasic) - 1
+    assert not art[cols].any()
+    assert sorted(cols) == sorted(nonbasic[~art[nonbasic]])
+    assert (slot[cols] == np.arange(width)).all()
+    assert (slot >= 0).sum() == width

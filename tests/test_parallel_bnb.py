@@ -1,8 +1,8 @@
 """Branch and bound and enumeration with the helper process forced on and off.
 
 The helper may change only where an LP runs: an LP of one of the searches
-solved side by side, the second child's LP of a branching, or the
-odd-numbered assignments of an enumeration chunk.  Every field of every
+solved side by side, the second child's LP of a branching, or some of the
+interleaved shares of an enumeration chunk.  Every field of every
 ``Solution`` must equal the serial search's, its failures must reach the
 caller as typed errors, in the serial order, and anything that wants to
 see each LP (a rebound ``milp.solve_lp``, another thread) must keep the
@@ -132,16 +132,18 @@ def split_parity():
     return m
 
 
-def descending():
-    """Three binaries whose sum is at most 2, so enumeration keeps codes
-    0 to 6, and each beats the one before it: the objective is minus the
-    assignment's code plus half its number of ones (``w``)."""
+def descending(bits=3):
+    """``bits`` binaries whose sum is at most ``bits - 1``, so enumeration
+    keeps codes 0 to ``2**bits - 2``, and each beats the one before it: the
+    objective is minus the assignment's code plus half its number of ones
+    (``w``)."""
     m = LinearModel()
-    h = [m.add_variable(f"H[{i}]", BINARY) for i in range(3)]
+    h = [m.add_variable(f"H[{i}]", BINARY) for i in range(bits)]
     w = m.add_variable("w", CONTINUOUS, 0.0, 10.0)
-    m.add_constraint("cap", [(j, 1.0) for j in h], LE, 2.0)
+    m.add_constraint("cap", [(j, 1.0) for j in h], LE, bits - 1.0)
     m.add_constraint("cover", [(w, 1.0)] + [(j, -1.0) for j in h], GE, 0.0)
-    m.set_objective([(h[0], -4.0), (h[1], -2.0), (h[2], -1.0), (w, 0.5)])
+    m.set_objective([(j, -2.0 ** (bits - 1 - i)) for i, j in enumerate(h)]
+                    + [(w, 0.5)])
     return m
 
 
@@ -150,7 +152,14 @@ def fixings_at(model, position):
     :func:`descending`, which is code ``position``."""
     bins = model.binary_indices()
     return {j: (float(b), float(b))
-            for j, b in zip(bins, format(position, "03b"))}
+            for j, b in zip(bins, format(position, f"0{len(bins)}b"))}
+
+
+def kept_codes(model):
+    """The kept assignments of :func:`descending`, in order, as rows."""
+    bits = len(model.binary_indices())
+    return np.array([[float(b) for b in format(code, f"0{bits}b")]
+                     for code in range(2 ** bits - 1)])
 
 
 def enumerate_both_ways(model):
@@ -161,6 +170,36 @@ def enumerate_both_ways(model):
     assert milp._HELPER is not None
     assert_same(serial, forked)
     return serial
+
+
+def record_shares(monkeypatch):
+    """Record the rows of each enumeration job from now on: ``here``
+    gets those this process solves, ``sent`` those it sends the helper."""
+    here, sent = [], []
+    real_share, real_request = milp._solve_share, milp._Helper.request
+
+    def solve_here(model, indices, rows):
+        here.append(rows)
+        return real_share(model, indices, rows)
+
+    def request(self, token, model, indices, rows):
+        sent.append(rows)
+        return real_request(self, token, model, indices, rows)
+
+    monkeypatch.setattr(milp, "_solve_share", solve_here)
+    monkeypatch.setattr(milp._Helper, "request", request)
+    return here, sent
+
+
+def assert_split(here, sent, kept):
+    """The jobs solved here and sent are the ``k`` interleaved shares
+    ``kept[i::k]`` of the kept rows, so they are disjoint and cover every
+    row, and each process solved at least one.  Which process solved
+    which share depends on timing."""
+    k = min(milp.SHARES, len(kept))
+    shares = sorted(rows.tolist() for rows in here + sent)
+    assert shares == sorted(kept[i::k].tolist() for i in range(k))
+    assert here and sent
 
 
 def count_lps_here(monkeypatch):
@@ -216,12 +255,16 @@ def test_split_enumeration_without_binaries():
 
 
 def test_split_enumeration_with_odd_count(monkeypatch):
+    """Seven kept assignments, fewer than SHARES: one share each."""
     model = descending()
     enumerate_(split_parity(), True)   # fork before counting
-    here = count_lps_here(monkeypatch)
+    lps = count_lps_here(monkeypatch)
+    here, sent = record_shares(monkeypatch)
     sol = enumerate_(model, True)
     assert sol.nodes_explored == 7   # every code but 111
-    assert here == [fixings_at(model, p) for p in (0, 2, 4, 6)]
+    assert_split(here, sent, kept_codes(model))
+    assert lps == [{j: (v, v) for j, v in zip(model.binary_indices(), row)}
+                   for rows in here for row in rows.tolist()]
     assert_same(sol, enumerate_(model, False))
     assert sol.objective == -5.0   # code 110
 
@@ -453,9 +496,9 @@ def fail_at(monkeypatch, model, *positions):
     monkeypatch.setattr(simplex, "_standardize", fails_there)
 
 
-@pytest.mark.parametrize("position", [3, 4])
+@pytest.mark.parametrize("position", [3, 4, 6])
 def test_enumeration_error_matches_serial(monkeypatch, position):
-    """Position 3 is the helper's, position 4 this process's."""
+    """Each position is a share of its own; 6 is the helper's first."""
     model = descending()
     fail_at(monkeypatch, model, position)
     with pytest.raises(SimplexError) as serial:
@@ -473,8 +516,8 @@ def test_enumeration_error_matches_serial(monkeypatch, position):
 
 @pytest.mark.parametrize("positions", [(3, 4), (2, 5), (4, 6)])
 def test_two_failures_raise_the_lowest_one(monkeypatch, positions):
-    """One failing assignment in each share, or both in this process's:
-    the serial walk raises the lower one's error, so both paths must."""
+    """Two failing assignments, each in a share of its own: the serial
+    walk raises the lower one's error, so both paths must."""
     model = descending()
     fail_at(monkeypatch, model, *positions)
     lowest = fixings_at(model, positions[0])
@@ -483,6 +526,28 @@ def test_two_failures_raise_the_lowest_one(monkeypatch, positions):
         with pytest.raises(SimplexError) as info:
             enumerate_(model, helper)
         assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("positions", [(0, 14), (13, 14)])
+def test_fewer_assignments_than_shares(monkeypatch, positions):
+    """15 kept assignments, fewer than SHARES, make 15 one-row shares.
+    This process takes share 0 first and the helper share 14, so (0, 14)
+    fails once in each process, and (13, 14) twice in the helper, the
+    higher position first: either way the lowest position is raised."""
+    model = descending(4)
+    assert 15 < milp.SHARES
+    serial = enumerate_(model, False)
+    here, sent = record_shares(monkeypatch)
+    assert_same(enumerate_(model, True), serial)
+    assert_split(here, sent, kept_codes(model))
+    milp._stop_helper()   # the next helper forks with the failures below
+    fail_at(monkeypatch, model, *positions)
+    lowest = fixings_at(model, positions[0])
+    for helper in (False, True):
+        with pytest.raises(SimplexError) as info:
+            enumerate_(model, helper)
+        assert str(info.value) == f"breakdown at {sorted(lowest.items())}"
+    assert milp._HELPER is not None
 
 
 def test_certificate_failure_before_an_error_wins(monkeypatch):
@@ -541,7 +606,9 @@ def _one_short(kept, failure):
     (_other_fixings, "a result for other fixings than sent"),
     (_one_short, "2 results for 3 rows")])
 def test_tampered_reply_raises(monkeypatch, tamper, problem):
-    model = descending()
+    """63 kept assignments: the first share sent, the newest of the 16,
+    holds positions 15, 31 and 47."""
+    model = descending(6)
     expected = enumerate_(model, False)
     enumerate_(split_parity(), True)
     helper = milp._HELPER
@@ -564,7 +631,8 @@ def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
     expected = enumerate_(model, False)
     monkeypatch.setattr(milp, "_FORCE_HELPER", True)
     milp.solve_milp(split_parity())   # fork while single-threaded
-    here = count_lps_here(monkeypatch)
+    lps = count_lps_here(monkeypatch)
+    here, sent = record_shares(monkeypatch)
     results = {}
     worker = threading.Thread(
         target=lambda: results.update(sol=milp.solve_by_enumeration(model)))
@@ -572,10 +640,13 @@ def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
     worker.join(120)
     assert not worker.is_alive()
     assert_same(results["sol"], expected)
-    assert len(here) == expected.nodes_explored
-    del here[:]
+    assert len(lps) == expected.nodes_explored
+    assert not sent and len(here) == 1   # the whole chunk, as one job
+    kept = here.pop()
+    del lps[:]
     assert_same(milp.solve_by_enumeration(model), expected)
-    assert len(here) == (expected.nodes_explored + 1) // 2
+    assert_split(here, sent, kept)
+    assert len(lps) == sum(map(len, here))
 
 
 def test_rebound_solve_lp_sees_every_enumeration_lp(monkeypatch):
@@ -999,26 +1070,38 @@ def test_enumeration_uses_the_helper_unforced_with_one_blas_thread(
         from hubloc.regret import compute_baselines
         inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2))
         model = build_ocu(inst, compute_baselines(inst))
-        sent, real = [], milp._Helper.request
+        here, sent = [], []
+        real_share, real_request = milp._solve_share, milp._Helper.request
 
-        def spy(self, token, model, indices, rows):
-            sent.append(len(rows))
-            return real(self, token, model, indices, rows)
+        def solve_here(model, indices, rows):
+            here.append(rows.tolist())
+            return real_share(model, indices, rows)
 
-        milp._Helper.request = spy
+        def request(self, token, model, indices, rows):
+            sent.append(rows.tolist())
+            return real_request(self, token, model, indices, rows)
+
+        milp._solve_share = solve_here
+        milp._Helper.request = request
         auto = milp.solve_by_enumeration(model)
+        split = [here[:], sent[:]]
+        del here[:], sent[:]
         milp._FORCE_HELPER = False
         serial = milp.solve_by_enumeration(model)
-        print(json.dumps([sent, auto.nodes_explored, serial.nodes_explored,
+        print(json.dumps([split, here, sent, auto.nodes_explored,
+                          serial.nodes_explored,
                           auto.objective == serial.objective,
                           auto.values == serial.values]))
     """)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    sent, nodes, serial_nodes, same_obj, same_values = json.loads(out)
+    (split, serial_here, serial_sent, nodes, serial_nodes, same_obj,
+     same_values) = json.loads(out)
     assert same_obj and same_values
     assert nodes == serial_nodes > 1
-    assert sent == [nodes // 2]   # the odd half of the one chunk
+    assert not serial_sent and len(serial_here) == 1   # the one chunk
+    here, sent = ([np.array(rows) for rows in jobs] for jobs in split)
+    assert_split(here, sent, np.array(serial_here[0]))
 
 
 def _solve_in_worker(name, seed):
