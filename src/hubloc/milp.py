@@ -54,10 +54,12 @@ INT_TOL = 1e-6
 # Jobs per enumeration chunk when the helper runs.  Both processes take
 # them from one FIFO, so the one that is free first takes the next, and
 # the parent does not wait for a fixed half.  Over the 48 enumerations of
-# 12 n=4 oracle items (one BLAS thread, 2-vCPU Xeon at 2.1 GHz, three runs
-# each) the parent waited 0.39-0.50 s for replies inside
-# solve_by_enumeration with 2 jobs, 0.60-0.74 s with 4, 0.10-0.28 s with
-# 8, 0.16-0.23 s with 16 and 0.12-0.18 s with 32.
+# 12 n=4 oracle items (one BLAS thread, 2-vCPU Xeon at 2.1 GHz) the parent
+# waited 0.33-0.50 s for replies inside solve_by_enumeration with 2 jobs
+# (five runs) and 0.16-0.23 s with 16 (five runs); 4 jobs read
+# 0.60-0.74 s, 8 read 0.10-0.28 s and 32 read 0.12-0.18 s (three runs
+# each).  8 to 32 read alike, within noise; 16 was picked inside that
+# band.
 SHARES = 16
 
 
@@ -308,11 +310,11 @@ def _serve(requests: int, replies: int) -> None:
 
 class _Helper:
     """One forked process, joined by two pipes, that solves jobs while the
-    parent solves others: the second child of a branching, or whichever
-    of the interleaved shares of an enumeration chunk it is sent first.
-    It keeps one model per live search, keyed by the search's token.
-    ``pairs`` counts the steps of a search (a branching, an enumeration
-    chunk) whose jobs were split between the two processes."""
+    parent solves others: the second child of a branching, or the shares
+    of an enumeration chunk that it is sent.  It keeps one model per live
+    search, keyed by the search's token.  ``pairs`` counts the steps of a
+    search (a branching, an enumeration chunk) whose jobs were split
+    between the two processes."""
 
     def __init__(self):
         req_read, self.requests = os.pipe()
@@ -732,10 +734,10 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
     front of the scheduler's queue and the helper process from its back,
     each as it gets free, with the same cold ``solve_lp``, so which
     process solves which share depends on timing.  Otherwise the chunk is
-    one job, solved here.  The results are replayed in order here, where every running
-    best is certified and the error of the lowest failing assignment is
-    raised, so the result, the LP count and any error are those of the
-    serial walk.
+    one job, solved here.  The results are replayed in order here, where
+    every running best is certified and the error of the lowest failing
+    assignment is raised, so the result, the LP count and any error are
+    those of the serial walk.
     """
     bins = model.binary_indices()
     if len(bins) > binary_cap:

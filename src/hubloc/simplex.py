@@ -23,11 +23,9 @@ no reported value reads the sign of a zero tableau entry.
 
 Phase 2 prices once on the full-width tableau, then drops the nonbasic
 artificial columns from it: phase 2 caps the artificials at zero, so
-their weight is 0 and they never enter.  The ratio test skips its
-upper-bound pass while no basic variable has a finite bound, negates the
-entering column only where that pass needs it, and takes the blocking
-row directly when only one row reaches the minimum ratio.  None of this
-changes a value that a pivot reads.
+their weight is 0 and they never enter.  The ratio test negates the
+entering column only where its upper-bound pass divides by it, which
+changes no value that a pivot reads.
 
 The load step is a presolve over the model's compiled arrays
 (:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
@@ -244,16 +242,14 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     ``ub <= 0``, so a column is eligible exactly when its score exceeds
     ``OPT_TOL``, and the score of an eligible column has the bits of
     ``-d`` or ``d``.  ``w`` and the basic upper bounds ``ub[basis]`` (with
-    their finite mask and its count) are built here, because phase 2 caps
-    the artificials, and then change only at a flip or a pivot.
+    their finite mask) are built here, because phase 2 caps the
+    artificials, and then change only at a flip or a pivot.
 
     The ratio test makes the fewest numpy calls that give the same
-    values: ``score`` and the clipped ``xB`` go into buffers made once;
-    the upper-bound pass runs only while some basic variable has a
-    finite bound, and tests ``col < -tol`` for ``-col > tol`` when the
-    column enters from its lower bound, so ``-col`` is formed only to
-    divide by it; and a minimum ratio reached by one row alone takes
-    that row without the tie-breaking rules.
+    values: ``score`` and the clipped ``xB`` go into buffers made once,
+    and the upper-bound pass tests ``col < -tol`` for ``-col > tol`` when
+    the column enters from its lower bound, so ``-col`` is formed only to
+    divide by it.
     """
     m = len(basis)
     ncols = len(d)
@@ -266,7 +262,6 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     w[(status == BASIC) | ~(ub > 0)] = 0.0
     ubB = ub[basis]
     finB = np.isfinite(ubB)
-    nfin = int(np.count_nonzero(finB))
     score = np.empty(ncols)
     xBc = np.empty(m)
     lims = np.empty(m)
@@ -304,18 +299,17 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
                 np.greater(scol, tol, out=pos)
                 np.maximum(xB, 0.0, out=xBc)
                 np.divide(xBc, scol, out=lims, where=pos)
-                if nfin:
-                    # rows where -scol > tol, that is col < -tol when lower
-                    if lower:
-                        np.less(col, -tol, out=neg)
-                    else:
-                        np.greater(col, tol, out=neg)
-                    neg &= finB
-                    if np.logical_or.reduce(neg):
-                        # pos and neg are disjoint, so these rows still
-                        # hold inf; the divisor is -scol
-                        np.divide(np.maximum(ubB - xB, 0.0),
-                                  -col if lower else col, out=lims, where=neg)
+                # rows where -scol > tol, that is col < -tol when lower
+                if lower:
+                    np.less(col, -tol, out=neg)
+                else:
+                    np.greater(col, tol, out=neg)
+                neg &= finB
+                if np.logical_or.reduce(neg):
+                    # pos and neg are disjoint, so these rows still hold
+                    # inf; the divisor is -scol
+                    np.divide(np.maximum(ubB - xB, 0.0),
+                              -col if lower else col, out=lims, where=neg)
                 step_basic = float(np.minimum.reduce(lims))
             else:
                 step_basic = math.inf
@@ -330,9 +324,7 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
             if flip:
                 break
             achievers = (lims <= step + 1e-9).nonzero()[0]
-            if len(achievers) == 1:
-                r = int(achievers[0])
-            elif next_bland:
+            if next_bland:
                 r = int(achievers[np.argmin(basis[achievers])])
             else:
                 # prefer the numerically largest pivot among the blockers
@@ -407,9 +399,7 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         basis[r] = q
         status[q] = BASIC
         ubB[r] = ub[q]
-        fin = math.isfinite(ub[q])
-        nfin += int(fin) - int(finB[r])
-        finB[r] = fin
+        finB[r] = math.isfinite(ub[q])
 
 
 def _refine_basics(A, b, basis, status, ub):

@@ -550,6 +550,65 @@ def test_fewer_assignments_than_shares(monkeypatch, positions):
     assert milp._HELPER is not None
 
 
+def record_stops(monkeypatch):
+    """Record each enumeration job that stops at a failure as ``(share,
+    entry)``, the share being the code of its first row (its index in a
+    chunk of :func:`descending`): ``here`` gets those this process solves,
+    ``there`` the helper's replies."""
+    here, there = [], []
+    real_share, real_reply = milp._solve_share, milp._Helper.reply
+
+    def code(rows):
+        return int("".join(str(int(b)) for b in rows[0]), 2)
+
+    def solve_here(model, indices, rows):
+        kept, failure = real_share(model, indices, rows)
+        if failure is not None:
+            here.append((code(rows), failure[0]))
+        return kept, failure
+
+    def reply(self, token, indices, rows):
+        kept, failure = real_reply(self, token, indices, rows)
+        if failure is not None:
+            there.append((code(rows), failure[0]))
+        return kept, failure
+
+    monkeypatch.setattr(milp, "_solve_share", solve_here)
+    monkeypatch.setattr(milp._Helper, "reply", reply)
+    return here, there
+
+
+@pytest.mark.parametrize("positions, here, there", [
+    ((0, 16), [(0, 0)], []),
+    ((30,), [], [(14, 1)]),
+    ((15, 30), [], [(14, 1), (15, 0)]),
+], ids=["one-share-here", "helper-second-row", "both-helper-shares"])
+def test_failures_in_two_row_shares(monkeypatch, positions, here, there):
+    """31 kept assignments make 15 shares of two rows and one of one:
+    share i holds positions i and i + 16.  The scheduler sends the helper
+    shares 15 and 14 before this process takes share 0, so (0, 16) fails
+    twice in one share here, which stops at its first row; (30,) stops
+    the helper's share 14 at its second row, a reply whose failure is
+    not at entry 0; and (15, 30) fails in both of the helper's first
+    shares.  Either way the lowest position is raised."""
+    model = descending(5)
+    assert milp.SHARES < 31 < 2 * milp.SHARES
+    fail_at(monkeypatch, model, *positions)
+    lowest = fixings_at(model, positions[0])
+    expected = f"breakdown at {sorted(lowest.items())}"
+    with pytest.raises(SimplexError) as info:
+        enumerate_(model, False)
+    assert str(info.value) == expected
+    stops_here, stops_there = record_stops(monkeypatch)
+    with pytest.raises(SimplexError) as info:
+        enumerate_(model, True)
+    assert type(info.value) is SimplexError
+    assert str(info.value) == expected
+    assert stops_here == here
+    assert sorted(stops_there) == there
+    assert alive(milp._HELPER)
+
+
 def test_certificate_failure_before_an_error_wins(monkeypatch):
     """A running best at position 1 fails its certificate; the LP at
     position 4 raises.  The serial walk raises the first."""
