@@ -43,6 +43,7 @@ from hubloc import claims, cli, milp, regret, simplex  # noqa: E402
 from hubloc.formulations import (build_cc, build_ccu, build_nc,  # noqa: E402
                                  build_ocu)
 from hubloc.instance import GeneratorConfig, generate_instance  # noqa: E402
+from hubloc.model import BINARY, LE, LinearModel  # noqa: E402
 
 GEN7 = ["--seed", "7", "--chains", "2", "--scenarios", "2"]
 INSTANCE = "gen7-n4.json"
@@ -102,9 +103,25 @@ def regret_n6_lps(seed):
         seed=seed, n=6, chain_count=2, scenario_count=2)))
 
 
+def knapsack_lps(seed):
+    """A three-row knapsack: only <= rows with nonnegative right-hand
+    sides, so its root LP starts from the slack basis, with no artificial
+    and no phase 1."""
+    rng = np.random.default_rng(seed)
+    model = LinearModel()
+    for j in range(12):
+        model.add_variable(f"x[{j}]", BINARY)
+    weights = rng.integers(1, 20, size=(3, 12))
+    for r, w in enumerate(weights):
+        model.add_constraint(f"cap[{r}]", enumerate(w), LE, 0.4 * w.sum())
+    model.set_objective(enumerate(-rng.integers(1, 30, size=12)))
+    milp.solve_milp(model)
+
+
 LP_CORPUS = ([("sweep", sweep_lps, s) for s in range(6)]
              + [("oracle", oracle_lps, s) for s in range(6)]
-             + [("regret_n6", regret_n6_lps, s) for s in range(4)])
+             + [("regret_n6", regret_n6_lps, s) for s in range(4)]
+             + [("knapsack", knapsack_lps, s) for s in range(4)])
 
 
 def run_commands(outdir: Path, commands) -> None:

@@ -33,6 +33,8 @@ COUNTEREXAMPLE = "COUNTEREXAMPLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 REL_TOL = 1e-6
+# check_eq20_redundancy reads INCONCLUSIVE after this many patterns
+EQ20_MAX_PATTERNS = 4000
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,7 @@ def _split_patterns(n: int):
 
 
 def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
-                          max_patterns: int = 4000, *,
-                          memo: SolveMemo | None = None) -> ClaimReport:
+                          *, memo: SolveMemo | None = None) -> ClaimReport:
     """Is the product coupling row already implied by the linear ones?
 
     Two independent probes, both recorded: (a) optimum comparison of the
@@ -246,8 +247,9 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
     admit no point.  The maximized variable is capped by its commodity supply,
     which keeps the LP bounded but does not exclude free circulation: a
     witness may be a 2-cycle ``Y[i,k,l] = Y[i,l,k] = cap``.  The search
-    reads INCONCLUSIVE when it has examined ``max_patterns`` patterns with
-    some T[k] = 1, found no violation and has patterns left.
+    reads INCONCLUSIVE when it has examined ``EQ20_MAX_PATTERNS`` patterns
+    with some T[k] = 1, found no violation and has patterns left; with no
+    probe (no supply above its threshold) it examines none: CONFIRMED.
     """
     memo = _memo(inst, opts, memo, "eq20")
     obj_omit = memo.solved("ocu-omit")[1].objective
@@ -271,11 +273,11 @@ def check_eq20_redundancy(inst: Instance, opts: ModelOptions = ModelOptions(),
                            replace(base, objective=[(y, -1.0)])))
     lps = patterns = 0
     verdict = CONFIRMED
-    for pattern in _split_patterns(inst.n):
+    for pattern in _split_patterns(inst.n) if probes else ():
         t = [p[2] for p in pattern]
         if not any(t):
             continue
-        if patterns >= max_patterns:
+        if patterns >= EQ20_MAX_PATTERNS:
             verdict = INCONCLUSIVE
             break
         patterns += 1

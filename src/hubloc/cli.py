@@ -21,15 +21,13 @@ import sys
 import tempfile
 
 from .claims import CLAIM_CHECKS, CONFIRMED, SolveMemo
-from .formulations import FormulationError, ModelOptions, build_cc, build_nc
-from .instance import (ConfigError, GeneratorConfig, Instance, ParseError,
-                       ValidationError, generate_instance, instance_fingerprint,
-                       load_instance, save_instance)
-from .milp import EnumerationCapError, solution_to_json, solve_milp
+from .formulations import ModelOptions, build_cc, build_nc
+from .instance import (GeneratorConfig, Instance, generate_instance,
+                       instance_fingerprint, load_instance, save_instance)
+from .milp import solution_to_json, solve_milp
 from .regret import InfeasibleScenarioError, regret_report, solve_ccu, solve_ocu
 
-_USER_ERRORS = (ParseError, ValidationError, ConfigError, FormulationError,
-                EnumerationCapError, ValueError, OSError)
+_USER_ERRORS = (ValueError, OSError)   # each input error class is a ValueError
 
 _CSV_FIELDS = {
     "thm1": ("obj_ccu", "obj_ocu", "gap", "dominance_holds"),

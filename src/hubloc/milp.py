@@ -61,6 +61,8 @@ INT_TOL = 1e-6
 # each).  8 to 32 read alike, within noise; 16 was picked inside that
 # band.
 SHARES = 16
+# solve_by_enumeration refuses models with more binaries than this
+ENUMERATION_CAP = 24
 
 
 class EnumerationCapError(ValueError):
@@ -720,7 +722,7 @@ def _enumerate(model: LinearModel, bins, shares: int):
     return _solution_from_values(model, best.x, best.objective, lps, [])
 
 
-def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
+def solve_by_enumeration(model: LinearModel) -> Solution:
     """Exhaustive oracle: one residual LP per binary assignment.
 
     Assignments are visited in lexicographic order of the binary vector.
@@ -740,9 +742,9 @@ def solve_by_enumeration(model: LinearModel, binary_cap: int = 24) -> Solution:
     those of the serial walk.
     """
     bins = model.binary_indices()
-    if len(bins) > binary_cap:
+    if len(bins) > ENUMERATION_CAP:
         raise EnumerationCapError(f"{len(bins)} binary variables exceed "
-                                  f"the enumeration cap {binary_cap}")
+                                  f"the enumeration cap {ENUMERATION_CAP}")
     helper = _current_helper()
     search = _enumerate(model, bins, 1 if helper is None else SHARES)
     (outcome,) = _run_searches([_Run(model, search)], helper)

@@ -83,7 +83,7 @@ class LinearModel:
             raise ValueError(f"duplicate variable name {name!r}")
         if kind == BINARY:
             lb, ub = 0.0, 1.0
-        elif not (math.isfinite(lb) or lb == -math.inf) or math.isnan(ub):
+        elif not (lb < math.inf and ub > -math.inf):   # also rejects NaN
             raise ValueError(f"bad bounds for {name!r}")
         idx = len(self.variables)
         self._compiled = None

@@ -21,19 +21,22 @@ back: the columns it skips would only have had a zero subtracted, so they
 keep their values, at most with another zero sign.  No pivot decision and
 no reported value reads the sign of a zero tableau entry.
 
-Phase 2 prices once on the full-width tableau, then drops the nonbasic
-artificial columns from it: phase 2 caps the artificials at zero, so
-their weight is 0 and they never enter.  The ratio test negates the
-entering column only where its upper-bound pass divides by it, which
-changes no value that a pivot reads.
+Phase 2 has one entry, after phase 1 or not: it prices once on the
+full-width tableau (the standard-form matrix when there is no artificial),
+then drops the nonbasic artificial columns: phase 2 caps the artificials
+at zero, so their weight is 0 and they never enter.  The ratio test
+negates the entering column only where its upper-bound pass divides by
+it, which changes no value that a pivot reads.
 
 The load step is a presolve over the model's compiled arrays
 (:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
 passes substitute variables whose effective bounds pin them to a single
 value and turn single-variable rows into bounds, which keeps
-branch-and-bound node LPs small.  It is a pure function of the inputs, so
-:func:`verify_certificate` can rebuild the identical standard form and
-recheck a result's basis with independent linear algebra.
+branch-and-bound node LPs small.  They stop at the first round with no
+single-variable row, the only step that changes a bound.  The presolve
+is a pure function of the inputs, so :func:`verify_certificate` can
+rebuild the identical standard form and recheck a result's basis with
+independent linear algebra.
 
 Tolerances: feasibility 1e-7, optimality 1e-7, zero pivot 1e-10.  The
 ratio test takes entries above 1e-9 as pivots; when the row it picks has
@@ -132,14 +135,14 @@ def _standardize(model: LinearModel,
 
     # presolve fixpoint: pin collapsed columns and move them to the rhs,
     # retire emptied rows after checking them, turn singleton rows into bounds;
-    # a round skips each step that has nothing to act on
+    # a round skips each step that has nothing to act on, and a round without
+    # singleton rows is the last, as only they change lo and hi
     while True:
         empty_iv = free & (lo > hi + FEAS_TOL)
         if empty_iv.any():
             return f"empty bound interval for {model.variables[np.argmax(empty_iv)].name}"
         pin = free & (hi - lo <= 1e-12)
-        any_pin = pin.any()
-        if any_pin:
+        if pin.any():
             fixed[pin] = 0.5 * (lo[pin] + hi[pin])
             free &= ~pin
             hit = pin[cols] & live[rows]
@@ -147,8 +150,7 @@ def _standardize(model: LinearModel,
         open_ = free[cols] & live[rows]
         count = np.bincount(rows[open_], minlength=len(rhs))
         empty = live & (count == 0)
-        any_empty = empty.any()
-        if any_empty:
+        if empty.any():
             broken = empty & (_violation(0.0, rhs, sense) > FEAS_TOL)
             if broken.any():
                 label = model.constraints[np.argmax(broken)].label
@@ -156,9 +158,7 @@ def _standardize(model: LinearModel,
             live &= ~empty
         single = live & (count == 1)
         if not single.any():
-            if not (any_pin or any_empty):
-                break
-            continue
+            break
         one = open_ & single[rows]
         r, j, a = rows[one], cols[one], vals[one]
         v = rhs[r] / a
@@ -294,25 +294,23 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         # 1.6e-9 in a column reaching 1.3e3 make the basis singular.
         tol = PIVOT_TOL
         while True:
-            if m:
-                lims.fill(math.inf)
-                np.greater(scol, tol, out=pos)
-                np.maximum(xB, 0.0, out=xBc)
-                np.divide(xBc, scol, out=lims, where=pos)
-                # rows where -scol > tol, that is col < -tol when lower
-                if lower:
-                    np.less(col, -tol, out=neg)
-                else:
-                    np.greater(col, tol, out=neg)
-                neg &= finB
-                if np.logical_or.reduce(neg):
-                    # pos and neg are disjoint, so these rows still hold
-                    # inf; the divisor is -scol
-                    np.divide(np.maximum(ubB - xB, 0.0),
-                              -col if lower else col, out=lims, where=neg)
-                step_basic = float(np.minimum.reduce(lims))
+            lims.fill(math.inf)
+            np.greater(scol, tol, out=pos)
+            np.maximum(xB, 0.0, out=xBc)
+            np.divide(xBc, scol, out=lims, where=pos)
+            # rows where -scol > tol, that is col < -tol when lower
+            if lower:
+                np.less(col, -tol, out=neg)
             else:
-                step_basic = math.inf
+                np.greater(col, tol, out=neg)
+            neg &= finB
+            if np.logical_or.reduce(neg):
+                # pos and neg are disjoint, so these rows still hold
+                # inf; the divisor is -scol
+                np.divide(np.maximum(ubB - xB, 0.0),
+                          -col if lower else col, out=lims, where=neg)
+            # inf when there is no row (m == 0)
+            step_basic = float(np.minimum.reduce(lims, initial=math.inf))
             step = min(step_basic, ub[q])
             if step == math.inf:
                 if not allow_unbounded:
@@ -407,9 +405,8 @@ def _refine_basics(A, b, basis, status, ub):
 
     Tableau updates accumulate roundoff over many pivots; one direct solve
     restores the basic values to machine accuracy for the final answer.
+    An empty basis gives the empty 0x0 system, which solves to no values.
     """
-    if basis.size == 0:
-        return np.zeros(0)
     vals = np.where(status == NB_UPPER, np.where(np.isfinite(ub), ub, 0.0), 0.0)
     vals[basis] = 0.0
     rhs = b - A @ vals
@@ -469,22 +466,22 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
             return LPResult("infeasible", None, None, basis, status, iters, **ctx)
         # pin artificials at zero; any still basic stay caged degenerate
         ub[sf.art_mask] = 0.0
-        # price on a full-width tableau: BLAS may round a column's sum
-        # differently in a narrower array, and that could flip pricing ties
-        T = np.zeros(sf.A.shape)
-        T[:, cols] = N
-        T[np.arange(m), basis] = 1.0
-        d = sf.c - sf.c[basis] @ T
-        del T
-        # then drop the nonbasic artificials: their weight is 0 from here
-        # on, so they never enter, and their d entries, left stale, only
-        # ever meet that weight
-        keep = ~sf.art_mask[cols]
-        N, cols = N.compress(keep, axis=1), cols[keep]   # C-contiguous
-        slot.fill(-1)
-        slot[cols] = np.arange(len(cols))
-    else:
-        d = sf.c - sf.c[basis] @ sf.A
+    # the one phase-2 entry prices on a full-width tableau: BLAS may round a
+    # column's sum differently in a narrower array, and that could flip
+    # pricing ties.  Without artificials T is sf.A, bit for bit: its basic
+    # columns are the slack unit vectors and N the other columns of sf.A.
+    T = np.zeros(sf.A.shape)
+    T[:, cols] = N
+    T[np.arange(m), basis] = 1.0
+    d = sf.c - sf.c[basis] @ T
+    del T
+    # then drop the nonbasic artificials: their weight is 0 from here on, so
+    # they never enter, and their d entries, left stale, only ever meet that
+    # weight
+    keep = ~sf.art_mask[cols]
+    N, cols = N.compress(keep, axis=1), cols[keep]   # C-contiguous
+    slot.fill(-1)
+    slot[cols] = np.arange(len(cols))
     outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
                               iters, allow_unbounded=True)
     if outcome == "unbounded":
@@ -494,8 +491,7 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
     x = _values_from_state(sf, basis, status, xB)
     objective = float(model.compiled().c @ x)
     _self_check(model, x)
-    return LPResult("optimal", x, objective, basis.copy(), status.copy(),
-                    iters, **ctx)
+    return LPResult("optimal", x, objective, basis, status, iters, **ctx)
 
 
 def _self_check(model: LinearModel, x: np.ndarray) -> None:

@@ -88,20 +88,39 @@ def test_eq20_verdict_recorded_on_overlapping_chains():
     assert report.to_json() == again.to_json()
 
 
-def test_eq20_cap_gives_inconclusive():
-    report = check_eq20_redundancy(cross_demand_disjoint(), max_patterns=1)
+def test_eq20_cap_gives_inconclusive(monkeypatch):
+    monkeypatch.setattr(claims, "EQ20_MAX_PATTERNS", 1)
+    report = check_eq20_redundancy(cross_demand_disjoint())
     assert report.verdict == INCONCLUSIVE
 
 
-def test_eq20_cap_counts_the_patterns_examined():
+def test_eq20_cap_counts_the_patterns_examined(monkeypatch):
     # the first violation comes at the second pattern with some T[k] = 1
-    found = check_eq20_redundancy(cross_demand_disjoint(), max_patterns=2)
+    monkeypatch.setattr(claims, "EQ20_MAX_PATTERNS", 2)
+    found = check_eq20_redundancy(cross_demand_disjoint())
     assert found.verdict == COUNTEREXAMPLE
     assert found.evidence["patterns_examined"] == 2
-    capped = check_eq20_redundancy(cross_demand_disjoint(), max_patterns=1)
+    monkeypatch.setattr(claims, "EQ20_MAX_PATTERNS", 1)
+    capped = check_eq20_redundancy(cross_demand_disjoint())
     assert (capped.evidence["patterns_examined"],
             capped.evidence["lps_solved"]) == (1, 1)
     assert "patterns_skipped" not in capped.evidence
+
+
+def test_eq20_without_probes_is_confirmed_past_the_cap():
+    # zero demand: no eq20 target has supply above its threshold, so no
+    # pattern can solve an LP; 3^8 - 2^8 patterns would exceed the cap
+    n = 8
+    cost = np.abs(np.subtract.outer(np.arange(n * 1.0), np.arange(n * 1.0)))
+    inst = Instance(n=n, demand=np.zeros((n, n)), cost=cost,
+                    setup=np.full(n, 3.0), capacity=np.full(n, 20.0),
+                    chi=1.0, alpha=0.6, delta=1.0, scenarios=np.zeros((1, n)),
+                    chains=(tuple(range(4)), tuple(range(4, n))))
+    assert 3 ** n - 2 ** n > claims.EQ20_MAX_PATTERNS
+    report = check_eq20_redundancy(inst)
+    assert report.verdict == CONFIRMED
+    assert (report.evidence["patterns_examined"],
+            report.evidence["lps_solved"]) == (0, 0)
 
 
 def test_tk_confirmed_on_toy3():

@@ -6,9 +6,9 @@ from hubloc.formulations import (COUPLING_FAMILIES, ModelOptions, _build_ocu,
                                  build_cc, build_ccu, build_nc, build_ocu,
                                  build_scenario_deterministic)
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
-from hubloc.milp import (EnumerationCapError, solution_to_json,
-                         solve_by_enumeration, solve_milp)
-from hubloc.model import GE, check_feasibility, with_extra_constraint
+from hubloc.milp import (ENUMERATION_CAP, EnumerationCapError,
+                         solution_to_json, solve_by_enumeration, solve_milp)
+from hubloc.model import GE, LinearModel, check_feasibility, with_extra_constraint
 from hubloc.regret import compute_baselines
 
 
@@ -57,10 +57,12 @@ def test_enumeration_ocu_matches_bnb(toy3):
 
 
 def test_enumeration_cap():
-    inst = generate_instance(GeneratorConfig(seed=0, n=5, chain_count=2))
-    model = build_ocu(inst, [0.0])
-    with pytest.raises(EnumerationCapError):
-        solve_by_enumeration(model, binary_cap=10)
+    model = LinearModel()
+    for j in range(ENUMERATION_CAP + 1):
+        model.add_variable(f"H[{j}]", "binary")
+    with pytest.raises(EnumerationCapError, match="25 binary variables exceed "
+                                                  "the enumeration cap 24"):
+        solve_by_enumeration(model)
 
 
 def test_solution_invariants(toy3):

@@ -16,6 +16,15 @@ def test_duplicate_variable_names_rejected():
         m.add_variable("x")
 
 
+@pytest.mark.parametrize("lb, ub", [(-np.inf, -np.inf), (0.0, -np.inf),
+                                    (np.inf, np.inf), (0.0, np.nan)])
+def test_bounds_that_admit_no_finite_value_rejected(lb, ub):
+    # an upper bound of -inf once reached solve_lp, which raised a
+    # misleading "phase-1 ray" SimplexError
+    with pytest.raises(ValueError, match="bad bounds for 'x'"):
+        LinearModel().add_variable("x", lb=lb, ub=ub)
+
+
 def test_source_equation_parsing():
     m = build_nc(make_toy3())
     assert m.source_equation("eq5[i=2,k=0]") == 5
