@@ -11,8 +11,10 @@ gets ``solution_digest.txt``: the number of MILP ``Solution``s that the
 same corpus produces with the helper process forced on, and one
 SHA-256 over their status, objective, ``nodes_explored``, value bits and
 incumbents, so the path that splits LPs between two processes is covered
-too.  A change that must keep every report and every pivot path passes
-when
+too.  Both digests sort the hashes of one corpus item before they combine
+them, so they do not depend on the order in which the item's LPs or
+searches run.  A change that must keep every report and every pivot path
+passes when
 
     python scripts/identity.py a     # in the parent checkout
     python scripts/identity.py b     # in the changed checkout
@@ -142,28 +144,34 @@ def run_commands(outdir: Path, commands) -> None:
 
 
 def lp_digest(corpus) -> str:
-    """LP count, pivot count and one SHA-256 over every LP result."""
+    """LP count, pivot count and one SHA-256 over every LP result; the
+    hashes of one corpus item are sorted before they are combined."""
     h = hashlib.sha256()
     lps = pivots = 0
+    item: list[str] = []
     solve_lp = simplex.solve_lp
 
     def recording(model, extra_bounds=None):
-        nonlocal lps, pivots
+        nonlocal pivots
         res = solve_lp(model, extra_bounds)
-        lps += 1
         pivots += res.iterations
-        h.update(repr((res.status, res.objective, res.iterations)).encode())
+        one = hashlib.sha256(
+            repr((res.status, res.objective, res.iterations)).encode())
         for a in (res.x, res.basis, res.vstatus):
             if a is not None:
-                h.update(np.ascontiguousarray(a).tobytes())
+                one.update(np.ascontiguousarray(a).tobytes())
+        item.append(one.hexdigest())
         return res
 
     patched = (milp, claims)
     for mod in patched:
         mod.solve_lp = recording
     try:
-        for _, lps_of, seed in corpus:
+        for name, lps_of, seed in corpus:
+            item.clear()
             lps_of(seed)
+            lps += len(item)
+            h.update(repr((name, seed, sorted(item))).encode())
     finally:
         for mod in patched:
             mod.solve_lp = solve_lp
@@ -185,31 +193,21 @@ def _solution_hash(sol) -> str:
 
 def solution_digest(corpus) -> str:
     """Solution count and one SHA-256 over every MILP Solution of the
-    corpus, solved with the helper forced on.  Searches that may run side
-    by side can finish in another order, so the hashes of one corpus item
-    are sorted before they are combined."""
-    originals = [getattr(milp, name) for name in
-                 ("solve_milp", "solve_milps", "solve_by_enumeration")
-                 if hasattr(milp, name)]
+    corpus, solved with the helper forced on.  Every Solution is an
+    outcome of ``milp._run_searches``, the one scheduler, so only that is
+    wrapped.  Searches that may run side by side can finish in another
+    order, so the hashes of one corpus item are sorted before they are
+    combined."""
+    run_searches = milp._run_searches
     item: list[str] = []
 
-    def keep(outcome):
-        if isinstance(outcome, milp.Solution):
-            item.append(_solution_hash(outcome))
-        return outcome
+    def recording(runs, helper):
+        outcomes = run_searches(runs, helper)
+        item.extend(_solution_hash(o) for o in outcomes
+                    if isinstance(o, milp.Solution))
+        return outcomes
 
-    def recording(fn):
-        if fn.__name__ == "solve_milps":
-            return lambda models: (keep(o) for o in fn(models))
-        return lambda *args, **kwargs: keep(fn(*args, **kwargs))
-
-    wrappers = {id(fn): recording(fn) for fn in originals}
-    patched = []
-    for mod in (milp, regret, claims, cli):
-        for attr, value in list(vars(mod).items()):
-            if id(value) in wrappers:
-                patched.append((mod, attr, value))
-                setattr(mod, attr, wrappers[id(value)])
+    milp._run_searches = recording
     forced, milp._FORCE_HELPER = milp._FORCE_HELPER, True
     h = hashlib.sha256()
     count = 0
@@ -221,8 +219,7 @@ def solution_digest(corpus) -> str:
             h.update(repr((name, seed, sorted(item))).encode())
     finally:
         milp._FORCE_HELPER = forced
-        for mod, attr, value in patched:
-            setattr(mod, attr, value)
+        milp._run_searches = run_searches
     names = ", ".join(sorted({name for name, _, _ in corpus}))
     return (f"corpus: {names}\nsolutions: {count}\n"
             f"sha256: {h.hexdigest()}\n")

@@ -7,9 +7,10 @@ witnesses are always re-validated through code paths independent of the
 solver that produced them (feasibility replay plus objective recompute).
 
 The checks of one instance can share a :class:`SolveMemo`, which builds
-and solves each model they need once; where the B&B helper process runs,
-it solves them side by side (:func:`hubloc.milp.solve_milps`) before the
-first check reads them, without changing any report.
+each model they need once and solves them all together
+(:func:`hubloc.milp.solve_milps`) before the first check reads them;
+where the B&B helper process runs, their searches run side by side,
+without changing any report.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .formulations import (ModelOptions, build_cc, build_ccu,
                            build_coupling_polytope, build_nc, build_ocu,
                            compute_big_m, coupling_patterns)
 from .instance import Instance, instance_fingerprint, origin_supply
-from .milp import _helper_wanted, attempt, solve_milp, solve_milps, unwrap
+from .milp import attempt, solve_milps, unwrap
 from .model import GE, LinearModel, check_feasibility, with_extra_constraint
 from .regret import InfeasibleScenarioError, compute_baselines, evaluate_design
 from .simplex import solve_lp
@@ -76,12 +77,11 @@ class SolveMemo:
     built and solved once and then only read; it lives only as long as
     the caller keeps it, so nothing is cached across instances.
 
-    :meth:`prepare` solves the models of a list of checks side by side
-    (:func:`solve_milps`).  An exception met while building or solving a
-    model is kept with it and raised when a check reads that model, so
-    errors surface where the serial checks would raise them.  Where the
-    searches cannot overlap, :meth:`prepare` does nothing and each model
-    is built and solved on first use, in the serial order.
+    :meth:`prepare` builds the models of a list of checks and solves them
+    in one :func:`solve_milps` call; :meth:`solved` only reads what it
+    kept.  An exception met while building or solving a model is kept
+    with it and raised when a check reads that model, so errors surface
+    where the serial checks would raise them.
     """
 
     def __init__(self, inst: Instance, opts: ModelOptions = ModelOptions()):
@@ -94,10 +94,8 @@ class SolveMemo:
         return f"ocu-{self.opts.eq20_mode}" if name == "ocu" else name
 
     def prepare(self, claims) -> None:
-        """Build, then solve side by side, the models ``claims`` (keys
-        of :data:`CLAIM_CHECKS`) need and this memo does not hold yet."""
-        if not _helper_wanted():
-            return
+        """Build the models ``claims`` (keys of :data:`CLAIM_CHECKS`) need
+        and this memo does not hold yet, then solve them together."""
         keys = []
         for key in dict.fromkeys(self._key(name) for claim in claims
                                  for name in _NEEDS[claim]):
@@ -149,10 +147,8 @@ class SolveMemo:
         raise KeyError(key)
 
     def solved(self, name: str):
-        """(model, Solution) of key ``name``, solved on first use."""
+        """(model, Solution) of key ``name``, as :meth:`prepare` kept it."""
         key = self._key(name)
-        if key not in self._outcomes:
-            self._outcomes[key] = solve_milp(self.model(key))
         solution = unwrap(self._outcomes[key])
         return self._models[key], solution
 

@@ -266,7 +266,7 @@ def compute_big_m(inst: Instance, constraint: str, indices: tuple,
 
 
 def _add_coupling_rows(fb: _FlowBlock, I, T, inst: Instance,
-                       opts: ModelOptions, families) -> None:
+                       opts: ModelOptions) -> None:
     model = fb.model
     patterns = coupling_patterns(inst)
 
@@ -274,20 +274,19 @@ def _add_coupling_rows(fb: _FlowBlock, I, T, inst: Instance,
         m = compute_big_m(inst, family, idx, opts.big_m_mode)
         model.add_constraint(label, [(flow, 1.0), (T[hub], m)], LE, m)
 
-    if "eq15" in families:
-        for k in range(inst.n):
-            model.add_constraint(f"eq15[k={k}]",
-                                 [(fb.H[k], 1.0), (I[k], -1.0), (T[k], -1.0)],
-                                 EQ, 0.0)
-    for i, k in patterns["eq16"] if "eq16" in families else ():
+    for k in range(inst.n):
+        model.add_constraint(f"eq15[k={k}]",
+                             [(fb.H[k], 1.0), (I[k], -1.0), (T[k], -1.0)],
+                             EQ, 0.0)
+    for i, k in patterns["eq16"]:
         row(f"eq16[i={i},k={k}]", fb.Z[i][k], k, "eq16", (i, k))
-    for i, j, l in patterns["eq17"] if "eq17" in families else ():
+    for i, j, l in patterns["eq17"]:
         row(f"eq17[i={i},j={j},l={l}]", fb.X[i][l][j], l, "eq17", (i, j, l))
-    for i, k, l in patterns["eq18"] if "eq18" in families else ():
+    for i, k, l in patterns["eq18"]:
         row(f"eq18[i={i},k={k},l={l}]", fb.Y[i][k][l], l, "eq18", (i, k, l))
-    for i, k, l in patterns["eq19"] if "eq19" in families else ():
+    for i, k, l in patterns["eq19"]:
         row(f"eq19[i={i},k={k},l={l}]", fb.Y[i][k][l], k, "eq19", (i, k, l))
-    if "eq20" in families and opts.eq20_mode == "linearized":
+    if opts.eq20_mode == "linearized":
         for i, k, l in patterns["eq20"]:
             for side, hub in (("k", k), ("l", l)):
                 row(f"eq20[i={i},k={k},l={l},side={side}]", fb.Y[i][k][l], hub,
@@ -334,20 +333,14 @@ def build_ccu(inst: Instance, baselines,
     return _regret_block(inst, baselines, opts, split=False)[0].model
 
 
-def _build_ocu(inst: Instance, baselines, opts: ModelOptions,
-               families) -> LinearModel:
-    fb, (I, T) = _regret_block(inst, baselines, opts, split=True)
-    _add_coupling_rows(fb, I, T, inst, opts, families)
-    return fb.model
-
-
 def build_ocu(inst: Instance, baselines,
               opts: ModelOptions = ModelOptions()) -> LinearModel:
     """Max-regret model with the collaborative/non-collaborative hub split
     and big-M rows blocking cross-chain use of non-collaborative hubs."""
     _require_two_chains(inst)
-    return _build_ocu(inst, baselines, opts,
-                      families=("eq15",) + COUPLING_FAMILIES)
+    fb, (I, T) = _regret_block(inst, baselines, opts, split=True)
+    _add_coupling_rows(fb, I, T, inst, opts)
+    return fb.model
 
 
 def build_coupling_polytope(inst: Instance,
@@ -362,5 +355,5 @@ def build_coupling_polytope(inst: Instance,
     _require_two_chains(inst)
     fb = _flow_block(inst, opts)
     I, T = _add_hub_split(fb.model, inst.n)
-    _add_coupling_rows(fb, I, T, inst, opts, ("eq15",) + COUPLING_FAMILIES)
+    _add_coupling_rows(fb, I, T, inst, opts)
     return fb.model

@@ -188,9 +188,8 @@ def _in_worker_process() -> bool:
 
 
 def _helper_wanted() -> bool:
-    """May this solve hand LPs to the helper?  If not, :func:`solve_milps`
-    overlaps nothing, and a caller gains nothing by solving models ahead
-    of their first use."""
+    """May this solve hand LPs to the helper?  The conditions are those
+    that :func:`solve_milp` lists."""
     if (_IN_HELPER or not hasattr(os, "fork")
             or solve_lp is not _ORIGINAL_SOLVE_LP[0]
             or threading.current_thread() is not threading.main_thread()
@@ -621,28 +620,22 @@ def solve_milp(model: LinearModel) -> Solution:
     return unwrap(outcome)
 
 
-def solve_milps(models):
-    """Solve several independent models; yields, in order, each one's
-    :class:`Solution` or the exception its search raised (read it with
-    :func:`unwrap`).
+def solve_milps(models) -> list:
+    """Solve several independent models, each to its end; returns, in
+    order, each one's :class:`Solution` or the exception its search raised
+    (read it with :func:`unwrap`).
 
     Under the conditions of :func:`solve_milp`, the searches run side by
-    side over this process and the helper (:func:`_run_searches`), all to
-    their end before the first outcome is yielded.  Each search gets the
-    same LPs, results and tree as alone, so each Solution is bit for bit
-    the one :func:`solve_milp` gives.  Otherwise each model is solved by
-    the module attribute ``solve_milp`` when its outcome is asked for, so
-    a caller that stops early solves no more than a serial loop would,
-    and in the same order.
+    side over this process and the helper (:func:`_run_searches`).  Each
+    search gets the same LPs, results and tree as alone, so each Solution
+    is bit for bit the one :func:`solve_milp` gives.  Otherwise the
+    module attribute ``solve_milp`` solves the models one after the
+    other, so a tracer that rebinds it sees each search.
     """
-    models = list(models)
     helper = _current_helper()
     if helper is None:
-        for model in models:
-            yield attempt(solve_milp, model)
-    else:
-        yield from _run_searches([_Run(m, _search(m)) for m in models],
-                                 helper)
+        return [attempt(solve_milp, model) for model in models]
+    return _run_searches([_Run(m, _search(m)) for m in models], helper)
 
 
 def _binary_screen(model: LinearModel, bins):

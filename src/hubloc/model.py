@@ -94,18 +94,25 @@ class LinearModel:
     def add_constraint(self, label: str, terms, relation: str, rhs: float) -> None:
         if relation not in (LE, EQ, GE):
             raise ValueError(f"bad relation {relation!r}")
-        clean = tuple((int(j), float(c)) for j, c in terms if c != 0.0)
-        for j, c in clean:
-            if not (0 <= j < len(self.variables)) or not math.isfinite(c):
-                raise ValueError(f"bad term ({j}, {c}) in {label}")
+        clean = self._terms(terms, label)
         if not math.isfinite(rhs):
             raise ValueError(f"non-finite rhs in {label}")
         self._compiled = None
         self.constraints.append(Constraint(label, clean, relation, float(rhs)))
 
     def set_objective(self, terms) -> None:
+        self.objective = list(self._terms(terms, "objective"))
         self._compiled = None
-        self.objective = [(int(j), float(c)) for j, c in terms if c != 0.0]
+
+    def _terms(self, terms, where: str) -> tuple[tuple[int, float], ...]:
+        """``terms`` as (index, coefficient) pairs without zeros; an index
+        that names no variable or a coefficient that is not finite raises
+        ValueError."""
+        clean = tuple((int(j), float(c)) for j, c in terms if c != 0.0)
+        for j, c in clean:
+            if not (0 <= j < len(self.variables)) or not math.isfinite(c):
+                raise ValueError(f"bad term ({j}, {c}) in {where}")
+        return clean
 
     # -- queries ------------------------------------------------------
 

@@ -50,9 +50,9 @@ def compute_baselines(inst: Instance,
                       opts: ModelOptions = ModelOptions()) -> ScenarioBaseline:
     """Solve every scenario's deterministic problem to optimality.
 
-    The scenario MILPs are independent, so they are solved side by side
-    (:func:`solve_milps`); their outcomes are read in scenario order, so
-    the first scenario that fails, by error or infeasibility, decides.
+    The scenario MILPs are independent, so they are all solved together
+    (:func:`solve_milps`); their outcomes are then read in scenario order,
+    so the first scenario that fails, by error or infeasibility, decides.
     """
     models = [build_scenario_deterministic(inst, s, opts)
               for s in range(inst.num_scenarios)]

@@ -6,10 +6,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import itertools  # noqa: E402
+from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from hubloc.formulations import COUPLING_FAMILIES, build_ocu  # noqa: E402
 from hubloc.instance import Instance  # noqa: E402
 
 
@@ -36,6 +38,16 @@ def make_toy3(scenarios=((0.0, 0.0, 0.0),), chains=((0, 1), (1, 2)),
 @pytest.fixture
 def toy3():
     return make_toy3()
+
+
+def ocu_with_families(inst, baselines, opts, families):
+    """:func:`build_ocu` keeping, of the hub-split rows eq15..eq20, only
+    those of ``families``; every other row, variable and the objective are
+    the full model's."""
+    model = build_ocu(inst, baselines, opts)
+    drop = set(("eq15",) + COUPLING_FAMILIES) - set(families)
+    return replace(model, constraints=[c for c in model.constraints
+                                       if c.label.split("[")[0] not in drop])
 
 
 def route_unit_cost(inst, o, d, k, l, distribution="standard"):

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import brute_force_nc, make_toy3
+from conftest import brute_force_nc, make_toy3, ocu_with_families
 from hubloc.formulations import (COUPLING_FAMILIES, FormulationError,
-                                 ModelOptions, _build_ocu, build_cc, build_ccu,
+                                 ModelOptions, build_cc, build_ccu,
                                  build_coupling_polytope, build_nc, build_ocu,
                                  build_scenario_deterministic, compute_big_m,
                                  coupling_patterns)
@@ -266,7 +266,7 @@ def _digest_builders():
     for fam in ("eq15",) + COUPLING_FAMILIES:
         builders[f"ocu[{fam}]"] = (
             lambda inst, opts, fam=fam: [
-                _build_ocu(inst, base(inst), opts, families=(fam,))])
+                ocu_with_families(inst, base(inst), opts, (fam,))])
     return builders
 
 

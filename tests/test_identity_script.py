@@ -47,3 +47,20 @@ def test_identity_script_is_repeatable_on_a_tiny_corpus(tmp_path):
     assert solutions["corpus"] == "toy3"
     assert solutions["solutions"] == "1"
     assert len(solutions["sha256"]) == 64
+
+
+def test_lp_digest_ignores_the_lp_order_within_an_item_but_counts_each_lp():
+    identity = _load_script()
+    a = build_nc(make_toy3())
+    b = build_nc(make_toy3(setup=(5.0, 100.0, 100.0)))
+
+    def digest(*models):
+        corpus = [("lps", lambda _: [milp.solve_lp(m) for m in models], 0)]
+        return dict(line.split(": ", 1)
+                    for line in identity.lp_digest(corpus).splitlines())
+
+    ab, ba, abb = digest(a, b), digest(b, a), digest(a, b, b)
+    assert ab == ba != digest(a, a)   # a and b have different results
+    assert int(abb["lps"]) == int(ab["lps"]) + 1 == 3
+    assert abb["sha256"] != ab["sha256"]
+    assert milp.solve_lp is simplex.solve_lp

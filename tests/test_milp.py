@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_toy3
-from hubloc.formulations import (COUPLING_FAMILIES, ModelOptions, _build_ocu,
-                                 build_cc, build_ccu, build_nc, build_ocu,
+from conftest import make_toy3, ocu_with_families
+from hubloc.formulations import (COUPLING_FAMILIES, ModelOptions, build_cc,
+                                 build_ccu, build_nc, build_ocu,
                                  build_scenario_deterministic)
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.milp import (ENUMERATION_CAP, EnumerationCapError,
@@ -99,7 +99,7 @@ def test_coupling_families_never_lower_the_optimum(toy3):
     ccu_obj = solve_milp(build_ccu(inst, base)).objective
     opts = ModelOptions()
     for fam in COUPLING_FAMILIES:
-        model = _build_ocu(inst, base, opts, families=("eq15", fam))
+        model = ocu_with_families(inst, base, opts, ("eq15", fam))
         obj = solve_milp(model).objective
         assert obj >= ccu_obj - 1e-6 * max(1.0, abs(ccu_obj))
     full = solve_milp(build_ocu(inst, base, opts)).objective

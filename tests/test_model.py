@@ -25,6 +25,21 @@ def test_bounds_that_admit_no_finite_value_rejected(lb, ub):
         LinearModel().add_variable("x", lb=lb, ub=ub)
 
 
+@pytest.mark.parametrize("term", [(-1, 1.0), (1, 1.0), (0, np.nan)],
+                         ids=["negative-index", "index-past-the-end", "nan"])
+def test_bad_terms_rejected_when_the_model_is_built(term):
+    # the objective once took any term: index -1 priced the last variable,
+    # and the other two raised only when an LP was solved
+    m = LinearModel()
+    m.add_variable("x")
+    with pytest.raises(ValueError, match=r"^bad term .* in objective$"):
+        m.set_objective([term])
+    assert m.objective == []
+    with pytest.raises(ValueError, match=r"^bad term .* in row$"):
+        m.add_constraint("row", [term], GE, 0.0)
+    assert m.constraints == []
+
+
 def test_source_equation_parsing():
     m = build_nc(make_toy3())
     assert m.source_equation("eq5[i=2,k=0]") == 5

@@ -763,18 +763,17 @@ def test_joint_memo_matches_serial():
                                              scenario_count=2))
     serial, forked = SolveMemo(inst), SolveMemo(inst)
     run_with(False, serial.prepare, sorted(CLAIM_CHECKS))
-    assert serial._outcomes == {}   # nothing to overlap: solved on first use
+    assert milp._HELPER is None
     run_with(True, forked.prepare, sorted(CLAIM_CHECKS))
-    assert sorted(forked._outcomes) == ["cc-zero", "ccu", "ivar-slim", "nc",
-                                        "ocu-linearized", "ocu-omit",
-                                        "tk-forced"]
     assert pairs() > 0
-    for a, b in zip(run_with(False, serial.baselines).witnesses,
+    keys = ["cc-zero", "ccu", "ivar-slim", "nc", "ocu-linearized", "ocu-omit",
+            "tk-forced"]
+    assert sorted(serial._outcomes) == sorted(forked._outcomes) == keys
+    for a, b in zip(serial.baselines().witnesses,
                     forked.baselines().witnesses, strict=True):
         assert_same(a, b)
-    for key in forked._outcomes:
-        assert_same(run_with(False, serial.solved, key)[1],
-                    forked.solved(key)[1])
+    for key in keys:
+        assert_same(serial.solved(key)[1], forked.solved(key)[1])
 
 
 def test_joint_sweep_csv_matches_serial():
@@ -789,9 +788,11 @@ def test_joint_sweep_csv_matches_serial():
 
 
 def test_rebound_solve_lp_keeps_the_serial_lp_order(monkeypatch):
-    """As the LP digest of scripts/identity.py rebinds it: each model of a
-    sweep instance is then solved on its first use by the checks, run in
-    CSV order, and each LP of the eq20 and ivar probes comes in its place."""
+    """As the LP digest of scripts/identity.py rebinds it: every LP then
+    runs in this process, in the serial order of the sweep.  The memo
+    solves the scenario baselines while it builds the models, then each
+    model of the checks in CSV order, once; the checks then solve the
+    eq20 probes and the two ivar swaps."""
     original = simplex.solve_lp
     lps, searched, memos = [], [], []
 
@@ -830,13 +831,11 @@ def test_rebound_solve_lp_keeps_the_serial_lp_order(monkeypatch):
         memo.inst, opts, memo=memo).evidence["lps_solved"]
     assert len(lps) == probes > 0   # the memo solved nothing again
     expected = []
-    for key in ("nc", "cc-zero", "s0", "s1", "ocu-omit", "ocu-linearized"):
+    for key in ("s0", "s1", "nc", "cc-zero", "ocu-omit", "ocu-linearized",
+                "ivar-slim", "ccu", "tk-forced"):
         expected += [key] * nodes[key]
     expected += ["probe"] * probes
-    expected += ["ivar-slim"] * nodes["ivar-slim"]
     expected += ["ivar-slim", "ocu-linearized"]   # the swapped patterns
-    for key in ("ccu", "tk-forced"):
-        expected += [key] * nodes[key]
     assert len(scenarios) == 2
     assert seen == expected
 
@@ -899,10 +898,8 @@ def test_verify_ccnc_infeasible_base_wins_over_a_failing_cc_zero(
     memo = SolveMemo(inst)
     with pytest.raises(InfeasibleScenarioError):
         claims.check_cc_nc_consistency(inst, memo=memo)
-    if helper:   # solved side by side with nc, and its error kept
-        assert isinstance(memo._outcomes["cc-zero"], SimplexError)
-    else:        # never solved, as in the serial check
-        assert "cc-zero" not in memo._outcomes
+    # solved with nc, though the check stops at nc, and its error kept
+    assert isinstance(memo._outcomes["cc-zero"], SimplexError)
 
 
 def act_with_two_replies_owed(monkeypatch, action):
@@ -1181,8 +1178,21 @@ def test_pool_workers_start_no_helper():
         assert_same(sol, solve(hub_model(name, n4(seed)), False))
 
 
+def _pid_alive(pid) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_ctrl_c_prints_no_helper_traceback():
+    # The child takes SIGINT as an interactive Python does, even where this
+    # suite runs with SIGINT ignored (as a non-interactive shell starts a
+    # background job), a disposition that exec would pass on to it.
     proc = _run_python("""
+        import signal
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         from hubloc import milp
         from hubloc.formulations import build_ocu
         from hubloc.instance import GeneratorConfig, generate_instance
@@ -1199,22 +1209,24 @@ def test_ctrl_c_prints_no_helper_traceback():
         helper_pid = int(proc.stdout.readline())
         time.sleep(0.3)
         os.killpg(proc.pid, signal.SIGINT)   # what a terminal's Ctrl-C does
-        _, err = proc.communicate(timeout=60)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            child = "alive" if proc.poll() is None else "gone"
+            helper = "alive" if _pid_alive(helper_pid) else "gone"
+            pytest.fail(f"60 s after SIGINT the child is {child} and its "
+                        f"helper is {helper}")
     finally:
         if proc.poll() is None:
-            proc.kill()
+            proc.kill()   # its helper then exits on end of file
             proc.wait()
     assert "KeyboardInterrupt" in err
     assert err.count("Traceback") == 1
     deadline = time.monotonic() + 10
-    while time.monotonic() < deadline:
-        try:
-            os.kill(helper_pid, 0)
-        except ProcessLookupError:
-            break
+    while _pid_alive(helper_pid):
+        if time.monotonic() > deadline:
+            pytest.fail("helper outlived its parent")
         time.sleep(0.05)
-    else:
-        pytest.fail("helper outlived its parent")
 
 
 @pytest.mark.parametrize("helper", [False, True])
