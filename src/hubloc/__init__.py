@@ -17,8 +17,8 @@ from .milp import (EnumerationCapError, Solution, solution_to_json,
 from .model import (Constraint, LinearModel, Variable, check_feasibility,
                     dump_model)
 from .regret import (InfeasibleDesignError, InfeasibleScenarioError,
-                     ScenarioBaseline, compute_baselines, evaluate_design,
-                     regret_report, solve_ccu, solve_ocu)
+                     compute_baselines, evaluate_design, regret_report,
+                     solve_ccu, solve_ocu)
 from .simplex import (LPResult, SimplexError, solve_lp, verify_certificate)
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "EnumerationCapError", "FormulationError", "GeneratorConfig",
     "InfeasibleDesignError", "InfeasibleScenarioError", "Instance",
     "LPResult", "LinearModel", "ModelOptions", "ParseError",
-    "ScenarioBaseline", "SimplexError", "Solution", "ValidationError",
+    "SimplexError", "Solution", "ValidationError",
     "Variable", "build_cc", "build_ccu", "build_nc", "build_ocu",
     "build_scenario_deterministic", "check_cc_nc_consistency",
     "check_eq20_redundancy", "check_feasibility", "check_i_redundancy",

@@ -86,7 +86,7 @@ class SolveMemo:
 
     def __init__(self, inst: Instance, opts: ModelOptions = ModelOptions()):
         self.inst, self.opts = inst, opts
-        self._baselines = None   # ScenarioBaseline, or the exception raised
+        self._baselines = None   # tuple of L*_s, or the exception raised
         self._models: dict = {}
         self._outcomes: dict = {}   # Solution, or the exception raised
 
@@ -175,9 +175,9 @@ def project_to_ccu(inst: Instance, values: dict, baselines, ccu_model,
              if name[0] in "HZYX" and name in ccu_model.name_index}
     projected = dict(flows)
     regrets = []
-    for s in range(len(baselines.values)):
+    for s, base in enumerate(baselines):
         cost = evaluate_design(inst, flows, s, opts, check=False)
-        regrets.append(cost - baselines.values[s])
+        regrets.append(cost - base)
         projected[f"Rs[{s}]"] = regrets[-1]
     projected["R"] = max(regrets)
     return projected

@@ -260,13 +260,15 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except InfeasibleScenarioError as e:
+            report = json.dumps({"status": "infeasible", "detail": str(e)})
+            _emit(report + "\n", args.output)
+            return 2
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except InfeasibleScenarioError as e:
-        print(json.dumps({"status": "infeasible", "detail": str(e)}))
-        return 2
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

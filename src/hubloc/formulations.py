@@ -191,7 +191,7 @@ def _regret_block(inst: Instance, baselines, opts: ModelOptions, split: bool):
     """Flow block minimizing R over free Rs[s] and R, with regret rows eq12
     (eq21 with ``split``: I[k], T[k] follow R and F[k]*T[k] is charged) and
     rows eq13 R >= Rs[s].  Returns the block and the (I, T) columns or None."""
-    base = [float(v) for v in getattr(baselines, "values", baselines)]
+    base = [float(v) for v in baselines]
     if len(base) != inst.num_scenarios:
         raise FormulationError(
             f"got {len(base)} baselines for {inst.num_scenarios} scenarios")

@@ -297,6 +297,8 @@ class GeneratorConfig:
     capacity_tightness: float = 0.6
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.n < 1:
             raise ConfigError("n must be positive")
         if self.chain_count < 1:

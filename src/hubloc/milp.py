@@ -18,11 +18,11 @@ Two independent routes to the optimum:
   row are rejected without an LP.  This is the oracle the test suite uses
   to certify the branch-and-bound search.  It shares no search logic with
   it (no bounds, no pruning, no incumbent), only the cold ``solve_lp``
-  and the scheduler.  Where the helper may run, each chunk's assignments
-  are dealt into ``SHARES`` interleaved shares, which the two processes
-  take from one queue, each as it gets free; the results are then
-  replayed in lexicographic order, and every running best is certified
-  here, so the result is that of the serial walk.
+  and the scheduler.  Each chunk's assignments are dealt into ``SHARES``
+  interleaved shares, which this process solves alone or, where the
+  helper runs, both processes take from one queue, each as it gets free;
+  the results are then replayed in lexicographic order, and every running
+  best is certified here, so the result is that of the serial walk.
 
 Both run on one scheduler, :func:`_run_searches`, whose unit of work is a
 job ``(indices, rows)``: the LPs that fix the variables ``indices`` at the
@@ -51,7 +51,7 @@ from .simplex import LPResult, SimplexError, solve_lp, verify_certificate
 INT_TOL = 1e-6
 
 
-# Jobs per enumeration chunk when the helper runs.  Both processes take
+# Jobs per enumeration chunk.  Where the helper runs, both processes take
 # them from one FIFO, so the one that is free first takes the next, and
 # the parent does not wait for a fixed half.  Over the 48 enumerations of
 # 12 n=4 oracle items (one BLAS thread, 2-vCPU Xeon at 2.1 GHz) the parent
@@ -313,9 +313,7 @@ class _Helper:
     """One forked process, joined by two pipes, that solves jobs while the
     parent solves others: the second child of a branching, or the shares
     of an enumeration chunk that it is sent.  It keeps one model per live
-    search, keyed by the search's token.  ``pairs`` counts the steps of a
-    search (a branching, an enumeration chunk) whose jobs were split
-    between the two processes."""
+    search, keyed by the search's token."""
 
     def __init__(self):
         req_read, self.requests = os.pipe()
@@ -346,7 +344,6 @@ class _Helper:
         self.holding = set()   # tokens whose model the helper holds
         self.early = collections.deque()   # replies read while sending
         self.pending = 0   # replies owed, plus a request being written
-        self.pairs = 0     # steps whose jobs the two processes split
 
     def _gone(self, exc: BaseException) -> HelperError:
         self.close()
@@ -520,7 +517,7 @@ class _Run:
     """One search on :func:`_run_searches` and the jobs it waits for."""
 
     __slots__ = ("model", "token", "search", "jobs", "shares", "owed",
-                 "remote", "outcome")
+                 "outcome")
 
     def __init__(self, model: LinearModel, search):
         self.model = model
@@ -555,7 +552,7 @@ def _run_searches(runs, helper) -> list:
             run.outcome = exc
         else:
             run.shares = [None] * len(run.jobs)
-            run.owed, run.remote = len(run.jobs), 0
+            run.owed = len(run.jobs)
             ready.extend((run, k) for k in range(len(run.jobs)))
             return
         if helper is not None:
@@ -565,8 +562,6 @@ def _run_searches(runs, helper) -> list:
         run.shares[k] = share
         run.owed -= 1
         if run.owed == 0:
-            if 0 < run.remote < len(run.jobs):
-                helper.pairs += 1
             resume(run, run.shares)
 
     def collect():
@@ -581,7 +576,6 @@ def _run_searches(runs, helper) -> list:
                 run, k = ready.pop()
                 helper.request(run.token, run.model, *run.jobs[k])
                 sent.append((run, k))
-                run.remote += 1
             if ready:
                 run, k = ready.popleft()
                 deliver(run, k, _solve_share(run.model, *run.jobs[k]))
@@ -655,14 +649,14 @@ def _binary_screen(model: LinearModel, bins):
     return np.array(rows), rels, np.array(rhs)
 
 
-def _replay(model: LinearModel, shares, count: int, best: LPResult | None):
+def _replay(model: LinearModel, answers, count: int, best: LPResult | None):
     """Visit positions ``0..count-1`` of a chunk as the serial walk does,
     position ``p`` being entry ``p // k`` of share ``p % k`` of the ``k``
     shares: certify each new running best, and raise a share's failure at
     its position.  Returns the running best."""
-    k = len(shares)
+    k = len(answers)
     for pos in range(count):
-        kept, failure = shares[pos % k]
+        kept, failure = answers[pos % k]
         if pos // k == len(kept):   # the share stopped at its failure
             raise failure[1]
         res = kept[pos // k]
@@ -676,10 +670,10 @@ def _replay(model: LinearModel, shares, count: int, best: LPResult | None):
     return best
 
 
-def _enumerate(model: LinearModel, bins, shares: int):
+def _enumerate(model: LinearModel, bins):
     """The walk of :func:`solve_by_enumeration`, as a search for
     :func:`_run_searches`: it yields each chunk's kept assignments as
-    ``k = min(shares, len(assignments))`` interleaved jobs (at least
+    ``k = min(SHARES, len(assignments))`` interleaved jobs (at least
     one), ``assignments[i::k]``, replays their answers in lexicographic
     order and returns the Solution."""
     nb = len(bins)
@@ -705,7 +699,7 @@ def _enumerate(model: LinearModel, bins, shares: int):
                 else:
                     keep &= acts[:, r] >= rhs[r] - 1e-9
         assignments = bits[keep]
-        k = max(1, min(shares, len(assignments)))
+        k = max(1, min(SHARES, len(assignments)))
         answers = yield [(bins, assignments[i::k]) for i in range(k)]
         best = _replay(model, answers, len(assignments), best)
         lps += len(assignments)
@@ -722,25 +716,24 @@ def solve_by_enumeration(model: LinearModel) -> Solution:
     Assignments that violate a row made up purely of binary variables are
     discarded without an LP, which cannot change the optimum.
 
-    Under the conditions of :func:`solve_milp`, each chunk of the walk
-    (:func:`_enumerate`) is ``k = SHARES`` jobs for :func:`_run_searches`
-    (or one per assignment, if fewer), share ``i`` holding the assignments
-    at positions ``i``, ``i + k``, ...  This process takes shares from the
-    front of the scheduler's queue and the helper process from its back,
-    each as it gets free, with the same cold ``solve_lp``, so which
-    process solves which share depends on timing.  Otherwise the chunk is
-    one job, solved here.  The results are replayed in order here, where
-    every running best is certified and the error of the lowest failing
-    assignment is raised, so the result, the LP count and any error are
-    those of the serial walk.
+    Each chunk of the walk (:func:`_enumerate`) is ``k = SHARES`` jobs
+    for :func:`_run_searches` (or one per assignment, if fewer), share
+    ``i`` holding the assignments at positions ``i``, ``i + k``, ...
+    This process takes shares from the front of the scheduler's queue.
+    Under the conditions of :func:`solve_milp`, the helper process takes
+    them from its back, each process as it gets free, with the same cold
+    ``solve_lp``, so which process solves which share depends on timing.
+    The results are replayed in order here, where every running best is
+    certified and the error of the lowest failing assignment is raised,
+    so the result, the LP count and any error are those of the serial
+    walk.
     """
     bins = model.binary_indices()
     if len(bins) > ENUMERATION_CAP:
         raise EnumerationCapError(f"{len(bins)} binary variables exceed "
                                   f"the enumeration cap {ENUMERATION_CAP}")
-    helper = _current_helper()
-    search = _enumerate(model, bins, 1 if helper is None else SHARES)
-    (outcome,) = _run_searches([_Run(model, search)], helper)
+    (outcome,) = _run_searches([_Run(model, _enumerate(model, bins))],
+                               _current_helper())
     return unwrap(outcome)
 
 

@@ -10,7 +10,6 @@ back to the formulation it came from.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +20,6 @@ BINARY = "binary"
 LE = "<="
 EQ = "="
 GE = ">="
-
-_LABEL_RE = re.compile(r"^eq(\d+)")
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,6 @@ class LinearModel:
         if self._compiled is None:
             self._compiled = _compile(self)
         return self._compiled
-
-    def source_equation(self, label: str) -> int:
-        """Model-family equation number encoded in a constraint label."""
-        m = _LABEL_RE.match(label)
-        if not m:
-            raise ValueError(f"label {label!r} carries no equation tag")
-        return int(m.group(1))
 
 
 def _compile(model: LinearModel) -> CompiledModel:

@@ -9,7 +9,7 @@ every regret value built on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .formulations import (ModelOptions, build_ccu, build_coupling_polytope,
                            build_nc, build_ocu, build_scenario_deterministic,
@@ -27,7 +27,6 @@ class InfeasibleDesignError(ValueError):
     """A fixed design violates a flow or coupling row or a variable bound."""
 
     def __init__(self, violations):
-        self.violations = violations
         worst = max(violations, key=lambda v: v.amount)
         bounds = sum(v.label.startswith("bound[") for v in violations)
         super().__init__(f"design infeasible: {len(violations) - bounds} rows "
@@ -35,20 +34,10 @@ class InfeasibleDesignError(ValueError):
                          f"worst {worst.label} by {worst.amount:.3e}")
 
 
-@dataclass(frozen=True)
-class ScenarioBaseline:
-    """Per-scenario optima L*_s with their witness solutions."""
-
-    values: tuple[float, ...]
-    witnesses: tuple[Solution, ...]
-
-    def __len__(self):
-        return len(self.values)
-
-
 def compute_baselines(inst: Instance,
-                      opts: ModelOptions = ModelOptions()) -> ScenarioBaseline:
-    """Solve every scenario's deterministic problem to optimality.
+                      opts: ModelOptions = ModelOptions()) -> tuple[float, ...]:
+    """Solve every scenario's deterministic problem to optimality and
+    return the optima L*_s, in scenario order.
 
     The scenario MILPs are independent, so they are all solved together
     (:func:`solve_milps`); their outcomes are then read in scenario order,
@@ -56,15 +45,14 @@ def compute_baselines(inst: Instance,
     """
     models = [build_scenario_deterministic(inst, s, opts)
               for s in range(inst.num_scenarios)]
-    values, witnesses = [], []
+    values = []
     for s, outcome in enumerate(solve_milps(models)):
         sol = unwrap(outcome)
         if sol.status != "optimal":
             raise InfeasibleScenarioError(
                 f"scenario {s} admits no feasible design")
         values.append(sol.objective)
-        witnesses.append(sol)
-    return ScenarioBaseline(tuple(values), tuple(witnesses))
+    return tuple(values)
 
 
 def evaluate_design(inst: Instance, design: dict, s: int,
@@ -105,13 +93,13 @@ def evaluate_design(inst: Instance, design: dict, s: int,
     return float(cost)
 
 
-def _attach_regrets(inst: Instance, sol: Solution, baselines: ScenarioBaseline,
+def _attach_regrets(inst: Instance, sol: Solution, baselines: tuple[float, ...],
                     opts: ModelOptions) -> Solution:
     costs, regrets = [], []
     for s in range(inst.num_scenarios):
         # feasibility does not depend on the scenario: check it once
         cost = evaluate_design(inst, sol.values, s, opts, check=(s == 0))
-        regret = cost - baselines.values[s]
+        regret = cost - baselines[s]
         reported = sol.values[f"Rs[{s}]"]
         if abs(regret - reported) > 1e-6 * max(1.0, abs(regret)):
             raise RuntimeError(
@@ -120,7 +108,7 @@ def _attach_regrets(inst: Instance, sol: Solution, baselines: ScenarioBaseline,
         costs.append(cost)
         regrets.append(regret)
     return replace(sol, scenario_costs=costs, regrets=regrets,
-                   baselines=list(baselines.values))
+                   baselines=list(baselines))
 
 
 def _solve_regret(inst: Instance, opts: ModelOptions, build) -> Solution:

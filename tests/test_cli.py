@@ -61,6 +61,30 @@ def test_verify_ccnc_infeasible_base_exits_2(tmp_path, capsys):
     assert "base model admits no feasible design" in out["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["regret", "--model", "ccu"], ["solve", "--model", "ccu"],
+    ["solve", "--model", "ocu"], ["verify", "--claim", "thm1"]])
+def test_infeasible_scenario_report_goes_to_output_file(argv, tmp_path,
+                                                        capsys):
+    path = tmp_path / "tight.json"
+    path.write_text(save_instance(make_toy3(capacity=(3.0, 3.0, 3.0))))
+    assert run(argv + [str(path)]) == 2
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n")
+    assert json.loads(printed)["status"] == "infeasible"
+    out = tmp_path / "report.json"
+    assert run(argv + [str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_negative_seed_is_a_config_error(capsys):
+    assert run(["gen", "--seed", "-1", "--nodes", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative\n"
+
+
 @pytest.mark.parametrize("real_file", [True, False])
 def test_verify_file_with_trials_is_a_usage_error(real_file, toy3_file, capsys):
     path = toy3_file if real_file else "/no/such/file.json"

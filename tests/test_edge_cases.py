@@ -111,7 +111,7 @@ def test_product_rows_change_split_optimum():
     inst = split_transfer_instance()
     base = compute_baselines(inst, ModelOptions(
         ocu_objective="collaborative-split"))
-    assert base.values[0] == pytest.approx(110.0, abs=1e-9)
+    assert base[0] == pytest.approx(110.0, abs=1e-9)
     omit = solve_milp(build_ocu(inst, base, ModelOptions(
         ocu_objective="collaborative-split", eq20_mode="omit")))
     lin = solve_milp(build_ocu(inst, base, ModelOptions(

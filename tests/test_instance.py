@@ -121,6 +121,11 @@ def test_generator_chain_count_error():
         GeneratorConfig(seed=0, n=2, chain_count=3)
 
 
+def test_generator_negative_seed_error():
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        GeneratorConfig(seed=-1, n=3)
+
+
 def test_generator_capacity_covers_demand():
     for seed in range(20):
         inst = generate_instance(GeneratorConfig(

@@ -40,13 +40,6 @@ def test_bad_terms_rejected_when_the_model_is_built(term):
     assert m.constraints == []
 
 
-def test_source_equation_parsing():
-    m = build_nc(make_toy3())
-    assert m.source_equation("eq5[i=2,k=0]") == 5
-    with pytest.raises(ValueError):
-        m.source_equation("capacity[0]")
-
-
 def test_feasibility_of_solver_output(toy3):
     model = build_nc(toy3)
     sol = solve_milp(model)

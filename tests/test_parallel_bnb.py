@@ -40,11 +40,23 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+REQUESTS = []   # the rows of each job sent to a helper in this test
+
+
 @pytest.fixture(autouse=True)
 def fresh_helper(monkeypatch):
     """Each test forks its own helper, after its own monkeypatches, and
-    only where it forces the helper on, whatever the environment."""
+    only where it forces the helper on, whatever the environment.  Every
+    job sent to a helper is recorded in ``REQUESTS``."""
     monkeypatch.setattr(milp, "_FORCE_HELPER", False)
+    real = milp._Helper.request
+
+    def spy(self, token, model, indices, rows):
+        REQUESTS.append(rows)
+        return real(self, token, model, indices, rows)
+
+    monkeypatch.setattr(milp._Helper, "request", spy)
+    REQUESTS.clear()
     milp._stop_helper()
     yield
     milp._stop_helper()
@@ -66,11 +78,6 @@ def solve(model, helper):
 
 def enumerate_(model, helper):
     return run_with(helper, milp.solve_by_enumeration, model)
-
-
-def pairs():
-    """Branchings the current helper has served."""
-    return milp._HELPER.pairs if milp._HELPER is not None else 0
 
 
 def alive(helper):
@@ -98,12 +105,13 @@ def assert_same(a, b):
 
 
 def solve_both_ways(model):
-    """Serial, then through the helper; checks every branching used it."""
+    """Serial, then through the helper; checks that the helper solved one
+    child of every branching."""
     serial = solve(model, False)
     assert milp._HELPER is None
-    before = pairs()
+    before = len(REQUESTS)
     forked = solve(model, True)
-    assert pairs() - before == (forked.nodes_explored - 1) // 2
+    assert len(REQUESTS) - before == (forked.nodes_explored - 1) // 2
     assert_same(serial, forked)
     return serial
 
@@ -200,6 +208,19 @@ def assert_split(here, sent, kept):
     shares = sorted(rows.tolist() for rows in here + sent)
     assert shares == sorted(kept[i::k].tolist() for i in range(k))
     assert here and sent
+
+
+def dealt(jobs):
+    """The rows of one chunk from its ``k`` interleaved jobs, job ``i``
+    holding ``rows[i::k]``; checks that they follow the lexicographic
+    walk."""
+    k = len(jobs)
+    rows = np.empty((sum(map(len, jobs)), jobs[0].shape[1]))
+    for i, job in enumerate(jobs):
+        rows[i::k] = job
+    codes = rows @ 2.0 ** np.arange(rows.shape[1])[::-1]
+    assert (np.diff(codes) > 0).all()
+    return rows
 
 
 def count_lps_here(monkeypatch):
@@ -314,7 +335,7 @@ def test_incumbent_failing_its_certificate_raises(monkeypatch, helper):
     assert str(info.value) == ("incumbent failed certificate replay: "
                                "row eq2[i=0]: violated by 1.000e-03; "
                                "objective mismatch")
-    assert (pairs() > 0) == helper
+    assert bool(REQUESTS) == helper
 
 
 def test_error_in_first_child_keeps_the_pipe_in_step(monkeypatch):
@@ -333,8 +354,9 @@ def test_error_in_first_child_keeps_the_pipe_in_step(monkeypatch):
     assert raised == [{0: (0.0, 0.0)}]
     helper = milp._HELPER
     model = hub_model("ocu", n4(0))
+    before = len(REQUESTS)
     assert_same(solve(model, True), solve(model, False))
-    assert milp._HELPER is helper and helper.pairs > 1
+    assert milp._HELPER is helper and len(REQUESTS) - before > 1
 
 
 def test_interrupt_while_waiting_stops_the_helper(monkeypatch):
@@ -383,8 +405,9 @@ def test_interrupt_while_sending_stops_the_helper(monkeypatch, share):
     assert len(calls) == 1 and calls[0] > 20_000   # the frame with the model
     assert milp._HELPER is None
     assert helper.exitcode == -signal.SIGKILL
+    before = len(REQUESTS)
     assert_same(solve(model, True), expected)
-    assert milp._HELPER is not helper and milp._HELPER.pairs > 1
+    assert milp._HELPER is not helper and len(REQUESTS) - before > 1
 
 
 @pytest.mark.parametrize("frame", [milp._FRAME.pack(1000) + b"cut short",
@@ -405,7 +428,7 @@ def test_killed_helper_raises_then_next_solve_forks_anew(monkeypatch):
 
     def kill_after_first_pair(x, bins):
         helper = milp._HELPER
-        if helper is not None and helper.pairs == 1 and not killed:
+        if helper is not None and len(REQUESTS) == 1 and not killed:
             os.kill(helper.pid, signal.SIGKILL)
             wait_until_dead(helper.pid)
             killed.append(helper.pid)
@@ -437,9 +460,9 @@ def test_threads_get_serial_results(monkeypatch):
     threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
     for t in threads:
         t.start()
-    before = pairs()
+    before = len(REQUESTS)
     results[2] = milp.solve_milp(models[2])
-    served = pairs() - before
+    served = len(REQUESTS) - before
     for t in threads:
         t.join(120)
         assert not t.is_alive()
@@ -447,7 +470,7 @@ def test_threads_get_serial_results(monkeypatch):
         assert_same(results[k], want)
     # only the main thread's search went through the helper
     assert served == (results[2].nodes_explored - 1) // 2
-    assert pairs() - before == served
+    assert len(REQUESTS) - before == served
 
 
 def test_no_helper_forked_with_other_threads_running():
@@ -700,9 +723,10 @@ def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
     assert not worker.is_alive()
     assert_same(results["sol"], expected)
     assert len(lps) == expected.nodes_explored
-    assert not sent and len(here) == 1   # the whole chunk, as one job
-    kept = here.pop()
-    del lps[:]
+    # one chunk, dealt into as many jobs as with the helper, all solved here
+    assert not sent and len(here) == min(milp.SHARES, len(lps))
+    kept = dealt(here)
+    del here[:], lps[:]
     assert_same(milp.solve_by_enumeration(model), expected)
     assert_split(here, sent, kept)
     assert len(lps) == sum(map(len, here))
@@ -753,8 +777,9 @@ def test_joint_baselines_match_serial(scenarios):
     assert milp._HELPER is None
     forked = run_with(True, compute_baselines, inst)
     assert milp._HELPER is not None
-    assert forked.values == serial.values
-    for a, b in zip(serial.witnesses, forked.witnesses, strict=True):
+    assert forked == serial
+    models = [build_scenario_deterministic(inst, s) for s in range(scenarios)]
+    for a, b in zip(joint(models, False), joint(models, True), strict=True):
         assert_same(a, b)
 
 
@@ -765,13 +790,11 @@ def test_joint_memo_matches_serial():
     run_with(False, serial.prepare, sorted(CLAIM_CHECKS))
     assert milp._HELPER is None
     run_with(True, forked.prepare, sorted(CLAIM_CHECKS))
-    assert pairs() > 0
+    assert REQUESTS
     keys = ["cc-zero", "ccu", "ivar-slim", "nc", "ocu-linearized", "ocu-omit",
             "tk-forced"]
     assert sorted(serial._outcomes) == sorted(forked._outcomes) == keys
-    for a, b in zip(serial.baselines().witnesses,
-                    forked.baselines().witnesses, strict=True):
-        assert_same(a, b)
+    assert serial.baselines() == forked.baselines()
     for key in keys:
         assert_same(serial.solved(key)[1], forked.solved(key)[1])
 
@@ -783,7 +806,7 @@ def test_joint_sweep_csv_matches_serial():
     assert milp._HELPER is None
     forked = run_with(True, cli._sweep_rows, sorted(CLAIM_CHECKS), 2, args,
                       opts)
-    assert pairs() > 0
+    assert REQUESTS
     assert forked == serial
 
 
@@ -824,8 +847,8 @@ def test_rebound_solve_lp_keeps_the_serial_lp_order(monkeypatch):
     seen = [labels.get(id(m), "probe") for m in lps]
 
     nodes = {key: memo.solved(key)[1].nodes_explored for key in memo._models}
-    for s, witness in enumerate(memo.baselines().witnesses):
-        nodes[f"s{s}"] = witness.nodes_explored
+    for s, model in enumerate(scenarios):
+        nodes[f"s{s}"] = milp.solve_milp(model).nodes_explored
     del lps[:]
     probes = claims.check_eq20_redundancy(
         memo.inst, opts, memo=memo).evidence["lps_solved"]
@@ -1036,7 +1059,7 @@ def test_finished_searches_leave_no_model_in_the_helper(monkeypatch):
     solve(split_parity(), True)         # 1003
     enumerate_(descending(), True)      # 1004
     helper = milp._HELPER
-    assert helper.pairs > 0 and helper.holding == set()
+    assert REQUESTS and helper.holding == set()
     rows = np.zeros((1, 0))
     for token in range(1000, 1005):
         helper._post((token, None, [], rows))
@@ -1104,9 +1127,11 @@ def test_hubloc_does_not_load_multiprocessing():
         from hubloc.regret import compute_baselines
         inst = generate_instance(GeneratorConfig(seed=0, n=4, chain_count=2))
         model = build_ocu(inst, compute_baselines(inst))
+        sent, real = [], milp._Helper.request
+        milp._Helper.request = lambda *job: sent.append(job) or real(*job)
         milp._FORCE_HELPER = True
         milp.solve_milp(model)
-        print(milp._HELPER.pairs > 0, "multiprocessing" in sys.modules)
+        print(len(sent) > 0, "multiprocessing" in sys.modules)
     """)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
@@ -1155,9 +1180,10 @@ def test_enumeration_uses_the_helper_unforced_with_one_blas_thread(
      same_values) = json.loads(out)
     assert same_obj and same_values
     assert nodes == serial_nodes > 1
-    assert not serial_sent and len(serial_here) == 1   # the one chunk
+    # the one chunk, dealt alike, with every job solved here
+    assert not serial_sent and len(serial_here) == min(milp.SHARES, nodes)
     here, sent = ([np.array(rows) for rows in jobs] for jobs in split)
-    assert_split(here, sent, np.array(serial_here[0]))
+    assert_split(here, sent, dealt([np.array(rows) for rows in serial_here]))
 
 
 def _solve_in_worker(name, seed):
