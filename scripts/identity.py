@@ -143,18 +143,34 @@ def run_commands(outdir: Path, commands) -> None:
         os.chdir(cwd)
 
 
+def _combine(corpus, item: list, label: str, counts: dict) -> str:
+    """Run each corpus item with ``item`` emptied first, count what it
+    appended there and hash its sorted entries into one SHA-256; returns
+    the digest file, with ``counts`` (read after the runs) below the count."""
+    h = hashlib.sha256()
+    total = 0
+    for name, run, seed in corpus:
+        item.clear()
+        run(seed)
+        total += len(item)
+        h.update(repr((name, seed, sorted(item))).encode())
+    names = ", ".join(sorted({name for name, _, _ in corpus}))
+    lines = [f"corpus: {names}", f"{label}: {total}",
+             *(f"{key}: {value}" for key, value in counts.items()),
+             f"sha256: {h.hexdigest()}"]
+    return "\n".join(lines) + "\n"
+
+
 def lp_digest(corpus) -> str:
     """LP count, pivot count and one SHA-256 over every LP result; the
     hashes of one corpus item are sorted before they are combined."""
-    h = hashlib.sha256()
-    lps = pivots = 0
+    counts = {"pivots": 0}
     item: list[str] = []
     solve_lp = simplex.solve_lp
 
     def recording(model, extra_bounds=None):
-        nonlocal pivots
         res = solve_lp(model, extra_bounds)
-        pivots += res.iterations
+        counts["pivots"] += res.iterations
         one = hashlib.sha256(
             repr((res.status, res.objective, res.iterations)).encode())
         for a in (res.x, res.basis, res.vstatus):
@@ -167,17 +183,10 @@ def lp_digest(corpus) -> str:
     for mod in patched:
         mod.solve_lp = recording
     try:
-        for name, lps_of, seed in corpus:
-            item.clear()
-            lps_of(seed)
-            lps += len(item)
-            h.update(repr((name, seed, sorted(item))).encode())
+        return _combine(corpus, item, "lps", counts)
     finally:
         for mod in patched:
             mod.solve_lp = solve_lp
-    names = ", ".join(sorted({name for name, _, _ in corpus}))
-    return (f"corpus: {names}\nlps: {lps}\npivots: {pivots}\n"
-            f"sha256: {h.hexdigest()}\n")
 
 
 def _solution_hash(sol) -> str:
@@ -209,20 +218,11 @@ def solution_digest(corpus) -> str:
 
     milp._run_searches = recording
     forced, milp._FORCE_HELPER = milp._FORCE_HELPER, True
-    h = hashlib.sha256()
-    count = 0
     try:
-        for name, solutions_of, seed in corpus:
-            item.clear()
-            solutions_of(seed)
-            count += len(item)
-            h.update(repr((name, seed, sorted(item))).encode())
+        return _combine(corpus, item, "solutions", {})
     finally:
         milp._FORCE_HELPER = forced
         milp._run_searches = run_searches
-    names = ", ".join(sorted({name for name, _, _ in corpus}))
-    return (f"corpus: {names}\nsolutions: {count}\n"
-            f"sha256: {h.hexdigest()}\n")
 
 
 def write_identity(outdir: Path, commands=COMMANDS, corpus=LP_CORPUS) -> None:

@@ -162,7 +162,7 @@ def _memo(inst: Instance, opts: ModelOptions, memo: SolveMemo | None,
     return memo
 
 
-def project_to_ccu(inst: Instance, values: dict, baselines, ccu_model,
+def project_to_ccu(inst: Instance, values: dict, baselines,
                    opts: ModelOptions) -> dict:
     """Drop the hub split from an OCU point and complete the regret
     variables the way the CCU regret equality defines them.
@@ -171,8 +171,7 @@ def project_to_ccu(inst: Instance, values: dict, baselines, ccu_model,
     this completion is the executable form of the feasible-set containment
     argument in flow space.
     """
-    flows = {name: v for name, v in values.items()
-             if name[0] in "HZYX" and name in ccu_model.name_index}
+    flows = {name: v for name, v in values.items() if name[0] in "HZYX"}
     projected = dict(flows)
     regrets = []
     for s, base in enumerate(baselines):
@@ -203,7 +202,7 @@ def check_theorem1(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     }
     worst_residual = 0.0
     for _, values in ocu.incumbents:
-        projected = project_to_ccu(inst, values, baselines, ccu_model, opts)
+        projected = project_to_ccu(inst, values, baselines, opts)
         bad = check_feasibility(ccu_model, projected)
         if bad:
             worst_residual = max(worst_residual,

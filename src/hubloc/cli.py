@@ -18,7 +18,7 @@ import io
 import json
 import os
 import sys
-import tempfile
+import uuid
 
 from .claims import CLAIM_CHECKS, CONFIRMED, SolveMemo
 from .formulations import ModelOptions, build_cc, build_nc
@@ -49,8 +49,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hubloc-")
+    # mode 0666 less the umask, as open() gives, not mkstemp's fixed 0600
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".hubloc-{uuid.uuid4().hex}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -162,29 +164,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    """``solve`` and ``regret``: load, solve, stamp and write the report."""
     inst = _load(args.instance)
     opts = _options_from(args)
-    if args.model == "nc":
-        sol = solve_milp(build_nc(inst, opts))
-    elif args.model == "cc":
-        sol = solve_milp(build_cc(inst, opts))
-    elif args.model == "ccu":
+    if args.model == "ccu":
         sol = solve_ccu(inst, opts)
-    else:
+    elif args.model == "ocu":
         sol = solve_ocu(inst, opts)
-    return _emit_solution(args, inst, opts, sol, solution_to_json(sol))
-
-
-def _cmd_regret(args) -> int:
-    inst = _load(args.instance)
-    opts = _options_from(args)
-    sol = solve_ccu(inst, opts) if args.model == "ccu" else solve_ocu(inst, opts)
-    return _emit_solution(args, inst, opts, sol, regret_report(inst, sol))
-
-
-def _emit_solution(args, inst: Instance, opts: ModelOptions, sol,
-                   report: dict) -> int:
-    """Shared tail of ``solve`` and ``regret``: stamp and write the report."""
+    else:
+        build = build_nc if args.model == "nc" else build_cc
+        sol = solve_milp(build(inst, opts))
+    report = (regret_report(sol) if args.command == "regret"
+              else solution_to_json(sol))
     report["model"] = args.model
     report["options"] = opts.to_dict()
     report["instance"] = instance_fingerprint(inst)
@@ -252,7 +243,7 @@ def _cmd_sweep(args) -> int:
     return 0 if all_confirmed else 2
 
 
-_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "regret": _cmd_regret,
+_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "regret": _cmd_solve,
              "verify": _cmd_verify, "sweep": _cmd_sweep}
 
 

@@ -31,6 +31,7 @@ class ConfigError(ValueError):
 
 _FILE_KEYS = ("n", "demand", "cost", "setup", "capacity", "chi", "alpha",
               "delta", "scenarios", "chains")
+_ARRAYS = ("demand", "cost", "setup", "capacity", "scenarios")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -77,11 +78,8 @@ class Instance:
     chains: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", _readonly(self.demand))
-        object.__setattr__(self, "cost", _readonly(self.cost))
-        object.__setattr__(self, "setup", _readonly(self.setup))
-        object.__setattr__(self, "capacity", _readonly(self.capacity))
-        object.__setattr__(self, "scenarios", _readonly(self.scenarios))
+        for key in _ARRAYS:
+            object.__setattr__(self, key, _readonly(getattr(self, key)))
         object.__setattr__(self, "chains",
                            tuple(tuple(int(v) for v in ch) for ch in self.chains))
         _validate(self)
@@ -98,21 +96,22 @@ class Instance:
         if not isinstance(other, Instance):
             return NotImplemented
         return (self.n == other.n
-                and np.array_equal(self.demand, other.demand)
-                and np.array_equal(self.cost, other.cost)
-                and np.array_equal(self.setup, other.setup)
-                and np.array_equal(self.capacity, other.capacity)
+                and all(np.array_equal(getattr(self, key), getattr(other, key))
+                        for key in _ARRAYS)
                 and self.chi == other.chi
                 and self.alpha == other.alpha
                 and self.delta == other.delta
-                and np.array_equal(self.scenarios, other.scenarios)
                 and self.chains == other.chains)
+
+
+def _check_node_count(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError("node count must be a positive integer")
 
 
 def _validate(inst: Instance) -> None:
     n = inst.n
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("node count must be a positive integer")
+    _check_node_count(n)
     if inst.demand.shape != (n, n):
         raise ValidationError("demand matrix must be n x n")
     if inst.cost.shape != (n, n):
@@ -191,6 +190,7 @@ def load_instance(text: str) -> Instance:
     if not isinstance(data["n"], int) or isinstance(data["n"], bool):
         raise ParseError("'n' must be an integer")
     n = data["n"]
+    _check_node_count(n)   # before the shapes, which it decides
 
     def matrix(key):
         v = data[key]

@@ -91,6 +91,12 @@ class Solution:
     baselines: list[float] | None = None
 
 
+def hub_lists(sol: Solution) -> dict[str, list[int]]:
+    """The three hub sets of ``sol`` as report lists, keyed by field name."""
+    return {key: list(getattr(sol, key)) for key in
+            ("open_hubs", "collaborative_hubs", "noncollaborative_hubs")}
+
+
 def _solution_from_values(model: LinearModel, x: np.ndarray, objective: float,
                           nodes: int, incumbents) -> Solution:
     values = {var.name: float(x[j]) for j, var in enumerate(model.variables)}
@@ -119,6 +125,14 @@ def _fractional_binaries(x: np.ndarray, bins) -> list[tuple[float, int]]:
         if dist > INT_TOL:
             out.append((dist, j))
     return out
+
+
+def _certify(model: LinearModel, res: LPResult, failed: str) -> None:
+    """Raise :class:`SimplexError` with ``failed`` and the first three
+    failures if ``res`` fails its certificate replay."""
+    cert = verify_certificate(model, res)
+    if not cert.passed:
+        raise SimplexError(f"{failed}: " + "; ".join(cert.failures[:3]))
 
 
 def unwrap(outcome):
@@ -458,10 +472,7 @@ def _search(model: LinearModel):
 
     def record(res: LPResult):
         nonlocal incumbent
-        cert = verify_certificate(model, res)
-        if not cert.passed:
-            raise SimplexError("incumbent failed certificate replay: "
-                               + "; ".join(cert.failures[:3]))
+        _certify(model, res, "incumbent failed certificate replay")
         if incumbent is None or res.objective < incumbent.objective:
             incumbent = res
             values = {var.name: float(res.x[j])
@@ -662,10 +673,7 @@ def _replay(model: LinearModel, answers, count: int, best: LPResult | None):
         res = kept[pos // k]
         if isinstance(res, LPResult) and (best is None
                                           or res.objective < best.objective):
-            cert = verify_certificate(model, res)
-            if not cert.passed:
-                raise SimplexError("enumeration incumbent failed certificate: "
-                                   + "; ".join(cert.failures[:3]))
+            _certify(model, res, "enumeration incumbent failed certificate")
             best = res
     return best
 
@@ -742,17 +750,12 @@ def solution_to_json(sol: Solution) -> dict:
     out = {
         "status": sol.status,
         "objective": sol.objective,
-        "open_hubs": list(sol.open_hubs),
-        "collaborative_hubs": list(sol.collaborative_hubs),
-        "noncollaborative_hubs": list(sol.noncollaborative_hubs),
+        **hub_lists(sol),
         "flows": {name: v for name, v in sorted(sol.values.items())
                   if name[0] in "ZYX" and v > 1e-9},
         "nodes_explored": sol.nodes_explored,
     }
-    if sol.scenario_costs is not None:
-        out["scenario_costs"] = sol.scenario_costs
-    if sol.regrets is not None:
-        out["regrets"] = sol.regrets
-    if sol.baselines is not None:
-        out["baselines"] = sol.baselines
+    for key in ("scenario_costs", "regrets", "baselines"):
+        if getattr(sol, key) is not None:
+            out[key] = getattr(sol, key)
     return out

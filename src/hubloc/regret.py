@@ -15,7 +15,7 @@ from .formulations import (ModelOptions, build_ccu, build_coupling_polytope,
                            build_nc, build_ocu, build_scenario_deterministic,
                            flow_cost_pairs)
 from .instance import Instance
-from .milp import Solution, solve_milp, solve_milps, unwrap
+from .milp import Solution, hub_lists, solve_milp, solve_milps, unwrap
 from .model import check_feasibility
 
 
@@ -129,16 +129,12 @@ def solve_ocu(inst: Instance, opts: ModelOptions = ModelOptions()) -> Solution:
     return _solve_regret(inst, opts, build_ocu)
 
 
-def regret_report(inst: Instance, sol: Solution) -> dict:
+def regret_report(sol: Solution) -> dict:
     """Machine-readable report for a solved regret pipeline."""
     return {
         "status": sol.status,
         "baselines": sol.baselines,
-        "design": {
-            "open_hubs": list(sol.open_hubs),
-            "collaborative_hubs": list(sol.collaborative_hubs),
-            "noncollaborative_hubs": list(sol.noncollaborative_hubs),
-        },
+        "design": hub_lists(sol),
         "scenario_costs": sol.scenario_costs,
         "regrets": sol.regrets,
         "max_regret": sol.objective,

@@ -61,7 +61,7 @@ ZERO_PIVOT = 1e-10
 BOUND_TOL = 1e-9
 # _iterate's rank-1 update touches only the columns with a nonzero pivot-row
 # entry when N has at least SPARSE_CELLS cells and under SPARSE_ROW of the
-# row is nonzero
+# row is nonzero (_sparse_gate)
 SPARSE_CELLS = 2 ** 14
 SPARSE_ROW = 0.25
 
@@ -224,6 +224,41 @@ def _standardize(model: LinearModel,
                         fixed=fixed, red_lo=lo, red_hi=hi)
 
 
+def _sparse_gate(N, trow) -> bool:
+    """Take :func:`_sparse_update`?  Without the cell gate the n=4 LPs of
+    the oracle workload ran 8% slower, as the extra numpy calls cost more
+    than the cells they skip."""
+    return (N.size >= SPARSE_CELLS
+            and np.count_nonzero(trow) < SPARSE_ROW * len(trow))
+
+
+# einsum rounds each product once, as np.outer does, at about half the
+# cost, but writes a -0 product as +0.  No pivot decision reads the sign of
+# a zero (tests are tolerances, abs or argmax; divisions are masked or
+# checked against ZERO_PIVOT; argmax and count_nonzero treat -0 as +0), and
+# x comes from _refine_basics on sf.A, not N.
+def _dense_update(N, d, cols, colq, trow, dq):
+    N -= np.einsum("i,j->ij", colq, trow)
+    d[cols] -= dq * trow
+
+
+def _sparse_update(N, d, cols, colq, trow, dq):
+    """:func:`_dense_update` on the columns with a nonzero ``trow`` entry.
+    The dense update gives the others N - colq * (+-0), their own value up
+    to the sign of a zero (colq is finite), and every other column gets
+    the same rounded products and subtraction.  Dense against this, one
+    update at 5% row density (one BLAS thread, 2.1 GHz Xeon,
+    scripts/update_crossover.py): 66x129 12.0/11.0 us, 104x144 16.9/12.9
+    us, 267x463 119/36 us; at 267x463 and 25% 116/105 us, at 50% 119/223
+    us."""
+    nz = np.flatnonzero(trow)
+    tnz = trow[nz]
+    sub = N.take(nz, axis=1)
+    sub -= np.einsum("i,j->ij", colq, tnz)
+    N[:, nz] = sub
+    d[cols[nz]] -= dq * tnz
+
+
 def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
              allow_unbounded):
     """Run simplex pivots until optimal/unbounded; returns (outcome, iters).
@@ -359,32 +394,8 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         trow = N[r] / piv
         colq = col.copy()
         dq = d[q]
-        # einsum rounds each product once, as np.outer does, at about half
-        # the cost, but writes a -0 product as +0.  No pivot decision reads
-        # the sign of a zero (tests are tolerances, abs or argmax; divisions
-        # are masked or checked against ZERO_PIVOT; argmax and count_nonzero
-        # treat -0 as +0), and x comes from _refine_basics on sf.A, not N.
-        if N.size >= SPARSE_CELLS and \
-                np.count_nonzero(trow) < SPARSE_ROW * len(trow):
-            # Skip the columns whose trow entry is zero: the dense update
-            # gives them N - colq * (+-0), their own value up to the sign
-            # of a zero (colq is finite), and every other column gets the
-            # same rounded products and subtraction as before.  Dense
-            # against this, one update at 5% row density (one BLAS thread,
-            # 2.1 GHz Xeon, scripts/update_crossover.py): 66x129 12.0/11.0
-            # us, 104x144 16.9/12.9 us, 267x463 119/36 us; at 267x463 and
-            # 25% 116/105 us, at 50% 119/223 us.  Without the cell gate
-            # the n=4 LPs of the oracle workload ran 8% slower, as the
-            # extra numpy calls cost more than the cells they skip.
-            nz = np.flatnonzero(trow)
-            tnz = trow[nz]
-            sub = N.take(nz, axis=1)
-            sub -= np.einsum("i,j->ij", colq, tnz)
-            N[:, nz] = sub
-            d[cols[nz]] -= dq * tnz
-        else:
-            N -= np.einsum("i,j->ij", colq, trow)
-            d[cols] -= dq * trow
+        update = _sparse_update if _sparse_gate(N, trow) else _dense_update
+        update(N, d, cols, colq, trow, dq)
         N[r] = trow
         # column p was the unit vector e_r: the full update gives it these
         tp = 1.0 / piv

@@ -1,0 +1,90 @@
+"""The checkers stay apart from the code they check.
+
+Each guard reads a function's source with ``ast`` and takes the global
+names it loads: every name read in its body, signature or nested
+functions, less the names it binds itself and the builtins.  The
+certificate check may use the standard-form rebuild and the shared model
+checks, and nothing else of the solver; the model checks read the model's
+terms, never its compiled arrays, which the solver reads; and the
+enumeration oracle shares no search logic with branch and bound.
+"""
+
+import ast
+import builtins
+import inspect
+import textwrap
+
+import pytest
+
+from hubloc import milp, model, simplex
+
+# Every global name verify_certificate loads today.  _standardize is the
+# one piece of the solver in it, until the certificate stops rebuilding
+# the solver's standard form.
+CERTIFICATE_GLOBALS = {
+    "_standardize", "NB_LOWER", "NB_UPPER", "FEAS_TOL", "OPT_TOL",
+    "BOUND_TOL", "CertificateReport", "LPResult", "row_violations",
+    "effective_bounds", "LinearModel", "np"}
+SEARCH_ONLY = {"_search", "_gap", "_fractional_binaries", "INT_TOL", "heapq"}
+
+
+def _tree(fn) -> ast.AST:
+    return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+
+
+def loaded_globals(tree: ast.AST) -> set[str]:
+    """Names that the one function defined in ``tree`` loads and does not
+    bind, less the builtins."""
+    loaded, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                               ast.ExceptHandler)) and node.name:
+            bound.add(node.name)
+    return loaded - bound - set(dir(builtins))
+
+
+def read_attributes(fn) -> set[str]:
+    return {node.attr for node in ast.walk(_tree(fn))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_certificate_check_loads_only_its_allowed_names():
+    assert (loaded_globals(_tree(simplex.verify_certificate))
+            <= CERTIFICATE_GLOBALS)
+
+
+@pytest.mark.parametrize("fn", [simplex.verify_certificate,
+                                model.row_violations, model.effective_bounds,
+                                model.check_feasibility])
+def test_checkers_never_read_the_compiled_model(fn):
+    assert not read_attributes(fn) & {"compiled", "_compiled"}
+
+
+@pytest.mark.parametrize("fn", [milp.solve_by_enumeration, milp._enumerate,
+                                milp._replay, milp._binary_screen])
+def test_enumeration_oracle_shares_no_search_logic(fn):
+    assert not loaded_globals(_tree(fn)) & SEARCH_ONLY
+
+
+def test_loaded_globals_sees_signature_body_and_nested_reads():
+    tree = ast.parse(textwrap.dedent("""
+        def probe(a: Kind = DEFAULT, *rest) -> Out:
+            import os.path as osp
+            b = a + OUTER + len(rest)
+            try:
+                pass
+            except Missing as exc:
+                raise exc
+
+            def inner():
+                return b + LATER + osp.sep
+            return inner
+        """))
+    assert loaded_globals(tree) == {"Kind", "DEFAULT", "Out", "OUTER",
+                                    "Missing", "LATER"}

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -36,6 +38,19 @@ def test_reports_byte_identical(tmp_path):
     assert run(["solve", "--model", "ccu", str(inst), "-o", str(out1)]) == 0
     assert run(["solve", "--model", "ccu", str(inst), "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_output_file_mode_follows_the_umask(umask, mode, tmp_path):
+    out = tmp_path / "g.json"
+    old = os.umask(umask)
+    try:
+        assert run(["gen", "--seed", "1", "--nodes", "3", "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]   # no temp file
 
 
 def test_solve_ocu_single_chain_is_usage_level_error(tmp_path, capsys):

@@ -46,9 +46,57 @@ def test_chain_union_must_cover():
 
 
 @pytest.mark.parametrize("mutate,exc,match", [
+    (lambda d: [d], ParseError, "top-level value must be a JSON object"),
     (lambda d: d.update(bogus=1), ParseError, "unknown key"),
-    (lambda d: d.pop("setup"), ParseError, "missing key"),
+    (lambda d: d.__delitem__("setup"), ParseError, "missing key"),
     (lambda d: d.update(n="one"), ParseError, "'n' must be an integer"),
+    (lambda d: d.update(n=True), ParseError, "must be an integer"),
+    (lambda d: d.update(n=-1), ValidationError,
+     "node count must be a positive integer"),
+    (lambda d: d.update(n=0), ValidationError, "node count"),
+    (lambda d: d.update(demand=[[0.0, 0.0]]), ParseError,
+     "'demand' must be 1 arrays of 1 numbers"),
+    (lambda d: d.update(cost=[0.0]), ParseError,
+     "'cost' must be 1 arrays of 1 numbers"),
+    (lambda d: d.update(capacity=[5.0, 5.0]), ParseError,
+     "'capacity' must be an array of 1 numbers"),
+    (lambda d: d.update(alpha="half"), ParseError, "'alpha' must be a number"),
+    (lambda d: d.update(delta=True), ParseError, "'delta' must be a number"),
+    (lambda d: d.update(scenarios={"supplement": [0.0]}), ParseError,
+     "'scenarios' must be an array of objects"),
+    (lambda d: d.update(chains=[0]), ParseError,
+     "chain 0 must be an array of integers"),
+    (lambda d: d.update(chains={"a": [0]}), ParseError,
+     "'chains' must be an array of arrays of integers"),
+    (lambda d: d.update(scenarios=[{"supplement": []}]), ParseError,
+     "scenario 0 supplement must be an array of 1 numbers"),
+    (lambda d: d.update(scenarios=[[0.0]]), ParseError,
+     "scenario 0 must be an object"),
+    (lambda d: d.update(setup=["1"]), ParseError,
+     "'setup' contains a non-numeric entry"),
+    (lambda d: d.update(cost=[[None]]), ParseError,
+     "'cost' contains a non-numeric entry"),
+    (lambda d: d.update(scenarios=[{"supplement": [False]}]), ParseError,
+     "'supplement' contains a non-numeric entry"),
+    (lambda d: d.update(scenarios=[]), ValidationError,
+     "at least one scenario required"),
+    (lambda d: d.update(chains=[]), ValidationError,
+     "at least one chain required"),
+    (lambda d: d.update(chains=[[0, 0]]), ValidationError, "repeated node"),
+    (lambda d: d.update(chains=[[0, 1]]), ValidationError,
+     "chain node index out of range"),
+    (lambda d: d.update(chains=[[-1, 0]]), ValidationError,
+     "index out of range"),
+    (lambda d: d.update(cost=[[1.0]]), ValidationError,
+     "cost diagonal must be zero"),
+    (lambda d: d.update(cost=[[-1.0]]), ValidationError,
+     "cost must be nonnegative"),
+    (lambda d: d.update(capacity=[float("inf")]), ValidationError,
+     "all numeric entries must be finite"),
+    (lambda d: d.update(demand=[[float("nan")]]), ValidationError,
+     "must be finite"),
+    (lambda d: d.update(alpha=float("inf")), ValidationError,
+     "discount factors"),
     (lambda d: d.update(chains=[["a"]]), ParseError, "array of integers"),
     (lambda d: d.update(scenarios=[{"supplement": [0.0], "p": 0.5}]),
      ParseError, "single"),
@@ -61,10 +109,58 @@ def test_chain_union_must_cover():
     (lambda d: d.update(chains=[[]]), ValidationError, "non-empty"),
 ])
 def test_bad_files_rejected(mutate, exc, match):
+    """``mutate`` edits the minimal file in place, or returns a new one."""
     data = json.loads(MINIMAL)
-    mutate(data)
+    replaced = mutate(data)
     with pytest.raises(exc, match=match):
-        load_instance(json.dumps(data))
+        load_instance(json.dumps(data if replaced is None else replaced))
+
+
+def _minimal_fields(**changes):
+    fields = dict(n=1, demand=np.zeros((1, 1)), cost=np.zeros((1, 1)),
+                  setup=np.ones(1), capacity=np.full(1, 5.0), chi=1.0,
+                  alpha=0.5, delta=1.0, scenarios=np.zeros((1, 1)),
+                  chains=((0,),))
+    fields.update(changes)
+    return fields
+
+
+@pytest.mark.parametrize("changes,match", [
+    (dict(n=1.0), "node count must be a positive integer"),
+    (dict(n=True), "node count must be a positive"),
+    (dict(n=0), "node count"),
+    (dict(demand=np.zeros((1, 2))), "demand matrix must be n x n"),
+    (dict(cost=np.zeros(1)), "cost matrix must be n x n"),
+    (dict(setup=np.ones((1, 1))), "setup vector must have length n"),
+    (dict(capacity=np.ones(2)), "capacity vector must have length n"),
+    (dict(scenarios=np.zeros(1)),
+     "each scenario supplement vector must have length n"),
+    (dict(scenarios=np.zeros((1, 2))),
+     "each scenario supplement vector must have length n"),
+    (dict(scenarios=np.zeros((0, 1))), "at least one scenario required"),
+])
+def test_constructor_rejects_bad_shapes(changes, match):
+    assert Instance(**_minimal_fields()).n == 1
+    with pytest.raises(ValidationError, match=match):
+        Instance(**_minimal_fields(**changes))
+
+
+@pytest.mark.parametrize("changes,match", [
+    (dict(n=0), "n must be positive"),
+    (dict(chain_count=0), "chain_count must be at least 1"),
+    (dict(overlap_fraction=-0.1), r"overlap_fraction must lie in \[0, 1\]"),
+    (dict(overlap_fraction=1.5), r"overlap_fraction must lie in \[0, 1\]"),
+    (dict(scenario_count=0), "scenario_count must be at least 1"),
+    (dict(demand_density=0.0), r"demand_density must lie in \(0, 1\]"),
+    (dict(demand_density=1.5), r"demand_density must lie in \(0, 1\]"),
+    (dict(cost_mode="manhattan"), "unknown cost_mode 'manhattan'"),
+    (dict(capacity_tightness=0.0), r"capacity_tightness must lie in \(0, 1\]"),
+    (dict(capacity_tightness=1.5),
+     r"capacity_tightness must lie in \(0, 1\]"),
+])
+def test_generator_config_range_checks(changes, match):
+    with pytest.raises(ConfigError, match=match):
+        GeneratorConfig(**{"seed": 0, "n": 3, **changes})
 
 
 def test_parse_error_reports_position():

@@ -161,7 +161,7 @@ def test_baseline_monotone_in_sigma():
 def test_regret_report_shape():
     inst = make_toy3(scenarios=TWO_SCEN)
     sol = solve_ccu(inst)
-    report = regret_report(inst, sol)
+    report = regret_report(sol)
     assert report["max_regret"] == sol.objective
     assert report["baselines"] == sol.baselines
     assert report["design"]["open_hubs"] == [1]

@@ -1,8 +1,13 @@
-"""scripts/update_crossover.py runs and prints one line per case."""
+"""scripts/update_crossover.py runs, prints one line per case, and each
+line's gate choice is the answer of ``simplex._sparse_gate``."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from hubloc import simplex
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "update_crossover.py"
 
@@ -19,6 +24,12 @@ def test_update_crossover_prints_one_line_per_case(monkeypatch, capsys):
     assert header.startswith("numpy ")
     cases = [(m, n, d) for m, n in script.SIZES for d in script.DENSITIES]
     assert len(lines) == len(cases)
+    rng = np.random.default_rng(0)   # main's, which only case() draws from
+    picks = set()
     for (m, n, density), line in zip(cases, lines):
         assert line.startswith(f"{m}x{n} density {density:.2f}: dense ")
-        assert line.endswith(("gate picks dense", "gate picks sparse"))
+        N, _, _, _, trow = script.case(m, n, density, rng)
+        pick = "sparse" if simplex._sparse_gate(N, trow) else "dense"
+        assert line.endswith(f"gate picks {pick}")
+        picks.add(pick)
+    assert picks == {"dense", "sparse"}   # the cases straddle the gate
