@@ -71,6 +71,16 @@ _NEEDS = {
     "ccnc": ("nc", "cc-zero"),
 }
 
+# The evidence keys each check's sweep row prints as value_a..c and flag.
+CSV_FIELDS = {
+    "thm1": ("obj_ccu", "obj_ocu", "gap", "dominance_holds"),
+    "eq20": ("obj_eq20_omitted", "obj_eq20_linearized", "flow_value",
+             "optima_equal"),
+    "tk": ("obj_ocu", "obj_forced", "gap", "zero_objective"),
+    "ivar": ("obj_full", "obj_eliminated", "binary_reduction", "optima_equal"),
+    "ccnc": ("obj_nc", "obj_cc_zero_sigma", "gap", "scenario_count"),
+}
+
 
 class SolveMemo:
     """Baselines, models and solutions for one instance and options, each
@@ -111,13 +121,8 @@ class SolveMemo:
 
     def baselines(self):
         if self._baselines is None:
-            self._baselines = attempt(self._compute_baselines)
+            self._baselines = attempt(compute_baselines, self.inst, self.opts)
         return unwrap(self._baselines)
-
-    def _compute_baselines(self):
-        if len(self.inst.chains) < 2:
-            raise ValueError("claim requires at least two supply chains")
-        return compute_baselines(self.inst, self.opts)
 
     def model(self, name: str) -> LinearModel:
         """The model of key ``name``, built on first use."""
@@ -172,14 +177,10 @@ def project_to_ccu(inst: Instance, values: dict, baselines,
     argument in flow space.
     """
     flows = {name: v for name, v in values.items() if name[0] in "HZYX"}
-    projected = dict(flows)
-    regrets = []
-    for s, base in enumerate(baselines):
-        cost = evaluate_design(inst, flows, s, opts, check=False)
-        regrets.append(cost - base)
-        projected[f"Rs[{s}]"] = regrets[-1]
-    projected["R"] = max(regrets)
-    return projected
+    costs = evaluate_design(inst, flows, opts, check=False)
+    regrets = {f"Rs[{s}]": cost - base
+               for s, (cost, base) in enumerate(zip(costs, baselines))}
+    return {**flows, **regrets, "R": max(regrets.values())}
 
 
 def check_theorem1(inst: Instance, opts: ModelOptions = ModelOptions(), *,

@@ -20,7 +20,7 @@ import os
 import sys
 import uuid
 
-from .claims import CLAIM_CHECKS, CONFIRMED, SolveMemo
+from .claims import CLAIM_CHECKS, CONFIRMED, CSV_FIELDS, SolveMemo
 from .formulations import ModelOptions, build_cc, build_nc
 from .instance import (GeneratorConfig, Instance, generate_instance,
                        instance_fingerprint, load_instance, save_instance)
@@ -28,15 +28,6 @@ from .milp import solution_to_json, solve_milp
 from .regret import InfeasibleScenarioError, regret_report, solve_ccu, solve_ocu
 
 _USER_ERRORS = (ValueError, OSError)   # each input error class is a ValueError
-
-_CSV_FIELDS = {
-    "thm1": ("obj_ccu", "obj_ocu", "gap", "dominance_holds"),
-    "eq20": ("obj_eq20_omitted", "obj_eq20_linearized", "flow_value",
-             "optima_equal"),
-    "tk": ("obj_ocu", "obj_forced", "gap", "zero_objective"),
-    "ivar": ("obj_full", "obj_eliminated", "binary_reduction", "optima_equal"),
-    "ccnc": ("obj_nc", "obj_cc_zero_sigma", "gap", "scenario_count"),
-}
 
 
 class UsageError(Exception):
@@ -200,8 +191,7 @@ def _sweep_rows(claim_keys, trials, args, opts):
         for key in claim_keys:
             report = CLAIM_CHECKS[key](inst, opts, memo=memo)
             tally[report.verdict] = tally.get(report.verdict, 0) + 1
-            cols = _CSV_FIELDS[key]
-            vals = [report.evidence.get(c, "") for c in cols]
+            vals = [report.evidence.get(c, "") for c in CSV_FIELDS[key]]
             buf.write(",".join([str(cfg.seed), str(cfg.n), report.claim_id,
                                 report.verdict] + [_csv_cell(v) for v in vals])
                       + "\n")

@@ -214,7 +214,7 @@ def load_instance(text: str) -> Instance:
         v = data[key]
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ParseError(f"'{key}' must be a number")
-        scalars[key] = float(v)
+        scalars[key] = float(_num_array(v, key))
     if not isinstance(data["scenarios"], list):
         raise ParseError("'scenarios' must be an array of objects")
     supplements = []
@@ -247,7 +247,10 @@ def _num_array(v, key) -> np.ndarray:
     for x in flat:
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ParseError(f"'{key}' contains a non-numeric entry")
-    return np.array(v, dtype=float)
+    try:
+        return np.array(v, dtype=float)
+    except OverflowError:
+        raise ParseError(f"'{key}' holds an integer too large for a float") from None
 
 
 def save_instance(inst: Instance) -> str:

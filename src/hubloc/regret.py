@@ -4,7 +4,8 @@ The regret of a design under scenario s is its cost with the scenario's
 effective setup prices minus the best cost any design could achieve under
 that scenario (the baseline).  Baselines are solved exactly before the
 regret models are assembled; an approximate baseline would silently skew
-every regret value built on top of it.
+every regret value built on top of it.  A solve's regrets are replayed by
+pricing its design under all scenarios at once (:func:`evaluate_design`).
 """
 
 from __future__ import annotations
@@ -55,19 +56,20 @@ def compute_baselines(inst: Instance,
     return tuple(values)
 
 
-def evaluate_design(inst: Instance, design: dict, s: int,
+def evaluate_design(inst: Instance, design: dict,
                     opts: ModelOptions = ModelOptions(),
-                    check: bool = True) -> float:
-    """Scenario-s cost of a fixed design (H/I/T plus flows, by name).
+                    check: bool = True) -> list[float]:
+    """Cost of a fixed design (H/I/T plus flows, by name) under each
+    scenario, in scenario order: its setup terms, then its flow terms in
+    :func:`flow_cost_pairs` order.
 
     Missing variables default to zero.  With ``check`` on, the design is
-    first checked against every row and variable bound of the flow
-    polytope (:func:`build_nc`) or, when it carries the hub split, of
+    first checked once (feasibility does not depend on the scenario)
+    against every row and variable bound of the flow polytope
+    (:func:`build_nc`) or, when it carries the hub split, of
     :func:`build_coupling_polytope` under ``opts``; violations raise
     :class:`InfeasibleDesignError`.
     """
-    if not (0 <= s < inst.num_scenarios):
-        raise ValueError(f"scenario index {s} out of range")
     has_split = any(name.startswith("T[") or name.startswith("I[")
                     for name in design)
     if check:
@@ -78,35 +80,35 @@ def evaluate_design(inst: Instance, design: dict, s: int,
         if bad:
             raise InfeasibleDesignError(bad)
 
-    eff = inst.effective_setup(s)
-    cost = 0.0
     setup_var = "I" if (has_split
                         and opts.ocu_objective == "collaborative-split") else "H"
-    for k in range(inst.n):
-        cost += eff[k] * design.get(f"{setup_var}[{k}]", 0.0)
-        if has_split:
-            cost += inst.setup[k] * design.get(f"T[{k}]", 0.0)
-    for name, coeff in flow_cost_pairs(inst, opts):
-        v = design.get(name, 0.0)
-        if v:
-            cost += coeff * v
-    return float(cost)
+    pairs = flow_cost_pairs(inst, opts)
+    costs = []
+    for s in range(inst.num_scenarios):
+        eff = inst.effective_setup(s)
+        cost = 0.0
+        for k in range(inst.n):
+            cost += eff[k] * design.get(f"{setup_var}[{k}]", 0.0)
+            if has_split:
+                cost += inst.setup[k] * design.get(f"T[{k}]", 0.0)
+        for name, coeff in pairs:
+            v = design.get(name, 0.0)
+            if v:
+                cost += coeff * v
+        costs.append(float(cost))
+    return costs
 
 
 def _attach_regrets(inst: Instance, sol: Solution, baselines: tuple[float, ...],
                     opts: ModelOptions) -> Solution:
-    costs, regrets = [], []
-    for s in range(inst.num_scenarios):
-        # feasibility does not depend on the scenario: check it once
-        cost = evaluate_design(inst, sol.values, s, opts, check=(s == 0))
-        regret = cost - baselines[s]
+    costs = evaluate_design(inst, sol.values, opts)
+    regrets = [cost - base for cost, base in zip(costs, baselines)]
+    for s, regret in enumerate(regrets):
         reported = sol.values[f"Rs[{s}]"]
         if abs(regret - reported) > 1e-6 * max(1.0, abs(regret)):
             raise RuntimeError(
                 f"regret replay mismatch for scenario {s}: "
                 f"{regret:.9g} recomputed vs {reported:.9g} reported")
-        costs.append(cost)
-        regrets.append(regret)
     return replace(sol, scenario_costs=costs, regrets=regrets,
                    baselines=list(baselines))
 

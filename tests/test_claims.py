@@ -11,7 +11,8 @@ from hubloc.claims import (CLAIM_CHECKS, CONFIRMED, COUNTEREXAMPLE,
                            check_eq20_redundancy, check_i_redundancy,
                            check_theorem1, check_tk_never_one,
                            eliminate_collaborative_vars)
-from hubloc.formulations import ModelOptions, build_coupling_polytope, build_ocu
+from hubloc.formulations import (FormulationError, ModelOptions,
+                                 build_coupling_polytope, build_ocu)
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.model import check_feasibility
 
@@ -55,8 +56,29 @@ def test_theorem1_split_variant_not_asserted():
 
 
 def test_theorem1_requires_chains():
-    with pytest.raises(ValueError, match="two supply chains"):
+    with pytest.raises(FormulationError,
+                       match="at least two supply chains required"):
         check_theorem1(make_toy3(chains=((0, 1, 2),)))
+
+
+@pytest.mark.parametrize("key", ["eq20", "tk", "ivar"])
+def test_split_model_claims_require_chains(key):
+    with pytest.raises(FormulationError,
+                       match="at least two supply chains required"):
+        CLAIM_CHECKS[key](make_toy3(chains=((0, 1, 2),)))
+
+
+def test_theorem1_prices_each_incumbent_once(monkeypatch):
+    calls = []
+    evaluate = claims.evaluate_design
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["check"])
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(claims, "evaluate_design", counting)
+    report = check_theorem1(make_toy3(scenarios=TWO_SCEN))
+    assert calls == [False] * report.evidence["incumbents_replayed"]
+    assert calls
 
 
 def test_eq20_zero_demand_confirmed():
@@ -258,8 +280,23 @@ def test_sweep_csv_equals_standalone_checks():
             report = CLAIM_CHECKS[key](inst, opts)
             tally[report.verdict] += 1
             cells = [cli._csv_cell(report.evidence.get(c, ""))
-                     for c in cli._CSV_FIELDS[key]]
+                     for c in claims.CSV_FIELDS[key]]
             lines.append(",".join([str(args.seed + t), "3", report.claim_id,
                                    report.verdict] + cells))
     lines += [f"# tally {v}={tally[v]}" for v in sorted(tally)]
     assert body == "\n".join(lines) + "\n"
+
+
+def test_csv_fields_name_evidence_the_checks_write():
+    """On the n=4 instance of the identity corpus, where ``eq20`` reads
+    COUNTEREXAMPLE and ``tk`` compares against a feasible forced model,
+    every evidence key a sweep row prints is one its check wrote."""
+    inst = generate_instance(GeneratorConfig(seed=7, n=4, chain_count=2,
+                                             scenario_count=2))
+    memo = SolveMemo(inst)
+    memo.prepare(sorted(CLAIM_CHECKS))
+    assert sorted(claims.CSV_FIELDS) == sorted(CLAIM_CHECKS)
+    for key, fields in claims.CSV_FIELDS.items():
+        report = CLAIM_CHECKS[key](inst, memo=memo)
+        missing = [c for c in fields if c not in report.evidence]
+        assert not missing, (key, report.verdict, missing)

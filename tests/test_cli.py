@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import hubloc
 from conftest import make_toy3
 from hubloc.cli import run
 from hubloc.instance import save_instance
@@ -200,10 +201,31 @@ def test_missing_file_exits_1(capsys):
     assert run(["solve", "--model", "nc", "/no/such/file.json"]) == 1
 
 
+def _console(*argv):
+    """``python -m hubloc.cli ARGV`` in a child process that imports the
+    same hubloc package as this test."""
+    src = os.path.dirname(os.path.dirname(hubloc.__file__))
+    return subprocess.run([sys.executable, "-m", "hubloc.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hubloc.cli", "gen", "--seed", "1",
-         "--nodes", "3"],
-        capture_output=True, text=True)
+    proc = _console("gen", "--seed", "1", "--nodes", "3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
+
+
+@pytest.mark.parametrize("key", ["chi", "demand"])
+def test_integer_beyond_float_range_is_an_error_line(key, tmp_path):
+    doc = json.loads(save_instance(make_toy3()))
+    if key == "chi":
+        doc["chi"] = 10**400
+    else:
+        doc["demand"][0][2] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = _console("solve", "--model", "nc", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: '{key}' holds an integer too large for a float\n"

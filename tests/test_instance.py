@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubloc.instance import (ConfigError, GeneratorConfig, Instance,
@@ -107,6 +107,10 @@ def test_chain_union_must_cover():
      ValidationError, "effective setup"),
     (lambda d: d.update(chains=[[0], [0]]), ValidationError, "distinct"),
     (lambda d: d.update(chains=[[]]), ValidationError, "non-empty"),
+    (lambda d: d.update(chi=10**400), ParseError,
+     "'chi' holds an integer too large for a float"),
+    (lambda d: d.update(demand=[[10**400]]), ParseError,
+     "'demand' holds an integer too large for a float"),
 ])
 def test_bad_files_rejected(mutate, exc, match):
     """``mutate`` edits the minimal file in place, or returns a new one."""
@@ -114,6 +118,29 @@ def test_bad_files_rejected(mutate, exc, match):
     replaced = mutate(data)
     with pytest.raises(exc, match=match):
         load_instance(json.dumps(data if replaced is None else replaced))
+
+
+# Any JSON value, with integers beyond float range among the leaves.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers() | st.integers(2**1024, 10**400)
+    | st.integers(-10**400, -2**1024),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(json.loads(MINIMAL))), value=_JSON_VALUES)
+@example(key="chi", value=10**400)
+@example(key="capacity", value=[-10**400])
+def test_any_value_of_one_key_loads_or_raises_a_typed_error(key, value):
+    data = json.loads(MINIMAL)
+    data[key] = value
+    try:
+        load_instance(json.dumps(data))
+    except (ParseError, ValidationError):
+        pass
 
 
 def _minimal_fields(**changes):
@@ -232,6 +259,20 @@ def test_generator_capacity_covers_demand():
 def test_origin_supply_zero_matrix():
     inst = load_instance(MINIMAL)
     assert origin_supply(inst, 0) == 0.0
+
+
+def test_origin_supply_index_out_of_range():
+    inst = load_instance(MINIMAL)
+    for i in (-1, inst.n):
+        with pytest.raises(ValueError, match=f"node index {i} out of range"):
+            origin_supply(inst, i)
+
+
+def test_instance_equality_with_another_type():
+    inst = load_instance(MINIMAL)
+    assert inst.__eq__(1) is NotImplemented
+    assert (inst == 1) is False
+    assert inst != "x"
 
 
 def test_origin_supply_toy3():

@@ -89,29 +89,30 @@ def test_disjoint_chains_zero_m_rows_block_cross_flows():
 def test_evaluate_design_recovers_baseline(toy3):
     base = compute_baselines(toy3)
     witness = solve_milp(build_scenario_deterministic(toy3, 0))
-    cost = evaluate_design(toy3, witness.values, 0)
-    assert cost == pytest.approx(base[0], abs=1e-9)
+    costs = evaluate_design(toy3, witness.values)
+    assert costs == [pytest.approx(base[0], abs=1e-9)]
 
 
 def test_evaluate_design_recovers_regrets():
     inst = make_toy3(scenarios=TWO_SCEN)
     sol = solve_ccu(inst)
-    for s in range(2):
-        cost = evaluate_design(inst, sol.values, s)
+    costs = evaluate_design(inst, sol.values)
+    assert len(costs) == 2
+    for s, cost in enumerate(costs):
         assert cost - sol.baselines[s] == pytest.approx(sol.regrets[s], abs=1e-6)
 
 
 def test_evaluate_nc_design_under_supplement():
     inst = make_toy3(scenarios=((0.0, 0.0, 0.0), (0.0, 10.0, 0.0)))
     nc_sol = solve_milp(build_nc(inst))
-    assert evaluate_design(inst, nc_sol.values, 1) == pytest.approx(35.0, abs=1e-9)
+    assert evaluate_design(inst, nc_sol.values)[1] == pytest.approx(35.0, abs=1e-9)
 
 
 def test_evaluate_design_rejects_infeasible(toy3):
     design = {"Z[0,1]": 10.0, "X[0,1,2]": 10.0}  # flows without an open hub
     with pytest.raises(InfeasibleDesignError,
                        match=r"design infeasible: \d+ rows and 0 bounds violated"):
-        evaluate_design(toy3, design, 0)
+        evaluate_design(toy3, design)
 
 
 def test_evaluate_design_rejects_a_bound_violation(toy3):
@@ -120,7 +121,7 @@ def test_evaluate_design_rejects_a_bound_violation(toy3):
     with pytest.raises(InfeasibleDesignError,
                        match=r"0 rows and 1 bounds violated, "
                              r"worst bound\[H\[1\]\] by 1.000e\+00"):
-        evaluate_design(toy3, design, 0)
+        evaluate_design(toy3, design)
 
 
 def test_regret_replay_still_rejects_an_infeasible_design():
@@ -137,12 +138,27 @@ def test_regret_replay_still_rejects_an_infeasible_design():
 def test_regret_replay_mismatch_raises(monkeypatch):
     evaluate = regret.evaluate_design
 
-    def shifted(inst, design, s, *args, **kwargs):
-        return evaluate(inst, design, s, *args, **kwargs) + (1.0 if s == 1 else 0.0)
+    def shifted(*args, **kwargs):
+        costs = evaluate(*args, **kwargs)
+        return [costs[0], costs[1] + 1.0]
 
     monkeypatch.setattr(regret, "evaluate_design", shifted)
     with pytest.raises(RuntimeError, match="regret replay mismatch for scenario 1"):
         solve_ccu(make_toy3(scenarios=TWO_SCEN))
+
+
+@pytest.mark.parametrize("solve", [solve_ccu, solve_ocu], ids=["ccu", "ocu"])
+def test_regret_replay_prices_the_design_once(monkeypatch, solve):
+    calls = []
+    evaluate = regret.evaluate_design
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("check", True))
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(regret, "evaluate_design", counting)
+    sol = solve(make_toy3(scenarios=TWO_SCEN))
+    assert calls == [True]
+    assert len(sol.scenario_costs) == 2
 
 
 def test_baseline_monotone_in_sigma():
