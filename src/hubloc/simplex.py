@@ -21,6 +21,17 @@ back: the columns it skips would only have had a zero subtracted, so they
 keep their values, at most with another zero sign.  No pivot decision and
 no reported value reads the sign of a zero tableau entry.
 
+The tableau is stored column-major, so each of its columns, such as the
+entering column the ratio test reads or one the sparse update gathers,
+is contiguous memory; the updates work on its C-contiguous transpose.
+Above 2**15 cells (``BLOCK_CELLS``) the dense update forms and subtracts
+the outer product in slices of at most that many cells through one
+buffer, instead of one temporary the size of the tableau: an n=6 ``ocu``
+tableau of 420 x 450 holds 1.5 MB, and the temporary doubled the memory
+each update streams through.  The layout and the slices change no
+product, no subtraction and no pivot decision, only where the cells sit
+and in what order they are visited.
+
 Phase 2 has one entry, after phase 1 or not: it prices once on the
 full-width tableau (the standard-form matrix when there is no artificial),
 then drops the nonbasic artificial columns: phase 2 caps the artificials
@@ -61,9 +72,12 @@ ZERO_PIVOT = 1e-10
 BOUND_TOL = 1e-9
 # _iterate's rank-1 update touches only the columns with a nonzero pivot-row
 # entry when N has at least SPARSE_CELLS cells and under SPARSE_ROW of the
-# row is nonzero (_sparse_gate)
+# row is nonzero; otherwise, when N has more than BLOCK_CELLS cells, it
+# forms and subtracts the outer product in slices of at most BLOCK_CELLS
+# cells (_pick_update)
 SPARSE_CELLS = 2 ** 14
 SPARSE_ROW = 0.25
+BLOCK_CELLS = 2 ** 15
 
 NB_LOWER, NB_UPPER, BASIC = 0, 1, 2
 
@@ -224,38 +238,72 @@ def _standardize(model: LinearModel,
                         fixed=fixed, red_lo=lo, red_hi=hi)
 
 
-def _sparse_gate(N, trow) -> bool:
-    """Take :func:`_sparse_update`?  Without the cell gate the n=4 LPs of
-    the oracle workload ran 8% slower, as the extra numpy calls cost more
-    than the cells they skip."""
-    return (N.size >= SPARSE_CELLS
-            and np.count_nonzero(trow) < SPARSE_ROW * len(trow))
+def _pick_update(Nt, trow):
+    """The form of the rank-1 update for this pivot: :func:`_sparse_update`
+    when ``N`` has at least ``SPARSE_CELLS`` cells and under ``SPARSE_ROW``
+    of ``trow`` is nonzero, else :func:`_blocked_update` when ``N`` has
+    more than ``BLOCK_CELLS`` cells, else :func:`_dense_update`.  Without
+    the sparse form's cell gate the n=4 LPs of the oracle workload ran 8%
+    slower, as the extra numpy calls cost more than the cells they skip.
+    The block gate also keeps a tableau without rows from the block
+    arithmetic."""
+    if (Nt.size >= SPARSE_CELLS
+            and np.count_nonzero(trow) < SPARSE_ROW * len(trow)):
+        return _sparse_update
+    return _blocked_update if Nt.size > BLOCK_CELLS else _dense_update
 
 
-# einsum rounds each product once, as np.outer does, at about half the
-# cost, but writes a -0 product as +0.  No pivot decision reads the sign of
-# a zero (tests are tolerances, abs or argmax; divisions are masked or
-# checked against ZERO_PIVOT; argmax and count_nonzero treat -0 as +0), and
-# x comes from _refine_basics on sf.A, not N.
-def _dense_update(N, d, cols, colq, trow, dq):
-    N -= np.einsum("i,j->ij", colq, trow)
+# Each form works on ``Nt``, the C-contiguous transpose of the column-major
+# N, and forms the products as einsum(trow, colq): IEEE multiplication
+# commutes, so each has the bits of colq[i] * trow[j].  einsum rounds each
+# product once, as np.outer does, at about half the cost, but writes a -0
+# product as +0.  No pivot decision reads the sign of a zero (tests are
+# tolerances, abs or argmax; divisions are masked or checked against
+# ZERO_PIVOT; argmax and count_nonzero treat -0 as +0), and x comes from
+# _refine_basics on sf.A, not N.
+def _dense_update(Nt, d, cols, colq, trow, dq):
+    """``N -= colq trow`` in one call, through a temporary the size of N.
+    At 420 x 450 that took 235-240 us in the row-major layout and 231 us
+    in this one (one BLAS thread, 2.1 GHz Xeon, scripts/update_crossover.py).
+    """
+    Nt -= np.einsum("i,j->ij", trow, colq)
     d[cols] -= dq * trow
 
 
-def _sparse_update(N, d, cols, colq, trow, dq):
+def _blocked_update(Nt, d, cols, colq, trow, dq):
+    """:func:`_dense_update` in slices of whole columns of ``N``, at most
+    ``BLOCK_CELLS`` cells each, through one buffer: the same products and
+    subtractions, but the working set stays in cache.  Against one call
+    (as above): 420 x 450 194-209/231 us, where the tableau and its
+    temporary overflow a 2 MB L2 cache, but 150 x 420 65-68/57-63 us,
+    where they fit.  Timing the 76 LPs of 8 ``regret_n6`` items LP by LP,
+    a block and gate of 2**15 cells beat 2**14 and matched 2**16."""
+    rows = max(1, BLOCK_CELLS // Nt.shape[1])
+    buf = np.empty((rows, Nt.shape[1]))
+    for j in range(0, len(Nt), rows):
+        blk = Nt[j:j + rows]
+        prod = buf[:len(blk)]
+        np.einsum("i,j->ij", trow[j:j + rows], colq, out=prod)
+        np.subtract(blk, prod, out=blk)
+    d[cols] -= dq * trow
+
+
+def _sparse_update(Nt, d, cols, colq, trow, dq):
     """:func:`_dense_update` on the columns with a nonzero ``trow`` entry.
     The dense update gives the others N - colq * (+-0), their own value up
     to the sign of a zero (colq is finite), and every other column gets
-    the same rounded products and subtraction.  Dense against this, one
-    update at 5% row density (one BLAS thread, 2.1 GHz Xeon,
-    scripts/update_crossover.py): 66x129 12.0/11.0 us, 104x144 16.9/12.9
-    us, 267x463 119/36 us; at 267x463 and 25% 116/105 us, at 50% 119/223
-    us."""
+    the same rounded products and subtraction.  The columns it gathers and
+    writes back are rows of ``Nt``, so contiguous.  Against the dense form
+    (as above), at 5% row density: 66 x 129 9.7/14.1 us, 150 x 168
+    12.1/27.6 us, 420 x 450 28/209 us (blocked); at 420 x 450 and 25%
+    80/202 us, at 50% 193/194 us.  In the row-major layout, where the
+    gather was strided, 420 x 450 read 58/235 us at 5% and 327/240 us at
+    25%."""
     nz = np.flatnonzero(trow)
     tnz = trow[nz]
-    sub = N.take(nz, axis=1)
-    sub -= np.einsum("i,j->ij", colq, tnz)
-    N[:, nz] = sub
+    sub = Nt.take(nz, axis=0)
+    sub -= np.einsum("i,j->ij", tnz, colq)
+    Nt[nz] = sub
     d[cols[nz]] -= dq * tnz
 
 
@@ -280,6 +328,11 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     their finite mask) are built here, because phase 2 caps the
     artificials, and then change only at a flip or a pivot.
 
+    ``N`` is column-major as :func:`solve_lp` loads it, so a column is
+    contiguous, and the update forms take ``Nt = N.T``, its C-contiguous
+    transpose (:func:`_pick_update`).  Another layout gives the same
+    values, only more slowly.
+
     The ratio test makes the fewest numpy calls that give the same
     values: ``score`` and the clipped ``xB`` go into buffers made once,
     and the upper-bound pass tests ``col < -tol`` for ``-col > tol`` when
@@ -290,6 +343,7 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     ncols = len(d)
     if not ncols:
         return "optimal", start_iter
+    Nt = N.T
     it = start_iter
     stall = 0
     bland = False
@@ -394,8 +448,7 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         trow = N[r] / piv
         colq = col.copy()
         dq = d[q]
-        update = _sparse_update if _sparse_gate(N, trow) else _dense_update
-        update(N, d, cols, colq, trow, dq)
+        _pick_update(Nt, trow)(Nt, d, cols, colq, trow, dq)
         N[r] = trow
         # column p was the unit vector e_r: the full update gives it these
         tp = 1.0 / piv
@@ -461,7 +514,7 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
     cols = np.flatnonzero(status != BASIC)
     slot = np.full(ncols, -1)
     slot[cols] = np.arange(len(cols))
-    N = np.ascontiguousarray(sf.A[:, cols])
+    N = sf.A.T[cols].T   # column-major: one copy, as a gather of rows
     ub = sf.ub.copy()
     maxit = 50 * (m + ncols)
     iters = 0
@@ -490,7 +543,7 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
     # they never enter, and their d entries, left stale, only ever meet that
     # weight
     keep = ~sf.art_mask[cols]
-    N, cols = N.compress(keep, axis=1), cols[keep]   # C-contiguous
+    N, cols = N.T[keep].T, cols[keep]   # column-major
     slot.fill(-1)
     slot[cols] = np.arange(len(cols))
     outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,

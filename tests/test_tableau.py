@@ -9,6 +9,10 @@ every tableau value and may differ only in the sign of a zero entry, for
 two reasons: ``solve_lp``'s ``np.einsum`` update writes a -0 product as
 +0, and on a large tableau with a sparse pivot row it skips the columns
 whose pivot-row entry is zero, so they keep their own zero sign.
+``solve_lp`` also stores its tableau column-major and, on a large
+tableau, subtracts the outer product in slices: that changes where cells
+sit and the order they are visited, but no value, so nothing below
+depends on it.
 Both run on the module's own standard form, basis refinement and value
 recovery, so on every LP they must take the same pivots and report the
 same status, iteration count, basis, statuses and values, exactly.  The
@@ -21,15 +25,16 @@ import numpy as np
 import pytest
 
 from conftest import make_toy3
-from hubloc import milp
+from hubloc import milp, simplex
 from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
 from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.model import LE, LinearModel
 from hubloc.regret import compute_baselines
-from hubloc.simplex import (BASIC, FEAS_TOL, NB_LOWER, NB_UPPER, OPT_TOL,
-                            PIVOT_TOL, SPARSE_CELLS, SPARSE_ROW, ZERO_PIVOT,
-                            SimplexError, _iterate, _refine_basics,
-                            _standardize, _values_from_state, solve_lp)
+from hubloc.simplex import (BASIC, BLOCK_CELLS, FEAS_TOL, NB_LOWER,
+                            NB_UPPER, OPT_TOL, PIVOT_TOL, SPARSE_CELLS,
+                            SPARSE_ROW, ZERO_PIVOT, SimplexError, _iterate,
+                            _refine_basics, _standardize, _values_from_state,
+                            solve_lp)
 
 
 def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
@@ -171,6 +176,19 @@ CORPUS = {"toy3": make_toy3} | {
 BRANCHING = {"n4-seed0", "n4-seed2"}
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls ``_iterate`` makes to the update form ``name``."""
+    calls = []
+    form = getattr(simplex, name)
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return form(*args)
+
+    monkeypatch.setattr(simplex, name, spy)
+    return calls
+
+
 def _capture_lps(monkeypatch):
     """Record the (model, extra_bounds) of every LP that ``milp`` solves."""
     seen = []
@@ -197,14 +215,18 @@ def test_root_and_node_lps_match_full_tableau(name, monkeypatch):
 def test_ocu_root_lp_at_n6_matches_full_tableau(monkeypatch):
     """The root and node LPs of one n=6 model: tableaux this large are
     where the update's +0 and the reference's -0 entries differ most, and
-    above the SPARSE_CELLS gate, so they also cover the update that skips
-    the zero columns of a sparse pivot row."""
+    above the SPARSE_CELLS and BLOCK_CELLS gates, so they also cover the
+    update that skips the zero columns of a sparse pivot row and the one
+    that subtracts the outer product in slices."""
     inst = generate_instance(GeneratorConfig(seed=0, n=6, chain_count=2,
                                              scenario_count=2))
     model = build_ocu(inst, compute_baselines(inst))
     seen = _capture_lps(monkeypatch)
+    blocked = _count_calls(monkeypatch, "_blocked_update")
+    sparse = _count_calls(monkeypatch, "_sparse_update")
     assert milp.solve_milp(model).status == "optimal"
     assert seen[0][1] is None and any(eb for _, eb in seen)
+    assert blocked and sparse
     for node, extra_bounds in seen:
         _assert_same_pivots(node, extra_bounds)
 
@@ -274,6 +296,46 @@ def test_sparse_pivot_rows_of_a_large_tableau_pivot_like_the_full_tableau():
     assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
                     got["ub"], got["d"], 10_000, 0, True) == outcome
     assert outcome[0] == "optimal" and "flip" in events
+    assert np.array_equal(got["basis"], want["basis"])
+    assert np.array_equal(got["status"], want["status"])
+    assert np.array_equal(got["xB"], want["xB"])
+    assert np.array_equal(got["d"], want["d"])
+    assert (N == T[:, cols]).all()
+
+
+def test_dense_pivot_rows_of_a_blocked_tableau_pivot_like_the_full_tableau(
+        monkeypatch):
+    """A 100 x 400 column-major N, above the BLOCK_CELLS gate, so the
+    update runs in slices of whole columns; 400 is not a multiple of the
+    slice width, so the last slice is partial.  Its pivot rows are dense,
+    so the sparse form never runs, and a sixth of its entries are +0.0 or
+    -0.0.  Every value and every pivot is the full tableau's."""
+    rng = np.random.default_rng(34)
+    m, n = 100, 400
+    A = np.where(rng.random((m, n)) < 0.5, -0.0, 0.0)
+    live = rng.random((m, n)) >= 1 / 6
+    A[live] = rng.uniform(0.5, 2.0, size=live.sum())
+    assert A.size > BLOCK_CELLS and n % (BLOCK_CELLS // m)
+    assert np.signbit(A[A == 0.0]).any() and not np.signbit(A[A == 0.0]).all()
+    ub = np.where(rng.random(n) < 0.3, rng.uniform(0.5, 3.0, n), math.inf)
+    T = np.hstack([A, np.eye(m)])
+    start = dict(xB=rng.uniform(1.0, 10.0, m), basis=np.arange(n, n + m),
+                 status=np.array([NB_LOWER] * n + [BASIC] * m),
+                 ub=np.concatenate([ub, np.full(m, math.inf)]),
+                 d=np.concatenate([-rng.uniform(0.1, 1.0, n), np.zeros(m)]))
+    want = {k: v.copy() for k, v in start.items()}
+    outcome = _reference_iterate(T, want["xB"], want["basis"], want["status"],
+                                 want["ub"], want["d"], 10_000, 0, True, [])
+    got = {k: v.copy() for k, v in start.items()}
+    cols = np.arange(n)
+    slot = np.array(list(range(n)) + [-1] * m)
+    N = np.asfortranarray(A)
+    blocked = _count_calls(monkeypatch, "_blocked_update")
+    sparse = _count_calls(monkeypatch, "_sparse_update")
+    assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
+                    got["ub"], got["d"], 10_000, 0, True) == outcome
+    assert outcome == ("optimal", 24)
+    assert len(blocked) == 24 and not sparse   # every pivot, in slices
     assert np.array_equal(got["basis"], want["basis"])
     assert np.array_equal(got["status"], want["status"])
     assert np.array_equal(got["xB"], want["xB"])
