@@ -12,13 +12,13 @@ from .instance import (ConfigError, GeneratorConfig, Instance, ParseError,
                        ValidationError, generate_instance,
                        instance_fingerprint, load_instance, origin_supply,
                        save_instance)
-from .milp import (EnumerationCapError, Solution, solution_to_json,
-                   solve_by_enumeration, solve_milp)
+from .milp import (EnumerationCapError, Solution, solve_by_enumeration,
+                   solve_milp)
 from .model import (Constraint, LinearModel, Variable, check_feasibility,
                     dump_model)
 from .regret import (InfeasibleDesignError, InfeasibleScenarioError,
                      compute_baselines, evaluate_design, regret_report,
-                     solve_ccu, solve_ocu)
+                     solution_to_json, solve_ccu, solve_ocu)
 from .simplex import (LPResult, SimplexError, solve_lp, verify_certificate)
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 
 Each check solves real models and reports CONFIRMED, COUNTEREXAMPLE or
 INCONCLUSIVE for one instance, never a universal verdict: CONFIRMED means
-no counterexample was found under the stated procedure.  Counterexample
-witnesses are always re-validated through code paths independent of the
-solver that produced them (feasibility replay plus objective recompute).
+no counterexample was found under the stated procedure.  Replays read the
+model's rows, not the solver (:func:`check_feasibility`): ``thm1`` replays
+every split-model incumbent, its regrets recomputed, into the plain model,
+and ``eq20`` and ``tk`` replay their witness into the model it came from
+(``replay_residual``).  ``ivar`` re-solves each optimal H/T pattern in the
+other model but does not replay its witness; ``ccnc`` has no witness.
 
 The checks of one instance can share a :class:`SolveMemo`, which builds
 each model they need once and solves them all together
@@ -319,7 +322,7 @@ def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     """
     memo = _memo(inst, opts, memo, "tk")
     sol = memo.solved("ocu")[1]
-    sol_forced = memo.solved("tk-forced")[1]
+    forced, sol_forced = memo.solved("tk-forced")
     evidence = {
         "obj_ocu": sol.objective,
         "zero_objective": bool(abs(sol.objective) <= 1e-9),
@@ -335,6 +338,8 @@ def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
                            f"by {-gap:.3e}; solver inconsistency")
     if gap > _tol(sol.objective):
         return _report("tk_never_one", CONFIRMED, inst, opts, evidence)
+    replay = check_feasibility(forced, sol_forced.values)
+    evidence["replay_residual"] = max((v.amount for v in replay), default=0.0)
     return _report("tk_never_one", COUNTEREXAMPLE, inst, opts, evidence,
                    dict(sol_forced.values))
 

@@ -24,8 +24,9 @@ from .claims import CLAIM_CHECKS, CONFIRMED, CSV_FIELDS, SolveMemo
 from .formulations import ModelOptions, build_cc, build_nc
 from .instance import (GeneratorConfig, Instance, generate_instance,
                        instance_fingerprint, load_instance, save_instance)
-from .milp import solution_to_json, solve_milp
-from .regret import InfeasibleScenarioError, regret_report, solve_ccu, solve_ocu
+from .milp import solve_milp
+from .regret import (InfeasibleScenarioError, regret_report, solution_to_json,
+                     solve_ccu, solve_ocu)
 
 _USER_ERRORS = (ValueError, OSError)   # each input error class is a ValueError
 

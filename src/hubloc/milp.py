@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import BINARY, EQ, LE, LinearModel
+from .model import EQ, LE, LinearModel
 from .simplex import LPResult, SimplexError, solve_lp, verify_certificate
 
 INT_TOL = 1e-6
@@ -73,17 +73,14 @@ class EnumerationCapError(ValueError):
 class Solution:
     """Optimal (or infeasible) outcome of an exact solve.
 
-    ``values`` keeps the raw pre-rounding variable values; the hub sets
-    are derived by rounding H/I/T at 0.5.  ``incumbents`` records every
-    accepted incumbent as (objective, values) pairs, in discovery order.
+    ``values`` keeps the raw pre-rounding variable values, by name.
+    ``incumbents`` records every accepted incumbent as (objective, values)
+    pairs, in discovery order.
     """
 
     status: str
     values: dict[str, float]
     objective: float | None
-    open_hubs: tuple[int, ...]
-    collaborative_hubs: tuple[int, ...]
-    noncollaborative_hubs: tuple[int, ...]
     nodes_explored: int
     incumbents: list[tuple[float, dict[str, float]]] = field(default_factory=list)
     scenario_costs: list[float] | None = None
@@ -91,27 +88,12 @@ class Solution:
     baselines: list[float] | None = None
 
 
-def hub_lists(sol: Solution) -> dict[str, list[int]]:
-    """The three hub sets of ``sol`` as report lists, keyed by field name."""
-    return {key: list(getattr(sol, key)) for key in
-            ("open_hubs", "collaborative_hubs", "noncollaborative_hubs")}
-
-
-def _solution_from_values(model: LinearModel, x: np.ndarray, objective: float,
-                          nodes: int, incumbents) -> Solution:
-    values = {var.name: float(x[j]) for j, var in enumerate(model.variables)}
-    sets = {"H": [], "I": [], "T": []}
-    for j, var in enumerate(model.variables):
-        hub = var.kind == BINARY and var.name[:2] in ("H[", "I[", "T[")
-        if hub and x[j] >= 0.5:
-            sets[var.name[0]].append(int(var.name[2:-1]))
-    hubs, collab, noncollab = (tuple(sorted(sets[h])) for h in "HIT")
-    return Solution("optimal", values, float(objective), hubs, collab,
-                    noncollab, nodes, incumbents)
+def _values(model: LinearModel, x: np.ndarray) -> dict[str, float]:
+    return {var.name: float(x[j]) for j, var in enumerate(model.variables)}
 
 
 def _infeasible(nodes: int) -> Solution:
-    return Solution("infeasible", {}, None, (), (), (), nodes, [])
+    return Solution("infeasible", {}, None, nodes, [])
 
 
 def _gap(objective: float) -> float:
@@ -475,9 +457,7 @@ def _search(model: LinearModel):
         _certify(model, res, "incumbent failed certificate replay")
         if incumbent is None or res.objective < incumbent.objective:
             incumbent = res
-            values = {var.name: float(res.x[j])
-                      for j, var in enumerate(model.variables)}
-            incumbents.append((float(res.objective), values))
+            incumbents.append((float(res.objective), _values(model, res.x)))
 
     def process(share, job, depth: int):
         nonlocal seq
@@ -520,8 +500,8 @@ def _search(model: LinearModel):
 
     if incumbent is None:
         return _infeasible(nodes)
-    return _solution_from_values(model, incumbent.x, incumbent.objective,
-                                 nodes, incumbents)
+    return Solution("optimal", _values(model, incumbent.x),
+                    float(incumbent.objective), nodes, incumbents)
 
 
 class _Run:
@@ -714,7 +694,8 @@ def _enumerate(model: LinearModel, bins):
 
     if best is None:
         return _infeasible(lps)
-    return _solution_from_values(model, best.x, best.objective, lps, [])
+    return Solution("optimal", _values(model, best.x), float(best.objective),
+                    lps, [])
 
 
 def solve_by_enumeration(model: LinearModel) -> Solution:
@@ -744,18 +725,3 @@ def solve_by_enumeration(model: LinearModel) -> Solution:
                                _current_helper())
     return unwrap(outcome)
 
-
-def solution_to_json(sol: Solution) -> dict:
-    """Deterministic report body: no field depends on timing."""
-    out = {
-        "status": sol.status,
-        "objective": sol.objective,
-        **hub_lists(sol),
-        "flows": {name: v for name, v in sorted(sol.values.items())
-                  if name[0] in "ZYX" and v > 1e-9},
-        "nodes_explored": sol.nodes_explored,
-    }
-    for key in ("scenario_costs", "regrets", "baselines"):
-        if getattr(sol, key) is not None:
-            out[key] = getattr(sol, key)
-    return out

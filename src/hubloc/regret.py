@@ -6,6 +6,9 @@ that scenario (the baseline).  Baselines are solved exactly before the
 regret models are assembled; an approximate baseline would silently skew
 every regret value built on top of it.  A solve's regrets are replayed by
 pricing its design under all scenarios at once (:func:`evaluate_design`).
+The report bodies of ``hubloc solve`` and ``hubloc regret`` are built here
+too, since reading hubs and flows out of a solve's values takes the
+models' variable names (:func:`hub_sets`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .formulations import (ModelOptions, build_ccu, build_coupling_polytope,
                            build_nc, build_ocu, build_scenario_deterministic,
                            flow_cost_pairs)
 from .instance import Instance
-from .milp import Solution, hub_lists, solve_milp, solve_milps, unwrap
+from .milp import Solution, solve_milp, solve_milps, unwrap
 from .model import check_feasibility
 
 
@@ -131,12 +134,40 @@ def solve_ocu(inst: Instance, opts: ModelOptions = ModelOptions()) -> Solution:
     return _solve_regret(inst, opts, build_ocu)
 
 
+def hub_sets(values: dict[str, float]) -> dict[str, list[int]]:
+    """The sorted ``k`` of each ``H[k]``, ``I[k]`` and ``T[k]`` of
+    ``values`` at 0.5 or more, as the report lists of open, collaborative
+    and non-collaborative hubs."""
+    sets = {"H": [], "I": [], "T": []}
+    for name, v in values.items():
+        if name[:2] in ("H[", "I[", "T[") and v >= 0.5:
+            sets[name[0]].append(int(name[2:-1]))
+    keys = ("open_hubs", "collaborative_hubs", "noncollaborative_hubs")
+    return {key: sorted(sets[h]) for key, h in zip(keys, "HIT")}
+
+
+def solution_to_json(sol: Solution) -> dict:
+    """Deterministic report body: no field depends on timing."""
+    out = {
+        "status": sol.status,
+        "objective": sol.objective,
+        **hub_sets(sol.values),
+        "flows": {name: v for name, v in sorted(sol.values.items())
+                  if name[0] in "ZYX" and v > 1e-9},
+        "nodes_explored": sol.nodes_explored,
+    }
+    for key in ("scenario_costs", "regrets", "baselines"):
+        if getattr(sol, key) is not None:
+            out[key] = getattr(sol, key)
+    return out
+
+
 def regret_report(sol: Solution) -> dict:
     """Machine-readable report for a solved regret pipeline."""
     return {
         "status": sol.status,
         "baselines": sol.baselines,
-        "design": hub_lists(sol),
+        "design": hub_sets(sol.values),
         "scenario_costs": sol.scenario_costs,
         "regrets": sol.regrets,
         "max_regret": sol.objective,

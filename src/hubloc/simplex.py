@@ -263,9 +263,8 @@ def _pick_update(Nt, trow):
 # _refine_basics on sf.A, not N.
 def _dense_update(Nt, d, cols, colq, trow, dq):
     """``N -= colq trow`` in one call, through a temporary the size of N.
-    At 420 x 450 that took 235-240 us in the row-major layout and 231 us
-    in this one (one BLAS thread, 2.1 GHz Xeon, scripts/update_crossover.py).
-    """
+    At 420 x 450 that took 231 us (one BLAS thread, 2.1 GHz Xeon,
+    scripts/update_crossover.py)."""
     Nt -= np.einsum("i,j->ij", trow, colq)
     d[cols] -= dq * trow
 
@@ -296,9 +295,7 @@ def _sparse_update(Nt, d, cols, colq, trow, dq):
     writes back are rows of ``Nt``, so contiguous.  Against the dense form
     (as above), at 5% row density: 66 x 129 9.7/14.1 us, 150 x 168
     12.1/27.6 us, 420 x 450 28/209 us (blocked); at 420 x 450 and 25%
-    80/202 us, at 50% 193/194 us.  In the row-major layout, where the
-    gather was strided, 420 x 450 read 58/235 us at 5% and 327/240 us at
-    25%."""
+    80/202 us, at 50% 193/194 us."""
     nz = np.flatnonzero(trow)
     tnz = trow[nz]
     sub = Nt.take(nz, axis=0)
@@ -602,7 +599,7 @@ def verify_certificate(model: LinearModel, result: LPResult) -> CertificateRepor
 
     sf = _standardize(model, result.extra_bounds)
     basis = result.basis
-    if not isinstance(sf, str) and basis.size:
+    if not isinstance(sf, str):
         B = sf.A[:, basis]
         try:
             y = np.linalg.solve(B.T, sf.c[basis])

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,14 +151,35 @@ def test_tk_confirmed_on_toy3():
     assert report.verdict == CONFIRMED
     assert report.evidence["gap"] > 1e-6
     assert report.evidence["zero_objective"] is False
+    assert "replay_residual" not in report.evidence
 
 
 def test_tk_degenerate_tie_is_counterexample():
     report = check_tk_never_one(zero_demand_instance(setup=(0.0, 0.0, 0.0)))
     assert report.verdict == COUNTEREXAMPLE
     assert report.evidence["zero_objective"] is True
+    assert report.evidence["replay_residual"] <= 1e-7
     assert sum(v for n, v in report.witness.items()
                if n.startswith("T[")) >= 0.5
+
+
+def test_tk_counterexample_replays_its_witness_in_the_forced_model():
+    inst = make_toy3(setup=(0.0, 5.0, 100.0))
+    report = check_tk_never_one(inst)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence["replay_residual"] <= 1e-7
+    # the residual is read off the witness, not the solver: a witness
+    # with one flow moved by 1 replays at a residual of 1 or more
+    memo = SolveMemo(inst)
+    memo.prepare(["tk"])
+    forced = memo._outcomes["tk-forced"]
+    flow = next(name for name, v in forced.values.items()
+                if name.startswith("Z[") and v > 1.0)
+    memo._outcomes["tk-forced"] = replace(
+        forced, values={**forced.values, flow: forced.values[flow] - 1.0})
+    moved = check_tk_never_one(inst, memo=memo)
+    assert moved.verdict == COUNTEREXAMPLE
+    assert moved.evidence["replay_residual"] >= 1.0 - 1e-9
 
 
 def test_i_elimination_on_toy3():

@@ -9,7 +9,8 @@ import pytest
 import hubloc
 from conftest import make_toy3
 from hubloc.cli import run
-from hubloc.instance import save_instance
+from hubloc.formulations import ModelOptions
+from hubloc.instance import instance_fingerprint, save_instance
 
 
 @pytest.fixture
@@ -62,10 +63,16 @@ def test_solve_ocu_single_chain_is_usage_level_error(tmp_path, capsys):
 
 
 def test_solve_infeasible_exits_2(tmp_path, capsys):
+    inst = make_toy3(capacity=(3.0, 3.0, 3.0))
     path = tmp_path / "tight.json"
-    path.write_text(save_instance(make_toy3(capacity=(3.0, 3.0, 3.0))))
+    path.write_text(save_instance(inst))
     assert run(["solve", "--model", "nc", str(path)]) == 2
-    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+    body = {"status": "infeasible", "objective": None, "open_hubs": [],
+            "collaborative_hubs": [], "noncollaborative_hubs": [],
+            "flows": {}, "nodes_explored": 1, "model": "nc",
+            "options": ModelOptions().to_dict(),
+            "instance": instance_fingerprint(inst)}
+    assert capsys.readouterr().out == json.dumps(body, indent=2) + "\n"
 
 
 def test_verify_ccnc_infeasible_base_exits_2(tmp_path, capsys):

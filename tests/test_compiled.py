@@ -13,6 +13,7 @@ from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
 from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel, with_extra_constraint
+from hubloc.regret import hub_sets
 from hubloc.simplex import (FEAS_TOL, _standardize, solve_lp,
                             verify_certificate)
 
@@ -75,11 +76,11 @@ def test_compiled_form_is_cached_until_a_change(toy3):
 
 def test_add_constraint_after_solve_changes_next_solve(toy3):
     model = build_nc(toy3)
-    assert solve_milp(model).open_hubs == (1,)
+    assert hub_sets(solve_milp(model).values)["open_hubs"] == [1]
     model.add_constraint("extra[h]", [(model.name_index["H[1]"], 1.0)], EQ, 0.0)
     sol = solve_milp(model)
     assert sol.status == "optimal"
-    assert 1 not in sol.open_hubs
+    assert 1 not in hub_sets(sol.values)["open_hubs"]
     assert sol.objective > 25.0 + 1e-6
 
 

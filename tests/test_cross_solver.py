@@ -3,18 +3,23 @@
 These fuzz the LP and MILP engines against HiGHS via scipy on small random
 problems with mixed bounds, free variables, and all three row relations.
 They are an extra safety net on top of the enumeration oracle and skip
-cleanly when scipy is not installed.
+cleanly when scipy is not installed.  The last tier solves the four hub
+models themselves, at sizes beyond the enumeration cap, with both solvers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
+from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
+from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_by_enumeration, solve_milp
 from hubloc.model import BINARY, EQ, GE, LE, LinearModel
+from hubloc.regret import compute_baselines
 from hubloc.simplex import solve_lp
 
 
@@ -124,3 +129,53 @@ def test_milp_agrees_with_reference_solver():
             assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
         elif ref.status == 2:
             assert mine.status == "infeasible"
+
+
+def highs_optimum(model):
+    """Optimum of ``model`` from HiGHS, or None if it is infeasible.  The
+    rows are handed over one by one, so HiGHS reads the same formulation
+    but none of hubloc's LP or branch-and-bound code."""
+    A = np.zeros((len(model.constraints), model.num_variables))
+    lo = np.full(len(model.constraints), -math.inf)
+    hi = np.full(len(model.constraints), math.inf)
+    for r, con in enumerate(model.constraints):
+        for j, a in con.terms:
+            A[r, j] += a
+        if con.relation in (EQ, GE):
+            lo[r] = con.rhs
+        if con.relation in (EQ, LE):
+            hi[r] = con.rhs
+    # HiGHS stops at a 1e-4 relative (1e-6 absolute) gap by default; the
+    # comparison is at 1e-6, so the reference is solved to a much tighter
+    # gap.  scipy forwards mip_abs_gap to HiGHS verbatim, with a warning.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options",
+                                RuntimeWarning)
+        ref = scipy_opt.milp(
+            model.objective_vector(),
+            constraints=scipy_opt.LinearConstraint(A, lo, hi),
+            integrality=[v.kind == BINARY for v in model.variables],
+            bounds=scipy_opt.Bounds([v.lb for v in model.variables],
+                                    [v.ub for v in model.variables]),
+            options={"mip_rel_gap": 1e-10, "mip_abs_gap": 1e-10})
+    if ref.status == 2:
+        return None
+    assert ref.status == 0, ref.message
+    return float(ref.fun)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hub_models_agree_with_reference_solver(n, seed):
+    inst = generate_instance(GeneratorConfig(seed=seed, n=n,
+                                             scenario_count=2))
+    baselines = compute_baselines(inst)
+    models = {"nc": build_nc(inst), "cc": build_cc(inst),
+              "ccu": build_ccu(inst, baselines),
+              "ocu": build_ocu(inst, baselines)}
+    for name, model in models.items():
+        mine = solve_milp(model)
+        ref = highs_optimum(model)
+        assert mine.status == "optimal" and ref is not None, name
+        tol = 1e-6 * max(1.0, abs(mine.objective), abs(ref))
+        assert abs(mine.objective - ref) <= tol, (name, mine.objective, ref)

@@ -8,7 +8,7 @@ from hubloc.formulations import (ModelOptions, build_cc, build_nc,
                                  build_ocu, build_scenario_deterministic)
 from hubloc.instance import Instance, load_instance, save_instance
 from hubloc.milp import solve_by_enumeration, solve_milp
-from hubloc.regret import compute_baselines, solve_ccu, solve_ocu
+from hubloc.regret import compute_baselines, hub_sets, solve_ccu, solve_ocu
 
 
 def test_self_flow_routes_through_a_hub():
@@ -24,7 +24,7 @@ def test_self_flow_routes_through_a_hub():
     sol = solve_milp(build_nc(inst))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
-    assert sol.open_hubs == (0,)
+    assert hub_sets(sol.values)["open_hubs"] == [0]
     assert sol.values["Z[0,0]"] == pytest.approx(5.0, abs=1e-9)
     assert sol.values["X[0,0,0]"] == pytest.approx(5.0, abs=1e-9)
 
@@ -117,7 +117,7 @@ def test_product_rows_change_split_optimum():
     lin = solve_milp(build_ocu(inst, base, ModelOptions(
         ocu_objective="collaborative-split", eq20_mode="linearized")))
     assert omit.objective == pytest.approx(-10.0, abs=1e-6)
-    assert omit.noncollaborative_hubs == (3,)
+    assert hub_sets(omit.values)["noncollaborative_hubs"] == [3]
     assert lin.objective == pytest.approx(0.0, abs=1e-6)
     for model, sol in [(build_ocu(inst, base, ModelOptions(
             ocu_objective="collaborative-split", eq20_mode="omit")), omit)]:
@@ -133,3 +133,4 @@ def test_product_rows_change_split_optimum():
         ocu_objective="collaborative-split", eq20_mode="omit"))
     assert tk.verdict == COUNTEREXAMPLE
     assert tk.evidence["zero_objective"] is False
+    assert tk.evidence["replay_residual"] <= 1e-7

@@ -201,6 +201,22 @@ def test_certificate_failure_messages_in_order():
     assert rep.failures == expected
 
 
+def test_certificate_checks_reduced_costs_when_every_row_presolves_away():
+    # one singleton row, so it becomes a bound and the basis is empty
+    m = lp([("x", -1.0), ("y", -1.0)], [("cap[x]", [("x", 1.0)], LE, 10.0)],
+           [("x", 0.0, 10.0), ("y", 0.0, 5.0)])
+    r = solve_lp(m)
+    assert r.status == "optimal" and r.basis.size == 0
+    assert r.objective == pytest.approx(-15.0)
+    assert verify_certificate(m, r).passed
+    forged = replace(r, x=np.zeros(2), objective=0.0,
+                     vstatus=np.full_like(r.vstatus, NB_LOWER))
+    rep = verify_certificate(m, forged)
+    assert not rep.passed
+    assert rep.failures == [f"reduced cost -1.000e+00 at lower bound (column {k})"
+                            for k in (0, 1)]
+
+
 def test_subtract_in_order_matches_a_scalar_loop():
     rng = np.random.default_rng(0)
     for _ in range(3000):

@@ -7,9 +7,9 @@ from hubloc.formulations import (COUPLING_FAMILIES, ModelOptions, build_cc,
                                  build_scenario_deterministic)
 from hubloc.instance import GeneratorConfig, Instance, generate_instance
 from hubloc.milp import (ENUMERATION_CAP, EnumerationCapError,
-                         solution_to_json, solve_by_enumeration, solve_milp)
+                         solve_by_enumeration, solve_milp)
 from hubloc.model import GE, LinearModel, check_feasibility, with_extra_constraint
-from hubloc.regret import compute_baselines
+from hubloc.regret import compute_baselines, hub_sets, solution_to_json
 
 
 def agree(a, b):
@@ -24,7 +24,7 @@ def test_toy3_pin(toy3):
     sol = solve_milp(build_nc(toy3))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(25.0, abs=1e-9)
-    assert sol.open_hubs == (1,)
+    assert hub_sets(sol.values)["open_hubs"] == [1]
     assert check_feasibility(build_nc(toy3), sol.values) == []
 
 
@@ -35,7 +35,7 @@ def test_zero_demand_opens_nothing():
                     scenarios=np.zeros((1, 3)), chains=((0, 1), (1, 2)))
     sol = solve_milp(build_nc(inst))
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
-    assert sol.open_hubs == ()
+    assert hub_sets(sol.values)["open_hubs"] == []
 
 
 def test_capacity_shortfall_infeasible():
@@ -137,8 +137,10 @@ def test_hub_sets_follow_the_binary_hub_variables():
     model = build_ocu(inst, compute_baselines(inst))
     t_terms = [(model.name_index[f"T[{k}]"], 1.0) for k in range(inst.n)]
     sol = solve_milp(with_extra_constraint(model, "t", t_terms, GE, 1.0))
-    sets = (sol.open_hubs, sol.collaborative_hubs, sol.noncollaborative_hubs)
-    for prefix, hubs in zip("HIT", sets):
-        assert hubs == tuple(k for k in range(inst.n)
-                             if sol.values[f"{prefix}[{k}]"] >= 0.5)
-    assert sol.noncollaborative_hubs
+    sets = hub_sets(sol.values)
+    assert list(sets) == ["open_hubs", "collaborative_hubs",
+                          "noncollaborative_hubs"]
+    for prefix, hubs in zip("HIT", sets.values()):
+        assert hubs == [k for k in range(inst.n)
+                        if sol.values[f"{prefix}[{k}]"] >= 0.5]
+    assert sets["noncollaborative_hubs"]

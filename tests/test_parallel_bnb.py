@@ -100,8 +100,7 @@ def assert_same(a, b):
     assert a.objective == b.objective
     assert a.nodes_explored == b.nodes_explored
     assert a.incumbents == b.incumbents
-    assert ((a.open_hubs, a.collaborative_hubs, a.noncollaborative_hubs)
-            == (b.open_hubs, b.collaborative_hubs, b.noncollaborative_hubs))
+    assert regret.hub_sets(a.values) == regret.hub_sets(b.values)
 
 
 def solve_both_ways(model):

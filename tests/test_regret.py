@@ -22,7 +22,8 @@ def test_baselines_pinned():
     assert len(base) == 2
     assert base[0] == pytest.approx(25.0, abs=1e-9)
     assert base[1] == pytest.approx(35.0, abs=1e-9)
-    assert solve_milp(build_scenario_deterministic(inst, 0)).open_hubs == (1,)
+    sol = solve_milp(build_scenario_deterministic(inst, 0))
+    assert regret.hub_sets(sol.values)["open_hubs"] == [1]
 
 
 def test_infeasible_scenario_raises():
@@ -34,7 +35,7 @@ def test_infeasible_scenario_raises():
 def test_single_scenario_zero_regret(toy3):
     sol = solve_ccu(toy3)
     assert sol.objective <= 1e-9
-    assert sol.open_hubs == (1,)
+    assert regret.hub_sets(sol.values)["open_hubs"] == [1]
 
 
 def test_ccu_matches_subset_oracle():
@@ -128,7 +129,7 @@ def test_regret_replay_still_rejects_an_infeasible_design():
     inst = make_toy3(scenarios=TWO_SCEN)
     sol = solve_ocu(inst)
     closed = dict(sol.values)
-    for k in sol.open_hubs:
+    for k in regret.hub_sets(sol.values)["open_hubs"]:
         closed[f"H[{k}]"] = closed[f"I[{k}]"] = closed[f"T[{k}]"] = 0.0
     with pytest.raises(InfeasibleDesignError, match="design infeasible"):
         _attach_regrets(inst, replace(sol, values=closed),
