@@ -22,7 +22,10 @@ passes when
 
 prints nothing.  The script imports ``hubloc`` from the ``src`` directory
 next to it, so each checkout is measured on its own code.  Outputs name
-no path, so two checkouts in different directories can be compared.
+no path, so two checkouts in different directories can be compared.  The
+script sets no BLAS environment variable: each solve runs with numpy's
+OpenBLAS at one thread (``simplex.one_blas_thread``), so the corpus reads
+the same whatever thread count the caller's environment gives it.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-# one BLAS thread, as in perfbench: a threaded gemv may sum in another order
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 

@@ -22,25 +22,22 @@ tableaux of the sizes the benchmark workloads meet: 66 x 129 and 104 x 144
 at n=4; 120 x 140, 132 x 150 and 150 x 168, which straddle the sparse gate
 as the larger n=4 tableaux do (16,428 to 25,277 cells); and at n=6 the
 150 x 420 of the scenario baselines and the 420 x 450 of ``ocu``, above
-the block gate.  It uses 5%, 25% and 50% pivot-row density and one BLAS
-thread.  It prints one line per case: the best time per update of each
-form over R alternating repeats of K updates, and the form the kernel
-picks.  Where the picked form is not the fastest by a wide margin, the
-constants do not fit that machine.
+the block gate.  It uses 5%, 25% and 50% pivot-row density.  None of
+the three forms calls BLAS, so the script sets no thread count.  It
+prints one line per case: the best time per update of each form over R
+alternating repeats of K updates, and the form the kernel picks.  Where
+the picked form is not the fastest by a wide margin, the constants do
+not fit that machine.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hubloc.simplex import (BLOCK_CELLS, SPARSE_CELLS,  # noqa: E402

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import simplex
 from .model import EQ, LE, LinearModel
 from .simplex import LPResult, SimplexError, solve_lp, verify_certificate
 
@@ -143,7 +144,7 @@ def attempt(fn, *args):
 # A rebound ``solve_lp`` wants to see every LP, so the helper stays off.
 _ORIGINAL_SOLVE_LP = (solve_lp,)
 
-# Test seam: None decides from CPUs and BLAS threads; True or False
+# Test seam: None decides from CPUs and the BLAS pin; True or False
 # overrides those two conditions (the others always hold).
 _FORCE_HELPER: bool | None = None
 
@@ -164,18 +165,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_single_threaded(environ) -> bool:
-    threads = environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS"))
-    return threads == "1"
-
-
-# BLAS reads its thread count once, when numpy loads, so a later change to
-# the environment does not count: read it when this module is imported.
-# A value set after numpy loaded is trusted wrongly, so the README says
-# to set the variable before numpy is first imported.
-_BLAS_ONE_THREAD = _blas_single_threaded(os.environ)
-
-
 def _in_worker_process() -> bool:
     """Is this a multiprocessing child (a pool worker, say)?  Its siblings
     already keep the other CPUs busy."""
@@ -193,7 +182,7 @@ def _helper_wanted() -> bool:
         return False
     if _FORCE_HELPER is not None:
         return _FORCE_HELPER
-    return _usable_cpus() > 1 and _BLAS_ONE_THREAD
+    return _usable_cpus() > 1 and simplex.OPENBLAS is not None
 
 
 def _current_helper():
@@ -516,6 +505,7 @@ class _Run:
         self.search = search
 
 
+@simplex.one_blas_thread()
 def _run_searches(runs, helper) -> list:
     """Run each search of ``runs`` (:class:`_Run`) to its end and return
     each one's result, or the exception it raised.
@@ -587,15 +577,14 @@ def solve_milp(model: LinearModel) -> Solution:
     Both children of a branching are solved before either is processed.
     The root LP runs here; the second child's LP of each branching runs
     in a forked helper process when all of these hold: ``os.fork`` exists
-    and more than one CPU is usable; ``OPENBLAS_NUM_THREADS`` (or, if
-    unset, ``OMP_NUM_THREADS``) was ``"1"`` when this module was
-    imported; ``solve_lp`` of this module is not rebound by a wrapper;
-    this process is not a ``multiprocessing`` child, such as a pool
-    worker; and the caller is the main thread of a process that had no
-    other thread when the helper was forked.  Otherwise both run here,
-    one after the other.  Either way the same LPs are solved by the same
-    code, so the result is the same bit for bit.  A helper that dies
-    raises :class:`HelperError`; the next solve forks a fresh one.
+    and more than one CPU is usable; ``simplex`` found the OpenBLAS it
+    pins to one thread in each search; ``solve_lp`` of this module is not
+    rebound by a wrapper; this process is not a ``multiprocessing`` child,
+    such as a pool worker; and the caller is the main thread of a process
+    that had no other thread when the helper was forked.  Otherwise both
+    run here, one after the other.  Either way the same LPs are solved by
+    the same code, so the result is the same bit for bit.  A helper that
+    dies raises :class:`HelperError`; the next solve forks a fresh one.
     """
     # Forked before the root LP: a fork at the first branching raised the
     # parent's peak RSS on n=6 regret solves by up to 1.4 MB, this one by

@@ -57,7 +57,10 @@ an entry below 1e-6 and below 1e-9 times the entering column's largest
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +85,48 @@ BLOCK_CELLS = 2 ** 15
 NB_LOWER, NB_UPPER, BASIC = 0, 1, 2
 
 COL_SHIFT, COL_SPLIT_POS, COL_SPLIT_NEG, COL_MIRROR, COL_SLACK, COL_ART = range(6)
+
+
+def _find_openblas():
+    with contextlib.suppress(OSError), open("/proc/self/maps", encoding="utf-8") as f:
+        libs = sorted({line.split()[-1] for line in f
+                       if "openblas" in line.lower() and ".so" in line})
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                for prefix in ("scipy_openblas", "openblas"):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                    if get is not None and put is not None:
+                        get.argtypes, get.restype = [], ctypes.c_int
+                        put.argtypes, put.restype = [ctypes.c_int], None
+                        return get, put
+
+
+OPENBLAS = _find_openblas()   # (get, set) of numpy's OpenBLAS thread count
+_PIN = threading.Lock()
+_saved = []   # the thread count found by each open one_blas_thread block
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with :data:`OPENBLAS`, if any, at one thread: with two,
+    the LAPACK solve in :func:`_refine_basics` rounded otherwise.  Blocks
+    nest, in any threads; the last to leave restores the first's count."""
+    if OPENBLAS is None:
+        yield
+        return
+    get, put = OPENBLAS
+    with _PIN:
+        _saved.append(get())
+        put(1)
+    try:
+        yield
+    finally:
+        with _PIN:
+            count = _saved.pop()
+            if not _saved:
+                put(count)
 
 
 class SimplexError(RuntimeError):
@@ -461,6 +506,11 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         finB[r] = math.isfinite(ub[q])
 
 
+def _nonbasic_values(status, ub):
+    """Each column's value if nonbasic: its finite upper bound there, else 0."""
+    return np.where(status == NB_UPPER, np.where(np.isfinite(ub), ub, 0.0), 0.0)
+
+
 def _refine_basics(A, b, basis, status, ub):
     """Recompute basic values from a fresh factorization of the basis.
 
@@ -468,7 +518,7 @@ def _refine_basics(A, b, basis, status, ub):
     restores the basic values to machine accuracy for the final answer.
     An empty basis gives the empty 0x0 system, which solves to no values.
     """
-    vals = np.where(status == NB_UPPER, np.where(np.isfinite(ub), ub, 0.0), 0.0)
+    vals = _nonbasic_values(status, ub)
     vals[basis] = 0.0
     rhs = b - A @ vals
     try:
@@ -479,7 +529,7 @@ def _refine_basics(A, b, basis, status, ub):
 
 
 def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
-    vals = np.where(status == NB_UPPER, np.where(np.isfinite(sf.ub), sf.ub, 0.0), 0.0)
+    vals = _nonbasic_values(status, sf.ub)
     vals[basis] = xB
     x = sf.fixed.copy()
     shift, pos, mirror = (np.flatnonzero(sf.col_kind == kind)
@@ -497,62 +547,63 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
     ``extra_bounds`` maps variable index to an (lb, ub) pair intersected
     with the model bounds; branch-and-bound uses it to fix binaries.
     """
-    sf = _standardize(model, extra_bounds)
-    ctx = dict(extra_bounds=dict(extra_bounds) if extra_bounds else None)
-    if isinstance(sf, str):
-        return LPResult("infeasible", None, None, np.zeros(0, int),
-                        np.zeros(0, int), 0, **ctx)
+    with one_blas_thread():
+        sf = _standardize(model, extra_bounds)
+        ctx = dict(extra_bounds=dict(extra_bounds) if extra_bounds else None)
+        if isinstance(sf, str):
+            return LPResult("infeasible", None, None, np.zeros(0, int),
+                            np.zeros(0, int), 0, **ctx)
 
-    m, ncols = sf.A.shape
-    xB = sf.b.copy()
-    basis = sf.init_basis.copy()
-    status = np.full(ncols, NB_LOWER, dtype=int)
-    status[basis] = BASIC
-    cols = np.flatnonzero(status != BASIC)
-    slot = np.full(ncols, -1)
-    slot[cols] = np.arange(len(cols))
-    N = sf.A.T[cols].T   # column-major: one copy, as a gather of rows
-    ub = sf.ub.copy()
-    maxit = 50 * (m + ncols)
-    iters = 0
+        m, ncols = sf.A.shape
+        xB = sf.b.copy()
+        basis = sf.init_basis.copy()
+        status = np.full(ncols, NB_LOWER, dtype=int)
+        status[basis] = BASIC
+        cols = np.flatnonzero(status != BASIC)
+        slot = np.full(ncols, -1)
+        slot[cols] = np.arange(len(cols))
+        N = sf.A.T[cols].T   # column-major: one copy, as a gather of rows
+        ub = sf.ub.copy()
+        maxit = 50 * (m + ncols)
+        iters = 0
 
-    if sf.art_mask.any():
-        c1 = sf.art_mask.astype(float)
-        d = c1 - c1[basis] @ sf.A   # sf.A is the tableau before any pivot
-        _, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
-                            iters, allow_unbounded=False)
+        if sf.art_mask.any():
+            c1 = sf.art_mask.astype(float)
+            d = c1 - c1[basis] @ sf.A   # sf.A is the tableau before any pivot
+            _, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
+                                iters, allow_unbounded=False)
+            xB = _refine_basics(sf.A, sf.b, basis, status, ub)
+            infeas = float(c1[basis] @ np.maximum(xB, 0.0))
+            if infeas > FEAS_TOL:
+                return LPResult("infeasible", None, None, basis, status, iters, **ctx)
+            # pin artificials at zero; any still basic stay caged degenerate
+            ub[sf.art_mask] = 0.0
+        # the one phase-2 entry prices on a full-width tableau: BLAS may round
+        # a column's sum differently in a narrower array, and that could flip
+        # pricing ties.  Without artificials T is sf.A, bit for bit: its basic
+        # columns are the slack unit vectors and N the other columns of sf.A.
+        T = np.zeros(sf.A.shape)
+        T[:, cols] = N
+        T[np.arange(m), basis] = 1.0
+        d = sf.c - sf.c[basis] @ T
+        del T
+        # then drop the nonbasic artificials: their weight is 0 from here on,
+        # so they never enter, and their d entries, left stale, only ever meet
+        # that weight
+        keep = ~sf.art_mask[cols]
+        N, cols = N.T[keep].T, cols[keep]   # column-major
+        slot.fill(-1)
+        slot[cols] = np.arange(len(cols))
+        outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
+                                  iters, allow_unbounded=True)
+        if outcome == "unbounded":
+            return LPResult("unbounded", None, None, basis, status, iters, **ctx)
+
         xB = _refine_basics(sf.A, sf.b, basis, status, ub)
-        infeas = float(c1[basis] @ np.maximum(xB, 0.0))
-        if infeas > FEAS_TOL:
-            return LPResult("infeasible", None, None, basis, status, iters, **ctx)
-        # pin artificials at zero; any still basic stay caged degenerate
-        ub[sf.art_mask] = 0.0
-    # the one phase-2 entry prices on a full-width tableau: BLAS may round a
-    # column's sum differently in a narrower array, and that could flip
-    # pricing ties.  Without artificials T is sf.A, bit for bit: its basic
-    # columns are the slack unit vectors and N the other columns of sf.A.
-    T = np.zeros(sf.A.shape)
-    T[:, cols] = N
-    T[np.arange(m), basis] = 1.0
-    d = sf.c - sf.c[basis] @ T
-    del T
-    # then drop the nonbasic artificials: their weight is 0 from here on, so
-    # they never enter, and their d entries, left stale, only ever meet that
-    # weight
-    keep = ~sf.art_mask[cols]
-    N, cols = N.T[keep].T, cols[keep]   # column-major
-    slot.fill(-1)
-    slot[cols] = np.arange(len(cols))
-    outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
-                              iters, allow_unbounded=True)
-    if outcome == "unbounded":
-        return LPResult("unbounded", None, None, basis, status, iters, **ctx)
-
-    xB = _refine_basics(sf.A, sf.b, basis, status, ub)
-    x = _values_from_state(sf, basis, status, xB)
-    objective = float(model.compiled().c @ x)
-    _self_check(model, x)
-    return LPResult("optimal", x, objective, basis, status, iters, **ctx)
+        x = _values_from_state(sf, basis, status, xB)
+        objective = float(model.compiled().c @ x)
+        _self_check(model, x)
+        return LPResult("optimal", x, objective, basis, status, iters, **ctx)
 
 
 def _self_check(model: LinearModel, x: np.ndarray) -> None:

@@ -1,18 +1,11 @@
-import os
+import itertools
+from dataclasses import replace
 
-# One BLAS thread, set before numpy loads, as the README asks of users: the
-# suite then runs the B&B helper process wherever a second CPU is free.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+import numpy as np
+import pytest
 
-import itertools  # noqa: E402
-from dataclasses import replace  # noqa: E402
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from hubloc.formulations import COUPLING_FAMILIES, build_ocu  # noqa: E402
-from hubloc.instance import Instance  # noqa: E402
+from hubloc.formulations import COUPLING_FAMILIES, build_ocu
+from hubloc.instance import Instance
 
 
 def make_toy3(scenarios=((0.0, 0.0, 0.0),), chains=((0, 1), (1, 2)),
@@ -38,6 +31,18 @@ def make_toy3(scenarios=((0.0, 0.0, 0.0),), chains=((0, 1), (1, 2)),
 @pytest.fixture
 def toy3():
     return make_toy3()
+
+
+def relabel(inst, perm):
+    """The same instance with old node ``v`` renamed ``perm[v]``."""
+    old = [0] * inst.n
+    for v, new in enumerate(perm):
+        old[new] = v
+    return Instance(
+        n=inst.n, demand=inst.demand[old][:, old], cost=inst.cost[old][:, old],
+        setup=inst.setup[old], capacity=inst.capacity[old], chi=inst.chi,
+        alpha=inst.alpha, delta=inst.delta, scenarios=inst.scenarios[:, old],
+        chains=tuple(tuple(sorted(perm[v] for v in ch)) for ch in inst.chains))
 
 
 def ocu_with_families(inst, baselines, opts, families):

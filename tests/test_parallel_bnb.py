@@ -1072,17 +1072,12 @@ def test_finished_searches_leave_no_model_in_the_helper(monkeypatch):
 
 
 def test_helper_conditions(monkeypatch):
-    one = milp._blas_single_threaded
-    assert not one({})
-    assert one({"OMP_NUM_THREADS": "1"})
-    assert not one({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"})
-    assert one({"OMP_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "1"})
     monkeypatch.setattr(milp, "_FORCE_HELPER", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    monkeypatch.setattr(milp, "_BLAS_ONE_THREAD", False)
+    monkeypatch.setattr(simplex, "OPENBLAS", None)   # no pin: no helper
     assert not milp._helper_wanted()
-    monkeypatch.setattr(milp, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(simplex, "OPENBLAS", (lambda: 1, lambda count: None))
     assert milp._helper_wanted()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
@@ -1138,10 +1133,13 @@ def test_hubloc_does_not_load_multiprocessing():
 
 
 @pytest.mark.skipif(milp._usable_cpus() < 2, reason="needs two usable CPUs")
-def test_enumeration_uses_the_helper_unforced_with_one_blas_thread(
+@pytest.mark.skipif(simplex.OPENBLAS is None,
+                    reason="the helper runs only where simplex pins OpenBLAS")
+def test_enumeration_uses_the_helper_unforced_with_two_blas_threads(
         monkeypatch):
-    """As the benchmark runs: OPENBLAS_NUM_THREADS=1 before numpy loads."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """OPENBLAS_NUM_THREADS=2 before numpy loads: the pin, not the
+    environment, lets the helper run."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     proc = _run_python("""
         import json
         from hubloc import milp

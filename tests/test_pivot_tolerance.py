@@ -7,22 +7,11 @@ that largest entry, and the optima below agree with HiGHS.
 
 import pytest
 
+from conftest import relabel
 from hubloc.formulations import build_scenario_deterministic
-from hubloc.instance import GeneratorConfig, Instance, generate_instance
+from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.regret import solve_ocu
 from hubloc.simplex import solve_lp, verify_certificate
-
-
-def relabel(inst, perm):
-    """The same instance with old node ``v`` renamed ``perm[v]``."""
-    old = [0] * inst.n
-    for v, new in enumerate(perm):
-        old[new] = v
-    return Instance(
-        n=inst.n, demand=inst.demand[old][:, old], cost=inst.cost[old][:, old],
-        setup=inst.setup[old], capacity=inst.capacity[old], chi=inst.chi,
-        alpha=inst.alpha, delta=inst.delta, scenarios=inst.scenarios[:, old],
-        chains=tuple(tuple(sorted(perm[v] for v in ch)) for ch in inst.chains))
 
 
 def test_relabeled_n6_regret_solves():

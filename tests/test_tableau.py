@@ -14,9 +14,10 @@ tableau, subtracts the outer product in slices: that changes where cells
 sit and the order they are visited, but no value, so nothing below
 depends on it.
 Both run on the module's own standard form, basis refinement and value
-recovery, so on every LP they must take the same pivots and report the
-same status, iteration count, basis, statuses and values, exactly.  The
-comparison needs no stored digest, so it holds on any BLAS build.
+recovery, the reference under ``one_blas_thread`` as ``solve_lp`` is, so
+on every LP they must take the same pivots and report the same status,
+iteration count, basis, statuses and values, exactly.  The comparison
+needs no stored digest, so it holds on any BLAS build.
 """
 
 import math
@@ -34,7 +35,7 @@ from hubloc.simplex import (BASIC, BLOCK_CELLS, FEAS_TOL, NB_LOWER,
                             NB_UPPER, OPT_TOL, PIVOT_TOL, SPARSE_CELLS,
                             SPARSE_ROW, ZERO_PIVOT, SimplexError, _iterate,
                             _refine_basics, _standardize, _values_from_state,
-                            solve_lp)
+                            one_blas_thread, solve_lp)
 
 
 def _reference_iterate(T, xB, basis, status, ub, d, maxit, start_iter,
@@ -151,7 +152,8 @@ def _reference_solve(model, extra_bounds=None, events=None):
 
 
 def _assert_same_pivots(model, extra_bounds=None):
-    want = _reference_solve(model, extra_bounds)
+    with one_blas_thread():   # as solve_lp refines its basics
+        want = _reference_solve(model, extra_bounds)
     got = solve_lp(model, extra_bounds)
     assert (got.status, got.iterations) == want[:2]
     assert np.array_equal(got.basis, want[2])
