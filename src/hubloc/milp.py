@@ -112,7 +112,8 @@ def _fractional_binaries(x: np.ndarray, bins) -> list[tuple[float, int]]:
 
 def _certify(model: LinearModel, res: LPResult, failed: str) -> None:
     """Raise :class:`SimplexError` with ``failed`` and the first three
-    failures if ``res`` fails its certificate replay."""
+    failures if ``res`` fails its certificate: its point and row duals,
+    checked against the model's own rows and bounds by weak duality."""
     cert = verify_certificate(model, res)
     if not cert.passed:
         raise SimplexError(f"{failed}: " + "; ".join(cert.failures[:3]))

@@ -44,10 +44,11 @@ The load step is a presolve over the model's compiled arrays
 passes substitute variables whose effective bounds pin them to a single
 value and turn single-variable rows into bounds, which keeps
 branch-and-bound node LPs small.  They stop at the first round with no
-single-variable row, the only step that changes a bound.  The presolve
-is a pure function of the inputs, so :func:`verify_certificate` can
-rebuild the identical standard form and recheck a result's basis with
-independent linear algebra.
+single-variable row, the only step that changes a bound.  This module is
+the one owner of that standard form.  An optimal result carries one dual
+per model row, found by a dual postsolve (:func:`_row_duals`), and
+:func:`verify_certificate` checks it against the model's own rows and
+bounds by weak duality, so a fault in the presolve cannot hide from it.
 
 Tolerances: feasibility 1e-7, optimality 1e-7, zero pivot 1e-10.  The
 ratio test takes entries above 1e-9 as pivots; when the row it picks has
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LinearModel, effective_bounds, row_violations
+from .model import GE, LE, LinearModel, effective_bounds, row_violations
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
@@ -111,8 +112,10 @@ _saved = []   # the thread count found by each open one_blas_thread block
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with :data:`OPENBLAS`, if any, at one thread: with two,
-    the LAPACK solve in :func:`_refine_basics` rounded otherwise.  Blocks
-    nest, in any threads; the last to leave restores the first's count."""
+    the LAPACK solve in :func:`_refine_basics` rounded otherwise, and
+    :func:`_row_duals` solves in the same block.  The certificate check
+    makes no LAPACK call.  Blocks nest, in any threads; the last to leave
+    restores the first's count."""
     if OPENBLAS is None:
         yield
         return
@@ -137,9 +140,16 @@ class SimplexError(RuntimeError):
 class LPResult:
     """Outcome of one LP solve.
 
-    ``basis`` and ``vstatus`` describe the final standard-form basis so a
-    certificate check can replay it.  ``x`` holds values for the original
-    model variables (None unless optimal).
+    ``x`` holds values for the original model variables and ``duals`` one
+    dual ``y_i`` per model row, in row order (both None unless optimal).
+    The duals are those of ``min c x`` over the rows and the effective
+    bounds, with ``c = A^T y + d``: ``y_i <= 0`` on a ``<=`` row, ``>= 0``
+    on a ``>=`` row, free on an ``=`` row, and 0 on a row that presolve
+    retired as empty.  :func:`verify_certificate` reads them, never the
+    basis.
+    ``basis`` and ``vstatus`` describe the final standard-form basis; the
+    LP digest of ``scripts/identity.py`` and the tableau tests compare
+    them, so they pin the pivot path.
     """
 
     status: str
@@ -149,6 +159,7 @@ class LPResult:
     vstatus: np.ndarray
     iterations: int
     extra_bounds: dict | None = None
+    duals: np.ndarray | None = None
 
 
 @dataclass
@@ -164,6 +175,9 @@ class StandardForm:
     fixed: np.ndarray
     red_lo: np.ndarray
     red_hi: np.ndarray
+    row_ids: np.ndarray    # the model row of each standard row
+    row_sign: np.ndarray   # -1 where that row was negated
+    singletons: list       # (r, j, a, v) per round: row r became a bound v on x_j
 
 
 def _violation(act, rhs, sense):
@@ -191,6 +205,7 @@ def _standardize(model: LinearModel,
     live = np.ones(len(rhs), dtype=bool)
     free = np.ones(n, dtype=bool)
     fixed = np.full(n, np.nan)
+    singletons = []
 
     # presolve fixpoint: pin collapsed columns and move them to the rhs,
     # retire emptied rows after checking them, turn singleton rows into bounds;
@@ -224,6 +239,7 @@ def _standardize(model: LinearModel,
         side = sense[r] * np.sign(a)
         np.minimum.at(hi, j[side >= 0], v[side >= 0])
         np.maximum.at(lo, j[side <= 0], v[side <= 0])
+        singletons.append((r, j, a, v))
         live &= ~single
 
     # column layout: structural (in variable order), slacks, artificials
@@ -280,7 +296,8 @@ def _standardize(model: LinearModel,
     ub[shift] = hi[struct_ref[shift]] - lo[struct_ref[shift]]
     return StandardForm(A=A, b=b, c=c, ub=ub, col_kind=col_kind, col_ref=col_ref,
                         art_mask=col_kind == COL_ART, init_basis=init_basis,
-                        fixed=fixed, red_lo=lo, red_hi=hi)
+                        fixed=fixed, red_lo=lo, red_hi=hi, row_ids=row_ids,
+                        row_sign=sign, singletons=singletons)
 
 
 def _pick_update(Nt, trow):
@@ -520,12 +537,17 @@ def _refine_basics(A, b, basis, status, ub):
     """
     vals = _nonbasic_values(status, ub)
     vals[basis] = 0.0
-    rhs = b - A @ vals
+    return _basis_solve(A[:, basis], b - A @ vals)
+
+
+def _basis_solve(B, rhs):
+    """``B z = rhs`` for a square basis matrix ``B`` or its transpose; a
+    singular one raises :class:`SimplexError`."""
     try:
-        return np.linalg.solve(A[:, basis], rhs)
+        return np.linalg.solve(B, rhs)
     except np.linalg.LinAlgError:
         raise SimplexError(f"numerical breakdown: singular basis "
-                           f"({basis.size} columns)") from None
+                           f"({len(B)} columns)") from None
 
 
 def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
@@ -539,6 +561,38 @@ def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
     x[ref[pos]] = vals[pos] - vals[pos + 1]
     x[ref[mirror]] = sf.red_hi[ref[mirror]] - vals[mirror]
     return x
+
+
+def _row_duals(sf: StandardForm, cm, basis, x) -> np.ndarray:
+    """The dual postsolve: one dual per model row at the final basis.
+
+    ``B^T y = c_B`` gives the duals of the standard rows, which map back
+    through their row ids and sign flips; a row retired as empty gets 0.
+    The singleton rows that became bounds are undone in reverse order: one
+    whose variable sits at its bound, and whose relation admits the sign
+    of ``d_j / a_rj``, takes that dual, which zeroes ``d_j``; the others
+    get 0.  Within a round the first such row of a variable, in that
+    order, takes its ``d_j``.
+    """
+    y = np.zeros(len(cm.rhs))
+    y[sf.row_ids] = sf.row_sign * _basis_solve(sf.A[:, basis].T, sf.c[basis])
+    if not sf.singletons:
+        return y
+    n = len(cm.c)
+    d = cm.c - np.bincount(cm.cols, weights=cm.vals * y[cm.rows], minlength=n)
+    for r, j, a, v in reversed(sf.singletons):
+        r, j, a, v = r[::-1], j[::-1], a[::-1], v[::-1]
+        yr = d[j] / a
+        fits = ((np.abs(x[j] - v) <= BOUND_TOL * np.maximum(1.0, np.abs(v)))
+                & (cm.sense[r] * yr <= 0.0))
+        take = np.flatnonzero(fits)[np.unique(j[fits], return_index=True)[1]]
+        if take.size:
+            step = np.zeros(len(y))
+            step[r[take]] = yr[take]
+            y += step
+            d -= np.bincount(cm.cols, weights=cm.vals * step[cm.rows],
+                             minlength=n)
+    return y
 
 
 def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
@@ -603,7 +657,9 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
         x = _values_from_state(sf, basis, status, xB)
         objective = float(model.compiled().c @ x)
         _self_check(model, x)
-        return LPResult("optimal", x, objective, basis, status, iters, **ctx)
+        duals = _row_duals(sf, model.compiled(), basis, x)
+        return LPResult("optimal", x, objective, basis, status, iters,
+                        duals=duals, **ctx)
 
 
 def _self_check(model: LinearModel, x: np.ndarray) -> None:
@@ -624,18 +680,24 @@ class CertificateReport:
 
 
 def verify_certificate(model: LinearModel, result: LPResult) -> CertificateReport:
-    """Recheck an optimal LP result without trusting solver internals.
+    """Recheck an optimal LP result from the model alone, by weak duality.
 
     Rows are rechecked term by term by :func:`~hubloc.model.row_violations`,
-    the row check of :func:`~hubloc.model.check_feasibility`, and bounds
+    the row check of :func:`~hubloc.model.check_feasibility`, bounds
     against :func:`~hubloc.model.effective_bounds` under the result's
-    fixings; reduced costs are recomputed from the reported basis by
-    rebuilding the standard form and solving ``B^T y = c_B`` afresh.
-    Tolerances: 1e-7 (rows), ``FEAS_TOL`` (objective), ``BOUND_TOL``,
-    ``OPT_TOL`` (duals).
+    fixings, and the objective against ``x``.  Then ``result.duals`` must
+    hold one ``y_i`` per row, of its row's sign (``<= 0`` on ``<=``,
+    ``>= 0`` on ``>=``, to within ``OPT_TOL``).  With ``d = c - A^T y``
+    summed term by term from ``model.constraints``, every ``x`` in the
+    bounds that meets the rows has ``c x >= y^T b + sum_j min(d_j lo_j,
+    d_j hi_j)``, and that bound must reach the objective to within
+    ``FEAS_TOL`` relative.  A ``|d_j| <= OPT_TOL`` counts as 0 toward an
+    infinite bound; a larger one there fails.  Nothing here reads the
+    solver's standard form or basis.  Tolerances: 1e-7 (rows),
+    ``BOUND_TOL``, ``FEAS_TOL`` (objective and dual bound), ``OPT_TOL``.
     """
     if result.status != "optimal":
-        raise ValueError("certificate replay requires an optimal result")
+        raise ValueError("a certificate check requires an optimal result")
     x = result.x
     failures = [f"row {v.label}: violated by {v.amount:.3e}"
                 for v in row_violations(model, x)]
@@ -643,24 +705,35 @@ def verify_certificate(model: LinearModel, result: LPResult) -> CertificateRepor
     err = np.maximum(lo - x, x - hi)
     for j in np.flatnonzero(err > BOUND_TOL):
         failures.append(f"bound {model.variables[j].name}: violated by {err[j]:.3e}")
-    obj = float(model.objective_vector() @ x)
+    c = model.objective_vector()
+    obj = float(c @ x)
     gap = abs(obj - result.objective)
     if gap > FEAS_TOL * max(1.0, abs(obj)):
         failures.append(f"objective mismatch {gap:.3e}")
 
-    sf = _standardize(model, result.extra_bounds)
-    basis = result.basis
-    if not isinstance(sf, str):
-        B = sf.A[:, basis]
-        try:
-            y = np.linalg.solve(B.T, sf.c[basis])
-        except np.linalg.LinAlgError:
-            return CertificateReport(False, failures + ["singular basis matrix"])
-        d = sf.c - sf.A.T @ y
-        vs = result.vstatus
-        lower = ~sf.art_mask & (vs == NB_LOWER) & (d < -OPT_TOL)
-        upper = ~sf.art_mask & (vs == NB_UPPER) & (d > OPT_TOL)
-        for k in np.flatnonzero(lower | upper):
-            side = "lower" if lower[k] else "upper"
-            failures.append(f"reduced cost {d[k]:.3e} at {side} bound (column {k})")
+    rows = model.constraints
+    if result.duals is None or len(result.duals) != len(rows):
+        count = "no" if result.duals is None else len(result.duals)
+        failures.append(f"{count} duals for {len(rows)} rows")
+        return CertificateReport(False, failures)
+    d = c.tolist()
+    bound = 0.0
+    for con, y in zip(rows, result.duals.tolist()):
+        if (y > OPT_TOL and con.relation == LE
+                or y < -OPT_TOL and con.relation == GE):
+            failures.append(f"row {con.label}: dual {y:.3e} has the wrong sign")
+        if y != 0.0:
+            bound += y * con.rhs
+            for j, a in con.terms:
+                d[j] -= y * a
+    d = np.array(d)
+    at = np.where(d > 0.0, lo, hi)   # where d_j x_j is least in the bounds
+    at[np.isinf(at) & (np.abs(d) <= OPT_TOL)] = 0.0
+    terms = d * at
+    for j in np.flatnonzero(np.isinf(terms)):
+        failures.append(f"reduced cost {d[j]:.3e} of {model.variables[j].name} "
+                        f"toward an infinite bound")
+    short = result.objective - (bound + float(terms.sum()))
+    if not short <= FEAS_TOL * max(1.0, abs(result.objective)):
+        failures.append(f"dual bound short of the objective by {short:.3e}")
     return CertificateReport(not failures, failures)

@@ -3,10 +3,11 @@
 Each guard reads a function's source with ``ast`` and takes the global
 names it loads: every name read in its body, signature or nested
 functions, less the names it binds itself and the builtins.  The
-certificate check may use the standard-form rebuild and the shared model
-checks, and nothing else of the solver; the model checks read the model's
-terms, never its compiled arrays, which the solver reads; and the
-enumeration oracle shares no search logic with branch and bound.
+certificate check loads no solver code: it reads the model, the shared
+model checks and the result's ``x``, objective and duals, never its basis,
+and makes no LAPACK call; the model checks read the model's terms, never
+its compiled arrays, which the solver reads; and the enumeration oracle
+shares no search logic with branch and bound.
 """
 
 import ast
@@ -18,13 +19,12 @@ import pytest
 
 from hubloc import milp, model, simplex
 
-# Every global name verify_certificate loads today.  _standardize is the
-# one piece of the solver in it, until the certificate stops rebuilding
-# the solver's standard form.
+# Every global name verify_certificate loads: its tolerances, its report,
+# the model's classes, relations and shared checks, and numpy.  No name of
+# the solver's presolve, standard form or basis is among them.
 CERTIFICATE_GLOBALS = {
-    "_standardize", "NB_LOWER", "NB_UPPER", "FEAS_TOL", "OPT_TOL",
-    "BOUND_TOL", "CertificateReport", "LPResult", "row_violations",
-    "effective_bounds", "LinearModel", "np"}
+    "FEAS_TOL", "OPT_TOL", "BOUND_TOL", "CertificateReport", "LPResult",
+    "row_violations", "effective_bounds", "LinearModel", "LE", "GE", "np"}
 SEARCH_ONLY = {"_search", "_gap", "_fractional_binaries", "INT_TOL", "heapq"}
 
 
@@ -57,6 +57,11 @@ def read_attributes(fn) -> set[str]:
 def test_certificate_check_loads_only_its_allowed_names():
     assert (loaded_globals(_tree(simplex.verify_certificate))
             <= CERTIFICATE_GLOBALS)
+
+
+def test_certificate_check_reads_no_basis_and_calls_no_lapack():
+    assert not read_attributes(simplex.verify_certificate) & {
+        "basis", "vstatus", "linalg"}
 
 
 @pytest.mark.parametrize("fn", [simplex.verify_certificate,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_nc, make_toy3
-from hubloc import simplex
-from hubloc.formulations import build_nc
+from hubloc import milp, simplex
+from hubloc.formulations import build_nc, build_ocu
 from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel
+from hubloc.regret import compute_baselines
 from hubloc.simplex import (BASIC, NB_LOWER, NB_UPPER, SimplexError,
                             _refine_basics, _standardize, _subtract_in_order,
                             solve_lp, verify_certificate)
@@ -172,33 +173,30 @@ def test_singular_basis_refinement_raises():
 
 
 def test_certificate_failure_messages_in_order():
-    # an nc relaxation with nonbasic columns at both bounds
-    model = build_nc(generate_instance(GeneratorConfig(seed=7, n=3,
-                                                       chain_count=2,
-                                                       scenario_count=2)))
-    r = solve_lp(model)
-    sf = _standardize(model, None)
-    y = np.linalg.solve(sf.A[:, r.basis].T, sf.c[r.basis])
-    d = sf.c - sf.A.T @ y
-    flip = np.flatnonzero((r.vstatus != BASIC) & (np.abs(d) > 1e-6))
-    vstatus = r.vstatus.copy()
-    vstatus[flip] = np.where(vstatus[flip] == NB_LOWER, NB_UPPER, NB_LOWER)
-    # 5e-9 below a zero lower bound: past BOUND_TOL, within the row and
-    # objective tolerances
-    j = next(j for j, var in enumerate(model.variables)
-             if var.name.startswith("X[") and var.lb == 0.0 and r.x[j] == 0.0)
-    x = r.x.copy()
-    x[j] = -5e-9
-    rep = verify_certificate(model, replace(r, x=x, vstatus=vstatus))
-    expected = [f"bound {model.variables[j].name}: violated by 5.000e-09"]
-    for k in flip[~sf.art_mask[flip]]:
-        side = "upper" if vstatus[k] == NB_UPPER else "lower"
-        expected.append(f"reduced cost {d[k]:.3e} at {side} bound (column {k})")
-    assert sf.art_mask[flip].any()   # flipped artificials report nothing
-    assert any("at lower" in f for f in expected)
-    assert any("at upper" in f for f in expected)
+    # optimum x = 1.5, y = 0.5 with duals (1.5, -0.5); every part of the
+    # forged result breaks something, and each check reports in turn
+    m = lp([("x", 1.0), ("y", 2.0)],
+           [("r1", [("x", 1.0), ("y", 1.0)], GE, 2.0),
+            ("r2", [("x", 1.0), ("y", -1.0)], LE, 1.0)],
+           [("x", 0.0, math.inf), ("y", 0.0, 3.0)])
+    r = solve_lp(m)
+    assert r.x.tolist() == pytest.approx([1.5, 0.5])
+    assert r.duals.tolist() == pytest.approx([1.5, -0.5])
+    assert verify_certificate(m, r).passed
+    # d = c - A^T y = (-0.5, 5.5): x may grow without bound, so the dual
+    # bound is -inf
+    forged = replace(r, x=np.array([2.0, -0.25]), objective=1.0,
+                     duals=np.array([-1.0, 2.5]))
+    rep = verify_certificate(m, forged)
     assert not rep.passed
-    assert rep.failures == expected
+    assert rep.failures == ["row r1: violated by 2.500e-01",
+                            "row r2: violated by 1.250e+00",
+                            "bound y: violated by 2.500e-01",
+                            "objective mismatch 5.000e-01",
+                            "row r1: dual -1.000e+00 has the wrong sign",
+                            "row r2: dual 2.500e+00 has the wrong sign",
+                            "reduced cost -5.000e-01 of x toward an infinite bound",
+                            "dual bound short of the objective by inf"]
 
 
 def test_certificate_checks_reduced_costs_when_every_row_presolves_away():
@@ -208,13 +206,98 @@ def test_certificate_checks_reduced_costs_when_every_row_presolves_away():
     r = solve_lp(m)
     assert r.status == "optimal" and r.basis.size == 0
     assert r.objective == pytest.approx(-15.0)
+    assert r.duals.tolist() == [-1.0]   # x sits at the bound the row gave
     assert verify_certificate(m, r).passed
-    forged = replace(r, x=np.zeros(2), objective=0.0,
-                     vstatus=np.full_like(r.vstatus, NB_LOWER))
-    rep = verify_certificate(m, forged)
-    assert not rep.passed
-    assert rep.failures == [f"reduced cost -1.000e+00 at lower bound (column {k})"
-                            for k in (0, 1)]
+    # the dual bound is -15 with the postsolved dual and with none
+    for duals in (r.duals, np.zeros(1)):
+        forged = replace(r, x=np.zeros(2), objective=0.0, duals=duals)
+        rep = verify_certificate(m, forged)
+        assert rep.failures == ["dual bound short of the objective by 1.500e+01"]
+
+
+def mutation_lp():
+    """min -3x - y, x <= 2, x + y <= 5, 0 <= x, y <= 10: optimum (2, 3), -9."""
+    return lp([("x", -3.0), ("y", -1.0)],
+              [("cap[x]", [("x", 1.0)], LE, 2.0),
+               ("cap[xy]", [("x", 1.0), ("y", 1.0)], LE, 5.0)],
+              [("x", 0.0, 10.0), ("y", 0.0, 10.0)])
+
+
+def test_certificate_rejects_a_shrunken_singleton_bound():
+    # a presolve that shrank the bound of cap[x] by 10% would return this
+    # feasible, suboptimal point; no dual bound reaches its objective
+    m = mutation_lp()
+    r = solve_lp(m)
+    assert r.x.tolist() == [2.0, 3.0] and r.objective == -9.0
+    assert r.duals.tolist() == [-2.0, -1.0]
+    for duals in (r.duals, np.zeros(2), np.array([-3.0, 0.0])):
+        forged = replace(r, x=np.array([1.8, 3.2]), objective=-8.6, duals=duals)
+        rep = verify_certificate(m, forged)
+        assert not rep.passed
+        assert len(rep.failures) == 1
+        assert rep.failures[0].startswith("dual bound short of the objective")
+
+
+def test_certificate_rejects_a_dual_that_breaks_the_bound():
+    m = mutation_lp()
+    r = solve_lp(m)
+    # y = (-2.5, -1): d = (0.5, 0), so the bound is -5 - 5 + 0 * x = -10
+    rep = verify_certificate(m, replace(r, duals=np.array([-2.5, -1.0])))
+    assert rep.failures == ["dual bound short of the objective by 1.000e+00"]
+    # a shift below the tolerance still passes
+    assert verify_certificate(m, replace(r, duals=r.duals - 1e-10)).passed
+
+
+def test_certificate_rejects_duals_of_the_wrong_sign():
+    m = lp([("x", 1.0), ("y", 1.0)],
+           [("low", [("x", 1.0), ("y", 1.0)], GE, 2.0),
+            ("high", [("x", 1.0), ("y", -1.0)], LE, 1.0)],
+           [("x", 0.0, 5.0), ("y", 0.0, 5.0)])
+    r = solve_lp(m)
+    assert r.objective == pytest.approx(2.0)
+    assert verify_certificate(m, r).passed
+    rep = verify_certificate(m, replace(r, duals=np.array([-0.5, 0.0])))
+    assert rep.failures[0] == "row low: dual -5.000e-01 has the wrong sign"
+    rep = verify_certificate(m, replace(r, duals=np.array([1.0, 0.5])))
+    assert rep.failures[0] == "row high: dual 5.000e-01 has the wrong sign"
+
+
+@pytest.mark.parametrize("duals", [None, np.zeros(1), np.zeros(3)])
+def test_certificate_rejects_duals_of_the_wrong_length(duals):
+    m = mutation_lp()
+    rep = verify_certificate(m, replace(solve_lp(m), duals=duals))
+    count = "no" if duals is None else len(duals)
+    assert rep.failures == [f"{count} duals for 2 rows"]
+
+
+@pytest.mark.parametrize("name", ["nc", "ocu"])
+def test_every_enumeration_lp_passes_the_dual_certificate(name, monkeypatch):
+    # with the binaries pinned, many rows presolve into bounds, and the
+    # postsolve must price each one that binds
+    models = []
+    for seed in (0, 1):
+        inst = generate_instance(GeneratorConfig(seed=seed, n=4, chain_count=2,
+                                                 scenario_count=2))
+        models.append(build_nc(inst) if name == "nc"
+                      else build_ocu(inst, compute_baselines(inst)))
+    real, solved = milp.solve_lp, []
+
+    def recording(model, extra_bounds=None):
+        solved.append((model, real(model, extra_bounds)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(milp, "solve_lp", recording)
+    for model in models:
+        milp.solve_by_enumeration(model)
+    optimal = [(m, r) for m, r in solved if r.status == "optimal"]
+    assert len(optimal) >= 20
+    priced = 0
+    for m, r in optimal:
+        rep = verify_certificate(m, r)
+        assert rep.passed, rep.failures
+        bounds = _standardize(m, r.extra_bounds).singletons
+        priced += any(r.duals[rows].any() for rows, *_ in bounds)
+    assert priced > len(optimal) // 2
 
 
 def test_subtract_in_order_matches_a_scalar_loop():

@@ -224,13 +224,11 @@ def dealt(jobs):
 
 def count_lps_here(monkeypatch):
     """Record the fixings of each LP this process solves from now on (the
-    helper, forked before, keeps the real presolve).  Certificates call
-    the presolve too; they are not counted."""
+    helper, forked before, keeps the real presolve)."""
     real, here = simplex._standardize, []
 
     def counted(model, extra_bounds=None):
-        if sys._getframe(1).f_code is simplex.solve_lp.__code__:
-            here.append(extra_bounds)
+        here.append(extra_bounds)
         return real(model, extra_bounds)
 
     monkeypatch.setattr(simplex, "_standardize", counted)
