@@ -2,6 +2,7 @@
 location under scenario setup-cost uncertainty, with executable checks of
 the structural claims about the collaboration-restricted variant."""
 
+from .certify import verify_certificate
 from .claims import (CLAIM_CHECKS, ClaimReport, check_cc_nc_consistency,
                      check_eq20_redundancy, check_i_redundancy,
                      check_theorem1, check_tk_never_one)
@@ -19,7 +20,7 @@ from .model import (Constraint, LinearModel, Variable, check_feasibility,
 from .regret import (InfeasibleDesignError, InfeasibleScenarioError,
                      compute_baselines, evaluate_design, regret_report,
                      solution_to_json, solve_ccu, solve_ocu)
-from .simplex import (LPResult, SimplexError, solve_lp, verify_certificate)
+from .simplex import LPResult, SimplexError, solve_lp
 
 __version__ = "0.1.0"
 

@@ -46,8 +46,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import simplex
+from .certify import verify_certificate
 from .model import EQ, LE, LinearModel
-from .simplex import LPResult, SimplexError, solve_lp, verify_certificate
+from .simplex import LPResult, SimplexError, solve_lp
 
 INT_TOL = 1e-6
 

@@ -46,14 +46,14 @@ value and turn single-variable rows into bounds, which keeps
 branch-and-bound node LPs small.  They stop at the first round with no
 single-variable row, the only step that changes a bound.  This module is
 the one owner of that standard form.  An optimal result carries one dual
-per model row, found by a dual postsolve (:func:`_row_duals`), and
-:func:`verify_certificate` checks it against the model's own rows and
+per model row, found by a dual postsolve (:func:`_row_duals`); the
+checker of :mod:`hubloc.certify` proves it on the model's own rows and
 bounds by weak duality, so a fault in the presolve cannot hide from it.
 
-Tolerances: feasibility 1e-7, optimality 1e-7, zero pivot 1e-10.  The
-ratio test takes entries above 1e-9 as pivots; when the row it picks has
-an entry below 1e-6 and below 1e-9 times the entering column's largest
-|entry|, it runs again with that relative threshold.
+Tolerances: feasibility and optimality 1e-7 (:mod:`hubloc.certify`'s),
+zero pivot 1e-10.  The ratio test takes entries above 1e-9 as pivots;
+when the row it picks has an entry below 1e-6 and below 1e-9 times the
+entering column's largest |entry|, it runs again with that threshold.
 """
 
 from __future__ import annotations
@@ -62,18 +62,17 @@ import contextlib
 import ctypes
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GE, LE, LinearModel, effective_bounds, row_violations
+# a seam: verify_certificate is bound here for old imports and tracers
+from .certify import BOUND_TOL, FEAS_TOL, OPT_TOL, verify_certificate
+from .model import LinearModel
 
-FEAS_TOL = 1e-7
-OPT_TOL = 1e-7
 PIVOT_TOL = 1e-9
 REL_PIVOT = 1e-9   # times the entering column's largest |entry|
 ZERO_PIVOT = 1e-10
-BOUND_TOL = 1e-9
 # _iterate's rank-1 update touches only the columns with a nonzero pivot-row
 # entry when N has at least SPARSE_CELLS cells and under SPARSE_ROW of the
 # row is nonzero; otherwise, when N has more than BLOCK_CELLS cells, it
@@ -85,7 +84,7 @@ BLOCK_CELLS = 2 ** 15
 
 NB_LOWER, NB_UPPER, BASIC = 0, 1, 2
 
-COL_SHIFT, COL_SPLIT_POS, COL_SPLIT_NEG, COL_MIRROR, COL_SLACK, COL_ART = range(6)
+COL_SHIFT, COL_SPLIT_POS, COL_SPLIT_NEG, COL_MIRROR = range(4)
 
 
 def _find_openblas():
@@ -113,9 +112,8 @@ _saved = []   # the thread count found by each open one_blas_thread block
 def one_blas_thread():
     """Run the block with :data:`OPENBLAS`, if any, at one thread: with two,
     the LAPACK solve in :func:`_refine_basics` rounded otherwise, and
-    :func:`_row_duals` solves in the same block.  The certificate check
-    makes no LAPACK call.  Blocks nest, in any threads; the last to leave
-    restores the first's count."""
+    :func:`_row_duals` solves in the same block.  Blocks nest, in any
+    threads; the last to leave restores the first's count."""
     if OPENBLAS is None:
         yield
         return
@@ -145,8 +143,8 @@ class LPResult:
     The duals are those of ``min c x`` over the rows and the effective
     bounds, with ``c = A^T y + d``: ``y_i <= 0`` on a ``<=`` row, ``>= 0``
     on a ``>=`` row, free on an ``=`` row, and 0 on a row that presolve
-    retired as empty.  :func:`verify_certificate` reads them, never the
-    basis.
+    retired as empty.  :func:`~hubloc.certify.verify_certificate` reads
+    them, never the basis.
     ``basis`` and ``vstatus`` describe the final standard-form basis; the
     LP digest of ``scripts/identity.py`` and the tableau tests compare
     them, so they pin the pivot path.
@@ -168,7 +166,7 @@ class StandardForm:
     b: np.ndarray
     c: np.ndarray
     ub: np.ndarray
-    col_kind: np.ndarray
+    col_kind: np.ndarray   # of each structural column, as is col_ref
     col_ref: np.ndarray
     art_mask: np.ndarray
     init_basis: np.ndarray
@@ -286,16 +284,14 @@ def _standardize(model: LinearModel,
     A[slack_rows, n_struct + np.arange(n_slack)] = slack_sign
     A[art_rows, init_basis[art_rows]] = 1.0
 
-    col_kind = np.concatenate([struct_kind, np.full(n_slack, COL_SLACK),
-                               np.full(len(art_rows), COL_ART)])
-    col_ref = np.concatenate([struct_ref, row_ids[slack_rows], row_ids[art_rows]])
     c = np.zeros(A.shape[1])
     c[:n_struct] = col_sign * cm.c[struct_ref]
     ub = np.full(A.shape[1], math.inf)
     shift = np.flatnonzero(struct_kind == COL_SHIFT)
     ub[shift] = hi[struct_ref[shift]] - lo[struct_ref[shift]]
-    return StandardForm(A=A, b=b, c=c, ub=ub, col_kind=col_kind, col_ref=col_ref,
-                        art_mask=col_kind == COL_ART, init_basis=init_basis,
+    return StandardForm(A=A, b=b, c=c, ub=ub, col_kind=struct_kind,
+                        col_ref=struct_ref, init_basis=init_basis,
+                        art_mask=np.arange(A.shape[1]) >= n_struct + n_slack,
                         fixed=fixed, red_lo=lo, red_hi=hi, row_ids=row_ids,
                         row_sign=sign, singletons=singletons)
 
@@ -671,69 +667,3 @@ def _self_check(model: LinearModel, x: np.ndarray) -> None:
         i = int(np.argmax(err > 10 * FEAS_TOL))
         raise SimplexError(f"numerical breakdown: residual {err[i]:.2e} on "
                            f"{model.constraints[i].label}")
-
-
-@dataclass
-class CertificateReport:
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-
-
-def verify_certificate(model: LinearModel, result: LPResult) -> CertificateReport:
-    """Recheck an optimal LP result from the model alone, by weak duality.
-
-    Rows are rechecked term by term by :func:`~hubloc.model.row_violations`,
-    the row check of :func:`~hubloc.model.check_feasibility`, bounds
-    against :func:`~hubloc.model.effective_bounds` under the result's
-    fixings, and the objective against ``x``.  Then ``result.duals`` must
-    hold one ``y_i`` per row, of its row's sign (``<= 0`` on ``<=``,
-    ``>= 0`` on ``>=``, to within ``OPT_TOL``).  With ``d = c - A^T y``
-    summed term by term from ``model.constraints``, every ``x`` in the
-    bounds that meets the rows has ``c x >= y^T b + sum_j min(d_j lo_j,
-    d_j hi_j)``, and that bound must reach the objective to within
-    ``FEAS_TOL`` relative.  A ``|d_j| <= OPT_TOL`` counts as 0 toward an
-    infinite bound; a larger one there fails.  Nothing here reads the
-    solver's standard form or basis.  Tolerances: 1e-7 (rows),
-    ``BOUND_TOL``, ``FEAS_TOL`` (objective and dual bound), ``OPT_TOL``.
-    """
-    if result.status != "optimal":
-        raise ValueError("a certificate check requires an optimal result")
-    x = result.x
-    failures = [f"row {v.label}: violated by {v.amount:.3e}"
-                for v in row_violations(model, x)]
-    lo, hi = effective_bounds(model, result.extra_bounds)
-    err = np.maximum(lo - x, x - hi)
-    for j in np.flatnonzero(err > BOUND_TOL):
-        failures.append(f"bound {model.variables[j].name}: violated by {err[j]:.3e}")
-    c = model.objective_vector()
-    obj = float(c @ x)
-    gap = abs(obj - result.objective)
-    if gap > FEAS_TOL * max(1.0, abs(obj)):
-        failures.append(f"objective mismatch {gap:.3e}")
-
-    rows = model.constraints
-    if result.duals is None or len(result.duals) != len(rows):
-        count = "no" if result.duals is None else len(result.duals)
-        failures.append(f"{count} duals for {len(rows)} rows")
-        return CertificateReport(False, failures)
-    d = c.tolist()
-    bound = 0.0
-    for con, y in zip(rows, result.duals.tolist()):
-        if (y > OPT_TOL and con.relation == LE
-                or y < -OPT_TOL and con.relation == GE):
-            failures.append(f"row {con.label}: dual {y:.3e} has the wrong sign")
-        if y != 0.0:
-            bound += y * con.rhs
-            for j, a in con.terms:
-                d[j] -= y * a
-    d = np.array(d)
-    at = np.where(d > 0.0, lo, hi)   # where d_j x_j is least in the bounds
-    at[np.isinf(at) & (np.abs(d) <= OPT_TOL)] = 0.0
-    terms = d * at
-    for j in np.flatnonzero(np.isinf(terms)):
-        failures.append(f"reduced cost {d[j]:.3e} of {model.variables[j].name} "
-                        f"toward an infinite bound")
-    short = result.objective - (bound + float(terms.sum()))
-    if not short <= FEAS_TOL * max(1.0, abs(result.objective)):
-        failures.append(f"dual bound short of the objective by {short:.3e}")
-    return CertificateReport(not failures, failures)

@@ -3,28 +3,33 @@
 Each guard reads a function's source with ``ast`` and takes the global
 names it loads: every name read in its body, signature or nested
 functions, less the names it binds itself and the builtins.  The
-certificate check loads no solver code: it reads the model, the shared
-model checks and the result's ``x``, objective and duals, never its basis,
-and makes no LAPACK call; the model checks read the model's terms, never
-its compiled arrays, which the solver reads; and the enumeration oracle
-shares no search logic with branch and bound.
+certificate check lives in ``hubloc.certify``, whose imports name only
+``__future__``, ``dataclasses``, ``numpy`` and ``.model``, and loads no
+solver code: it reads the model, the shared model checks and the result's
+``x``, objective and duals, never its basis, and makes no LAPACK call;
+the model checks read the model's terms, never its compiled arrays, which
+the solver reads; and the enumeration oracle shares no search logic with
+branch and bound.
 """
 
 import ast
 import builtins
 import inspect
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from hubloc import milp, model, simplex
+from hubloc import certify, milp, model, simplex
 
 # Every global name verify_certificate loads: its tolerances, its report,
 # the model's classes, relations and shared checks, and numpy.  No name of
-# the solver's presolve, standard form or basis is among them.
+# the solver's presolve, standard form, basis or result type is among them.
 CERTIFICATE_GLOBALS = {
-    "FEAS_TOL", "OPT_TOL", "BOUND_TOL", "CertificateReport", "LPResult",
+    "FEAS_TOL", "OPT_TOL", "BOUND_TOL", "CertificateReport",
     "row_violations", "effective_bounds", "LinearModel", "LE", "GE", "np"}
+# The only modules certify.py may import, TYPE_CHECKING blocks included.
+CERTIFY_IMPORTS = {"__future__", "dataclasses", "numpy", ".model"}
 SEARCH_ONLY = {"_search", "_gap", "_fractional_binaries", "INT_TOL", "heapq"}
 
 
@@ -54,17 +59,38 @@ def read_attributes(fn) -> set[str]:
             if isinstance(node, ast.Attribute)}
 
 
+def imported_modules(source: str) -> set[str]:
+    """The module each import statement of ``source`` names, anywhere in
+    it, with a relative import's leading dots."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_certify_imports_only_numpy_and_the_model():
+    source = Path(certify.__file__).read_text(encoding="utf-8")
+    assert imported_modules(source) <= CERTIFY_IMPORTS
+
+
+def test_simplex_binds_the_one_certificate_check():
+    assert simplex.verify_certificate is certify.verify_certificate
+
+
 def test_certificate_check_loads_only_its_allowed_names():
-    assert (loaded_globals(_tree(simplex.verify_certificate))
+    assert (loaded_globals(_tree(certify.verify_certificate))
             <= CERTIFICATE_GLOBALS)
 
 
 def test_certificate_check_reads_no_basis_and_calls_no_lapack():
-    assert not read_attributes(simplex.verify_certificate) & {
+    assert not read_attributes(certify.verify_certificate) & {
         "basis", "vstatus", "linalg"}
 
 
-@pytest.mark.parametrize("fn", [simplex.verify_certificate,
+@pytest.mark.parametrize("fn", [certify.verify_certificate,
                                 model.row_violations, model.effective_bounds,
                                 model.check_feasibility])
 def test_checkers_never_read_the_compiled_model(fn):
@@ -93,3 +119,16 @@ def test_loaded_globals_sees_signature_body_and_nested_reads():
         """))
     assert loaded_globals(tree) == {"Kind", "DEFAULT", "Out", "OUTER",
                                     "Missing", "LATER"}
+
+
+def test_imported_modules_sees_every_import_form():
+    source = textwrap.dedent("""
+        from __future__ import annotations
+        import numpy as np, os.path
+        from . import simplex
+        from ..pkg.mod import name
+        if TYPE_CHECKING:
+            from .milp import Solution
+        """)
+    assert imported_modules(source) == {"__future__", "numpy", "os.path", ".",
+                                        "..pkg.mod", ".milp"}

@@ -4,7 +4,8 @@ Each relation changes an instance in a way whose effect on the optima is
 known and compares optima and verdicts only, never flows or
 ``nodes_explored``: a tied optimum may be reported at another vertex, or
 found after another number of nodes, once the data change.  Instances:
-n=3 and n=4, generator seeds 0-2, two scenarios.
+n=3 and n=4, generator seeds 0-2, two scenarios; the Hypothesis test
+draws its relabeling and scale at n=3.
 """
 
 import functools
@@ -12,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import relabel
 from hubloc.claims import CLAIM_CHECKS, SolveMemo
@@ -72,19 +75,50 @@ def test_relabeling_nodes_keeps_optima_and_verdicts(n, seed):
     _assert_regret_floor(base, got)
 
 
+def _with_third_scenario(inst, supplement):
+    """The baselines and the ccu and ocu optima of ``inst`` with the
+    scenario ``supplement`` appended."""
+    more = replace(inst, scenarios=np.vstack([inst.scenarios, supplement]))
+    assert (more.setup + more.scenarios >= 0).all()
+    base = compute_baselines(more)
+    assert len(base) == 3
+    solved = [unwrap(o) for o in solve_milps([build_ccu(more, base),
+                                              build_ocu(more, base)])]
+    return base, dict(zip(("ccu", "ocu"), (sol.objective for sol in solved)))
+
+
 @pytest.mark.parametrize("n, seed", CASES, ids=IDS)
 def test_a_copy_of_a_scenario_keeps_max_regret(n, seed):
     inst, _, optima, _ = _reference(n, seed)
-    doubled = replace(inst, scenarios=np.vstack([inst.scenarios,
-                                                 inst.scenarios[:1]]))
-    base = compute_baselines(doubled)
-    assert len(base) == 3
-    solved = [unwrap(o) for o in solve_milps([build_ccu(doubled, base),
-                                              build_ocu(doubled, base)])]
-    got = dict(zip(("ccu", "ocu"), (sol.objective for sol in solved)))
+    base, got = _with_third_scenario(inst, inst.scenarios[0])
     for name, value in got.items():
         _assert_close(value, optima[name])
     _assert_regret_floor(base, got)
+
+
+@pytest.mark.parametrize("n, seed", CASES, ids=IDS)
+def test_a_new_scenario_never_lowers_max_regret(n, seed):
+    # every design's max regret over three scenarios is at least its max
+    # over the first two, whose baselines are unchanged
+    inst, _, optima, _ = _reference(n, seed)
+    _, got = _with_third_scenario(inst, inst.scenarios[0, ::-1])
+    for name, value in got.items():
+        want = optima[name]
+        assert value >= want - 1e-9 * max(1.0, abs(want)), name
+
+
+@given(seed=st.sampled_from(range(3)), perm=st.permutations(range(3)),
+       scale=st.sampled_from([2.0 ** -2, 2.0, 2.0 ** 10]))
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_relabeling_and_scaling_keep_or_scale_each_optimum(seed, perm, scale):
+    inst, _, optima, _ = _reference(3, seed)
+    moved = relabel(inst, perm)
+    for name, value in _optima(moved)[1].items():
+        _assert_close(value, optima[name])
+    scaled = replace(moved, cost=scale * moved.cost, setup=scale * moved.setup,
+                     scenarios=scale * moved.scenarios)
+    for name, value in _optima(scaled)[1].items():
+        _assert_close(value, scale * optima[name])
 
 
 @pytest.mark.parametrize("n, seed", CASES, ids=IDS)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy3
-from hubloc import claims, cli, milp, regret, simplex
+from hubloc import certify, claims, cli, milp, regret, simplex
 from hubloc.claims import CLAIM_CHECKS, SolveMemo
 from hubloc.formulations import (build_cc, build_ccu, build_nc, build_ocu,
                                  build_scenario_deterministic)
@@ -326,7 +326,7 @@ def test_incumbent_failing_its_certificate_raises(monkeypatch, helper):
                                                        scenario_count=2)))
     failures = ["row eq2[i=0]: violated by 1.000e-03", "objective mismatch"]
     monkeypatch.setattr(milp, "verify_certificate",
-                        lambda m, res: simplex.CertificateReport(False, failures))
+                        lambda m, res: certify.CertificateReport(False, failures))
     with pytest.raises(SimplexError) as info:
         solve(model, helper)
     assert str(info.value) == ("incumbent failed certificate replay: "
