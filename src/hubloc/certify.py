@@ -23,6 +23,8 @@ class CertificateReport:
 def verify_certificate(model: LinearModel, result) -> CertificateReport:
     """Recheck an optimal LP result from the model alone, by weak duality.
 
+    An ``x`` with a NaN or infinite entry fails at once, one ``bound``
+    failure per such entry, before any arithmetic on it.
     Rows are rechecked term by term by :func:`~hubloc.model.row_violations`,
     the row check of :func:`~hubloc.model.check_feasibility`, bounds
     against :func:`~hubloc.model.effective_bounds` under the result's
@@ -40,6 +42,10 @@ def verify_certificate(model: LinearModel, result) -> CertificateReport:
     if result.status != "optimal":
         raise ValueError("a certificate check requires an optimal result")
     x = result.x
+    failures = [f"bound {model.variables[j].name}: value {x[j]} is not finite"
+                for j in np.flatnonzero(~np.isfinite(x))]
+    if failures:   # no check can read such a point
+        return CertificateReport(False, failures)
     failures = [f"row {v.label}: violated by {v.amount:.3e}"
                 for v in row_violations(model, x)]
     lo, hi = effective_bounds(model, result.extra_bounds)

@@ -6,7 +6,9 @@ or seeded sweep), ``sweep`` (all claims over seeded instances).
 
 Exit codes: 0 for an optimal solve or an all-CONFIRMED verification, 2 when
 the outcome is infeasible / COUNTEREXAMPLE / INCONCLUSIVE (reports stay
-machine-readable either way), 1 for usage, IO or validation errors.
+machine-readable either way), 1 for usage, IO or validation errors and
+for a solver breakdown (``SimplexError``, ``HelperError``), each printed
+as one ``error:`` line.
 All file outputs are written atomically and contain no timestamps, so
 identical inputs produce byte-identical reports.
 """
@@ -24,11 +26,14 @@ from .claims import CLAIM_CHECKS, CONFIRMED, CSV_FIELDS, SolveMemo
 from .formulations import ModelOptions, build_cc, build_nc
 from .instance import (GeneratorConfig, Instance, generate_instance,
                        instance_fingerprint, load_instance, save_instance)
-from .milp import solve_milp
+from .milp import HelperError, solve_milp
 from .regret import (InfeasibleScenarioError, regret_report, solution_to_json,
                      solve_ccu, solve_ocu)
+from .simplex import SimplexError
 
-_USER_ERRORS = (ValueError, OSError)   # each input error class is a ValueError
+# each input error class is a ValueError; the solver's breakdowns and a
+# lost helper process print as one line too
+_ERRORS = (ValueError, OSError, SimplexError, HelperError)
 
 
 class UsageError(Exception):
@@ -251,7 +256,7 @@ def run(argv) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except _USER_ERRORS as e:
+    except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -102,14 +102,26 @@ class LinearModel:
         self._compiled = None
 
     def _terms(self, terms, where: str) -> tuple[tuple[int, float], ...]:
-        """``terms`` as (index, coefficient) pairs without zeros; an index
-        that names no variable or a coefficient that is not finite raises
-        ValueError."""
-        clean = tuple((int(j), float(c)) for j, c in terms if c != 0.0)
+        """``terms`` as (int, float) pairs without zeros; an index that is
+        not an integral number naming a variable, or a coefficient that is
+        not a finite number, raises ValueError."""
+        given = [(j, c) for j, c in terms if c != 0.0]
+        try:
+            clean = [(int(j), float(c)) for j, c in given]
+        except (TypeError, ValueError):
+            clean = None
+        if clean != given:   # a cast failed or changed a value: 1.9, "0"
+            for j, c in given:
+                try:
+                    exact = (int(j), float(c)) == (j, c)
+                except (TypeError, ValueError):
+                    exact = False
+                if not exact:
+                    raise ValueError(f"bad term ({j!r}, {c!r}) in {where}")
         for j, c in clean:
             if not (0 <= j < len(self.variables)) or not math.isfinite(c):
                 raise ValueError(f"bad term ({j}, {c}) in {where}")
-        return clean
+        return tuple(clean)
 
     # -- queries ------------------------------------------------------
 
@@ -206,9 +218,14 @@ def check_feasibility(model: LinearModel, values) -> list[Violation]:
     ``values`` may be a name->value mapping, where missing names count as 0
     and a name the model does not have raises ``ValueError``, or a vector
     with one value per variable.  An empty return value means the point is
-    feasible.
+    feasible.  A NaN or infinite value is reported alone, as a violation
+    of its bound by inf, since no row or bound can be checked at it.
     """
     x = as_value_array(model, values)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        return [Violation(f"bound[{model.variables[j].name}]", math.inf)
+                for j in bad]
     out = row_violations(model, x)
     lo, hi = effective_bounds(model)
     err = np.maximum(lo - x, x - hi)

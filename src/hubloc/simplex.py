@@ -45,10 +45,13 @@ passes substitute variables whose effective bounds pin them to a single
 value and turn single-variable rows into bounds, which keeps
 branch-and-bound node LPs small.  They stop at the first round with no
 single-variable row, the only step that changes a bound.  This module is
-the one owner of that standard form.  An optimal result carries one dual
-per model row, found by a dual postsolve (:func:`_row_duals`); the
-checker of :mod:`hubloc.certify` proves it on the model's own rows and
-bounds by weak duality, so a fault in the presolve cannot hide from it.
+the one owner of that standard form.  Each phase ends with one solve of
+its final basis (:func:`_refine_basics`), and an optimal result carries
+one dual per model row, found on that basis matrix by a dual postsolve
+(:func:`_row_duals`); the checker of :mod:`hubloc.certify` proves it on
+the model's own rows and bounds by weak duality, so a fault in the
+presolve cannot hide from it.  A basis solve that is singular or gives a
+NaN or infinite entry raises :class:`SimplexError`, never a NaN point.
 
 Tolerances: feasibility and optimality 1e-7 (:mod:`hubloc.certify`'s),
 zero pivot 1e-10.  The ratio test takes entries above 1e-9 as pivots;
@@ -519,36 +522,36 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
         finB[r] = math.isfinite(ub[q])
 
 
-def _nonbasic_values(status, ub):
-    """Each column's value if nonbasic: its finite upper bound there, else 0."""
-    return np.where(status == NB_UPPER, np.where(np.isfinite(ub), ub, 0.0), 0.0)
-
-
 def _refine_basics(A, b, basis, status, ub):
-    """Recompute basic values from a fresh factorization of the basis.
-
-    Tableau updates accumulate roundoff over many pivots; one direct solve
-    restores the basic values to machine accuracy for the final answer.
-    An empty basis gives the empty 0x0 system, which solves to no values.
-    """
-    vals = _nonbasic_values(status, ub)
+    """The standard-form values and the basis matrix ``B``, which the dual
+    postsolve reuses.  A nonbasic column sits at its finite upper bound if
+    there, else at 0; one direct solve of ``B`` restores the basic values,
+    which tableau updates round over many pivots, to machine accuracy.  An
+    empty basis gives the empty 0x0 system, which solves to no values."""
+    B = A[:, basis]
+    vals = np.where(status == NB_UPPER, np.where(np.isfinite(ub), ub, 0.0), 0.0)
     vals[basis] = 0.0
-    return _basis_solve(A[:, basis], b - A @ vals)
+    vals[basis] = _basis_solve(B, b - A @ vals)
+    return vals, B
 
 
 def _basis_solve(B, rhs):
     """``B z = rhs`` for a square basis matrix ``B`` or its transpose; a
-    singular one raises :class:`SimplexError`."""
+    singular one, or an answer with a NaN or infinite entry, raises
+    :class:`SimplexError`."""
     try:
-        return np.linalg.solve(B, rhs)
+        z = np.linalg.solve(B, rhs)
     except np.linalg.LinAlgError:
         raise SimplexError(f"numerical breakdown: singular basis "
                            f"({len(B)} columns)") from None
+    if not np.isfinite(z).all():
+        raise SimplexError(f"numerical breakdown: non-finite basis solve "
+                           f"({len(B)} columns)")
+    return z
 
 
-def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
-    vals = _nonbasic_values(status, sf.ub)
-    vals[basis] = xB
+def _values_from_state(sf: StandardForm, vals) -> np.ndarray:
+    """The model's values from the standard-form value vector ``vals``."""
     x = sf.fixed.copy()
     shift, pos, mirror = (np.flatnonzero(sf.col_kind == kind)
                           for kind in (COL_SHIFT, COL_SPLIT_POS, COL_MIRROR))
@@ -559,8 +562,8 @@ def _values_from_state(sf: StandardForm, basis, status, xB) -> np.ndarray:
     return x
 
 
-def _row_duals(sf: StandardForm, cm, basis, x) -> np.ndarray:
-    """The dual postsolve: one dual per model row at the final basis.
+def _row_duals(sf: StandardForm, cm, B, basis, x) -> np.ndarray:
+    """The dual postsolve: one dual per model row at the final basis ``B``.
 
     ``B^T y = c_B`` gives the duals of the standard rows, which map back
     through their row ids and sign flips; a row retired as empty gets 0.
@@ -571,7 +574,7 @@ def _row_duals(sf: StandardForm, cm, basis, x) -> np.ndarray:
     order, takes its ``d_j``.
     """
     y = np.zeros(len(cm.rhs))
-    y[sf.row_ids] = sf.row_sign * _basis_solve(sf.A[:, basis].T, sf.c[basis])
+    y[sf.row_ids] = sf.row_sign * _basis_solve(B.T, sf.c[basis])
     if not sf.singletons:
         return y
     n = len(cm.c)
@@ -622,7 +625,7 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
             d = c1 - c1[basis] @ sf.A   # sf.A is the tableau before any pivot
             _, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
                                 iters, allow_unbounded=False)
-            xB = _refine_basics(sf.A, sf.b, basis, status, ub)
+            xB = _refine_basics(sf.A, sf.b, basis, status, ub)[0][basis]
             infeas = float(c1[basis] @ np.maximum(xB, 0.0))
             if infeas > FEAS_TOL:
                 return LPResult("infeasible", None, None, basis, status, iters, **ctx)
@@ -649,21 +652,15 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
         if outcome == "unbounded":
             return LPResult("unbounded", None, None, basis, status, iters, **ctx)
 
-        xB = _refine_basics(sf.A, sf.b, basis, status, ub)
-        x = _values_from_state(sf, basis, status, xB)
-        objective = float(model.compiled().c @ x)
-        _self_check(model, x)
-        duals = _row_duals(sf, model.compiled(), basis, x)
-        return LPResult("optimal", x, objective, basis, status, iters,
-                        duals=duals, **ctx)
-
-
-def _self_check(model: LinearModel, x: np.ndarray) -> None:
-    cm = model.compiled()
-    act = np.bincount(cm.rows, weights=cm.vals * x[cm.cols],
-                      minlength=len(cm.rhs))
-    err = _violation(act, cm.rhs, cm.sense)
-    if (err > 10 * FEAS_TOL).any():
-        i = int(np.argmax(err > 10 * FEAS_TOL))
-        raise SimplexError(f"numerical breakdown: residual {err[i]:.2e} on "
-                           f"{model.constraints[i].label}")
+        vals, B = _refine_basics(sf.A, sf.b, basis, status, ub)
+        x = _values_from_state(sf, vals)
+        cm = model.compiled()
+        act = np.bincount(cm.rows, weights=cm.vals * x[cm.cols],
+                          minlength=len(cm.rhs))
+        err = _violation(act, cm.rhs, cm.sense)
+        if (err > 10 * FEAS_TOL).any():
+            i = int(np.argmax(err > 10 * FEAS_TOL))
+            raise SimplexError(f"numerical breakdown: residual {err[i]:.2e} "
+                               f"on {model.constraints[i].label}")
+        return LPResult("optimal", x, float(cm.c @ x), basis, status, iters,
+                        duals=_row_duals(sf, cm, B, basis, x), **ctx)

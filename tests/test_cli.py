@@ -8,9 +8,12 @@ import pytest
 
 import hubloc
 from conftest import make_toy3
+from hubloc import cli
 from hubloc.cli import run
 from hubloc.formulations import ModelOptions
 from hubloc.instance import instance_fingerprint, save_instance
+from hubloc.milp import HelperError
+from hubloc.simplex import SimplexError
 
 
 @pytest.fixture
@@ -202,6 +205,22 @@ def test_successful_solve_writes_nothing_to_stderr(command, model, toy3_file,
     captured = capsys.readouterr()
     assert json.loads(captured.out)["model"] == model
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("error", [
+    SimplexError("numerical breakdown: singular basis (3 columns)"),
+    HelperError("helper process (pid 1) is gone")])
+def test_a_solver_error_is_one_error_line(error, toy3_file, monkeypatch,
+                                          capsys):
+    # it once reached the user as a traceback
+    def broken(model):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_milp", broken)
+    assert run(["solve", "--model", "nc", toy3_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_missing_file_exits_1(capsys):

@@ -172,6 +172,74 @@ def test_singular_basis_refinement_raises():
                        np.full(3, math.inf))
 
 
+def two_row_lp():
+    """min -x - 2y, x + y <= 4, x - y <= 2, 0 <= x, y <= 10: optimum (0, 4).
+    No row needs an artificial, so solve_lp solves its final basis twice:
+    once for x and once, transposed, for the duals."""
+    return lp([("x", -1.0), ("y", -2.0)],
+              [("a", [("x", 1.0), ("y", 1.0)], LE, 4.0),
+               ("b", [("x", 1.0), ("y", -1.0)], LE, 2.0)],
+              [("x", 0.0, 10.0), ("y", 0.0, 10.0)])
+
+
+def non_finite_solve(monkeypatch, value, from_call=1):
+    """Make ``np.linalg.solve`` answer ``value`` in every entry from its
+    ``from_call``-th call on."""
+    solve, calls = np.linalg.solve, []
+
+    def broken(a, b):
+        calls.append(1)
+        z = solve(a, b)
+        return np.full_like(z, value) if len(calls) >= from_call else z
+
+    monkeypatch.setattr(np.linalg, "solve", broken)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_basis_solve_raises(value, monkeypatch):
+    # it once returned an "optimal" result with x = [0, nan], a NaN
+    # objective and NaN duals
+    non_finite_solve(monkeypatch, value)
+    with pytest.raises(SimplexError,
+                       match=r"non-finite basis solve \(2 columns\)"):
+        solve_lp(two_row_lp())
+
+
+def test_a_non_finite_dual_solve_raises(monkeypatch):
+    m = two_row_lp()
+    assert solve_lp(m).x.tolist() == [0.0, 4.0]
+    non_finite_solve(monkeypatch, math.nan, from_call=2)
+    with pytest.raises(SimplexError, match="non-finite basis solve"):
+        solve_lp(m)
+
+
+def test_a_non_finite_basis_solve_fails_a_search_with_a_simplex_error(
+        toy3, monkeypatch):
+    # the root LP breaks down; the search once raised "attempt to get
+    # argmax of an empty sequence", a ValueError
+    non_finite_solve(monkeypatch, math.nan)
+    with pytest.raises(SimplexError, match="non-finite basis solve"):
+        solve_milp(build_nc(toy3))
+
+
+def test_certificate_fails_a_non_finite_point():
+    # min -3x - y over x + y <= 5, x + z <= 7: optimum x = 5, objective -15
+    m = lp([("x", -3.0), ("y", -1.0)],
+           [("r1", [("x", 1.0), ("y", 1.0)], LE, 5.0),
+            ("r2", [("x", 1.0), ("z", 1.0)], LE, 7.0)],
+           [("x", 0.0, 10.0), ("y", 0.0, 10.0), ("z", 0.0, 10.0)])
+    r = solve_lp(m)
+    assert r.objective == -15.0 and verify_certificate(m, r).passed
+    # the forged result keeps the true objective and duals; a NaN point
+    # once passed, as every "err > tol" test is False for NaN
+    forged = replace(r, x=np.full(3, math.nan))
+    assert verify_certificate(m, forged).failures == [
+        f"bound {name}: value nan is not finite" for name in "xyz"]
+    forged = replace(r, x=np.array([5.0, math.inf, 0.0]))
+    assert verify_certificate(m, forged).failures == [
+        "bound y: value inf is not finite"]
+
+
 def test_certificate_failure_messages_in_order():
     # optimum x = 1.5, y = 0.5 with duals (1.5, -0.5); every part of the
     # forged result breaks something, and each check reports in turn

@@ -4,8 +4,8 @@ import pytest
 from conftest import make_toy3
 from hubloc.formulations import build_nc
 from hubloc.milp import solve_milp
-from hubloc.model import (GE, LinearModel, check_feasibility, dump_model,
-                          with_extra_constraint)
+from hubloc.model import (GE, LinearModel, Violation, check_feasibility,
+                          dump_model, with_extra_constraint)
 from hubloc.simplex import solve_lp
 
 
@@ -25,8 +25,13 @@ def test_bounds_that_admit_no_finite_value_rejected(lb, ub):
         LinearModel().add_variable("x", lb=lb, ub=ub)
 
 
-@pytest.mark.parametrize("term", [(-1, 1.0), (1, 1.0), (0, np.nan)],
-                         ids=["negative-index", "index-past-the-end", "nan"])
+@pytest.mark.parametrize("term", [(-1, 1.0), (1, 1.0), (0, np.nan),
+                                  (0.5, 1.0), ("0", "2"),
+                                  (0, "2"), (None, 1.0), (0, None)],
+                         ids=["negative-index", "index-past-the-end", "nan",
+                              "fractional-index",
+                              "string-term", "string-coefficient",
+                              "no-index", "no-coefficient"])
 def test_bad_terms_rejected_when_the_model_is_built(term):
     # the objective once took any term: index -1 priced the last variable,
     # and the other two raised only when an LP was solved
@@ -38,6 +43,38 @@ def test_bad_terms_rejected_when_the_model_is_built(term):
     with pytest.raises(ValueError, match=r"^bad term .* in row$"):
         m.add_constraint("row", [term], GE, 0.0)
     assert m.constraints == []
+
+
+def test_a_fractional_index_is_not_truncated():
+    # (1.9, 1.0) once became a term on column 1
+    m = LinearModel()
+    m.add_variable("x")
+    m.add_variable("y")
+    with pytest.raises(ValueError, match=r"^bad term \(1\.9, 1\.0\) in row$"):
+        m.add_constraint("row", [(0, 1.0), (1.9, 1.0)], GE, 0.0)
+
+
+def test_numeric_terms_become_plain_int_and_float():
+    # an integral index of any number type passes, and a zero term is
+    # dropped unread
+    m = LinearModel()
+    m.add_variable("x")
+    m.add_variable("y")
+    m.set_objective([(np.int64(1), np.float64(2.5)), (np.float32(0.0), 3),
+                     (1.5, 0.0)])
+    assert m.objective == [(1, 2.5), (0, 3.0)]
+    assert [type(v) for t in m.objective for v in t] == [int, float] * 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_is_a_bound_violation(value):
+    # a NaN point once passed: every "err > tol" test is False for NaN
+    m = LinearModel()
+    m.add_variable("x")
+    m.add_variable("y")
+    m.add_constraint("row", [(0, 1.0), (1, 1.0)], GE, 1.0)
+    assert check_feasibility(m, {"x": value, "y": 1.0}) == [
+        Violation("bound[x]", np.inf)]
 
 
 def test_feasibility_of_solver_output(toy3):

@@ -138,7 +138,7 @@ def _reference_solve(model, extra_bounds=None, events=None):
         d = c1 - c1[basis] @ T
         _, iters = _reference_iterate(T, xB, basis, status, ub, d, maxit, iters,
                                       False, events)
-        xB = _refine_basics(sf.A, sf.b, basis, status, ub)
+        xB = _refine_basics(sf.A, sf.b, basis, status, ub)[0][basis]
         if float(c1[basis] @ np.maximum(xB, 0.0)) > FEAS_TOL:
             return "infeasible", iters, basis, status, None
         ub[sf.art_mask] = 0.0
@@ -147,8 +147,8 @@ def _reference_solve(model, extra_bounds=None, events=None):
                                         iters, True, events)
     if outcome == "unbounded":
         return "unbounded", iters, basis, status, None
-    xB = _refine_basics(sf.A, sf.b, basis, status, ub)
-    return "optimal", iters, basis, status, _values_from_state(sf, basis, status, xB)
+    vals, _ = _refine_basics(sf.A, sf.b, basis, status, ub)
+    return "optimal", iters, basis, status, _values_from_state(sf, vals)
 
 
 def _assert_same_pivots(model, extra_bounds=None):
