@@ -13,10 +13,10 @@ from .instance import (ConfigError, GeneratorConfig, Instance, ParseError,
                        ValidationError, generate_instance,
                        instance_fingerprint, load_instance, origin_supply,
                        save_instance)
-from .milp import (EnumerationCapError, Solution, solve_by_enumeration,
-                   solve_milp)
+from .milp import solve_by_enumeration, solve_milp
 from .model import (Constraint, LinearModel, Variable, check_feasibility,
                     dump_model)
+from .oracle import EnumerationCapError, Solution
 from .regret import (InfeasibleDesignError, InfeasibleScenarioError,
                      compute_baselines, evaluate_design, regret_report,
                      solution_to_json, solve_ccu, solve_ocu)

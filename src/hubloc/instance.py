@@ -12,6 +12,7 @@ subsets used by the collaboration-restricted formulation.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,6 +301,11 @@ class GeneratorConfig:
     capacity_tightness: float = 0.6
 
     def __post_init__(self):
+        for name in ("seed", "n", "chain_count", "scenario_count"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.n < 1:

@@ -78,6 +78,8 @@ class LinearModel:
                      lb: float = 0.0, ub: float = math.inf) -> int:
         if name in self.name_index:
             raise ValueError(f"duplicate variable name {name!r}")
+        if kind not in (CONTINUOUS, BINARY):
+            raise ValueError(f"bad kind {kind!r} for {name!r}")
         if kind == BINARY:
             lb, ub = 0.0, 1.0
         elif not (lb < math.inf and ub > -math.inf):   # also rejects NaN

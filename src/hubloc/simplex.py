@@ -69,7 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# a seam: verify_certificate is bound here for old imports and tracers
+# a seam: verify_certificate is bound here for old imports, for tracers and
+# for the certificate gate of hubloc.oracle, which reads it at each call
 from .certify import BOUND_TOL, FEAS_TOL, OPT_TOL, verify_certificate
 from .model import LinearModel
 
@@ -91,19 +92,29 @@ COL_SHIFT, COL_SPLIT_POS, COL_SPLIT_NEG, COL_MIRROR = range(4)
 
 
 def _find_openblas():
-    with contextlib.suppress(OSError), open("/proc/self/maps", encoding="utf-8") as f:
-        libs = sorted({line.split()[-1] for line in f
-                       if "openblas" in line.lower() and ".so" in line})
-        for path in libs:
+    """(get, set) of the first mapped OpenBLAS library that loads and has
+    both; a path is everything after a maps line's fifth field, spaces
+    included."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            fields = [line.rstrip("\n").split(None, 5) for line in f
+                      if "openblas" in line.lower() and ".so" in line]
+    except OSError:
+        return None
+    for path in sorted({f[5] for f in fields if len(f) == 6}):
+        try:
             lib = ctypes.CDLL(path)
-            for suffix in ("64_", ""):
-                for prefix in ("scipy_openblas", "openblas"):
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                    if get is not None and put is not None:
-                        get.argtypes, get.restype = [], ctypes.c_int
-                        put.argtypes, put.restype = [ctypes.c_int], None
-                        return get, put
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            for prefix in ("scipy_openblas", "openblas"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
 
 
 OPENBLAS = _find_openblas()   # (get, set) of numpy's OpenBLAS thread count

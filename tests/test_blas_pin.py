@@ -6,6 +6,7 @@ restores the caller's count when the last pinned block leaves, whatever
 its thread.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -102,16 +103,71 @@ def test_a_solve_that_raises_restores_the_count(blas_count, monkeypatch):
 def test_a_search_certifies_on_one_thread(blas_count, monkeypatch):
     """Certificates run between LPs, in the search, not in ``solve_lp``."""
     seen = []
-    verify = milp.verify_certificate
+    verify = simplex.verify_certificate
 
     def spy(model, result):
         seen.append(blas_count())
         return verify(model, result)
 
-    monkeypatch.setattr(milp, "verify_certificate", spy)
+    monkeypatch.setattr(simplex, "verify_certificate", spy)
     assert milp.solve_milp(_nc_model()).status == "optimal"
     assert seen and set(seen) == {1}
     assert blas_count() == 2
+
+
+def _openblas_paths():
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        return sorted({line.split(None, 5)[5].rstrip("\n") for line in f
+                       if "openblas" in line.lower() and ".so" in line})
+
+
+def _fake_maps(monkeypatch, paths):
+    """Make ``simplex`` read one maps line per path."""
+    text = "".join(f"7f{k:010x}000-7f{k:010x}fff r-xp 00000000 fe:00 62288"
+                   f"                      {path}\n"
+                   for k, path in enumerate(paths))
+    monkeypatch.setattr(simplex, "open", lambda *args, **kwargs:
+                        io.StringIO(text), raising=False)
+
+
+@needs_openblas
+def test_a_library_path_with_a_space_is_found(tmp_path, monkeypatch):
+    """Splitting the maps line at every space took ``ace/lib...so`` for
+    a library under ``sp ace/``, and the pin was silently off."""
+    spaced = tmp_path / "sp ace"
+    spaced.mkdir()
+    links = []
+    for path in _openblas_paths():
+        links.append(spaced / Path(path).name)
+        links[-1].symlink_to(path)
+    _fake_maps(monkeypatch, links)
+    get, _ = simplex._find_openblas()
+    assert get() == simplex.OPENBLAS[0]()
+
+
+@needs_openblas
+def test_a_library_that_fails_to_load_does_not_end_the_search(tmp_path,
+                                                              monkeypatch):
+    """The paths are tried in sorted order; the first is no ELF file."""
+    broken = tmp_path / "a" / "libopenblas.so"
+    broken.parent.mkdir()
+    broken.write_bytes(b"not a shared object")
+    links = []
+    for path in _openblas_paths():
+        links.append(tmp_path / "b" / Path(path).name)
+        links[-1].parent.mkdir(exist_ok=True)
+        links[-1].symlink_to(path)
+    _fake_maps(monkeypatch, [broken, *links])
+    get, _ = simplex._find_openblas()
+    assert get() == simplex.OPENBLAS[0]()
+
+
+def test_no_maps_file_means_no_pin(monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("no maps here")
+
+    monkeypatch.setattr(simplex, "open", missing, raising=False)
+    assert simplex._find_openblas() is None
 
 
 def _assert_same_lp(got, want):

@@ -8,8 +8,9 @@ certificate check lives in ``hubloc.certify``, whose imports name only
 solver code: it reads the model, the shared model checks and the result's
 ``x``, objective and duals, never its basis, and makes no LAPACK call;
 the model checks read the model's terms, never its compiled arrays, which
-the solver reads; and the enumeration oracle shares no search logic with
-branch and bound.
+the solver reads; and the enumeration oracle, in ``hubloc.oracle``,
+imports nothing from ``hubloc.milp``, so it can share no search logic with
+branch and bound there.
 """
 
 import ast
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from hubloc import certify, milp, model, simplex
+from hubloc import certify, milp, model, oracle, simplex
 
 # Every global name verify_certificate loads: its tolerances, its report,
 # the model's classes, relations and shared checks, and numpy.  No name of
@@ -30,7 +31,8 @@ CERTIFICATE_GLOBALS = {
     "row_violations", "effective_bounds", "LinearModel", "LE", "GE", "np"}
 # The only modules certify.py may import, TYPE_CHECKING blocks included.
 CERTIFY_IMPORTS = {"__future__", "dataclasses", "numpy", ".model"}
-SEARCH_ONLY = {"_search", "_gap", "_fractional_binaries", "INT_TOL", "heapq"}
+# The only modules oracle.py may import: the LP solver, never the search.
+ORACLE_IMPORTS = CERTIFY_IMPORTS | {".simplex"}
 
 
 def _tree(fn) -> ast.AST:
@@ -61,14 +63,22 @@ def read_attributes(fn) -> set[str]:
 
 def imported_modules(source: str) -> set[str]:
     """The module each import statement of ``source`` names, anywhere in
-    it, with a relative import's leading dots."""
+    it, with a relative import's leading dots; ``from . import a`` names
+    ``.a``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names.update("." * node.level + alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names.add("." * node.level + (node.module or ""))
+            names.add("." * node.level + node.module)
     return names
+
+
+def defined_names(source: str) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_certify_imports_only_numpy_and_the_model():
@@ -97,10 +107,17 @@ def test_checkers_never_read_the_compiled_model(fn):
     assert not read_attributes(fn) & {"compiled", "_compiled"}
 
 
-@pytest.mark.parametrize("fn", [milp.solve_by_enumeration, milp._enumerate,
-                                milp._replay, milp._binary_screen])
-def test_enumeration_oracle_shares_no_search_logic(fn):
-    assert not loaded_globals(_tree(fn)) & SEARCH_ONLY
+def test_oracle_imports_nothing_from_the_search():
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert imported_modules(source) <= ORACLE_IMPORTS
+
+
+def test_search_module_defines_none_of_the_oracle():
+    """``milp`` takes the screen, walk, replay and gate from ``oracle``."""
+    source = Path(milp.__file__).read_text(encoding="utf-8")
+    assert not defined_names(source) & set(vars(oracle))
+    assert milp._enumerate is oracle._enumerate
+    assert milp._certify is oracle._certify
 
 
 def test_loaded_globals_sees_signature_body_and_nested_reads():
@@ -125,10 +142,19 @@ def test_imported_modules_sees_every_import_form():
     source = textwrap.dedent("""
         from __future__ import annotations
         import numpy as np, os.path
-        from . import simplex
+        from . import simplex, model as m
         from ..pkg.mod import name
+        from .. import up
         if TYPE_CHECKING:
             from .milp import Solution
         """)
-    assert imported_modules(source) == {"__future__", "numpy", "os.path", ".",
-                                        "..pkg.mod", ".milp"}
+    assert imported_modules(source) == {
+        "__future__", "numpy", "os.path", ".simplex", ".model", "..pkg.mod",
+        "..up", ".milp"}
+
+
+def test_the_oracle_fence_rejects_every_import_of_the_search():
+    for line in ("from . import milp", "from .milp import _search",
+                 "from hubloc import milp", "import hubloc.milp",
+                 "from . import simplex, milp"):
+        assert not imported_modules(line) <= ORACLE_IMPORTS, line

@@ -1,10 +1,11 @@
 """The generic layer holds no hub-model name.
 
-``model``, ``simplex`` and ``milp`` solve any mixed-binary model; only
-``formulations``, ``regret`` and ``claims`` know the variable-name scheme
-of the hub models (``H[k]``, ``I[k]``, ``T[k]`` and the ``Z``/``Y``/``X``
-flows).  The guard reads each generic module with ``ast`` and lists every
-string constant, f-string parts included, that names that scheme.
+``model``, ``simplex``, ``milp`` and ``oracle`` solve any mixed-binary
+model; only ``formulations``, ``regret`` and ``claims`` know the
+variable-name scheme of the hub models (``H[k]``, ``I[k]``, ``T[k]`` and
+the ``Z``/``Y``/``X`` flows).  The guard reads each generic module with
+``ast`` and lists every string constant, f-string parts included, that
+names that scheme.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hubloc import milp, model, simplex
+from hubloc import milp, model, oracle, simplex
 
 HUB_PREFIXES = ("H[", "I[", "T[", "Z[", "Y[", "X[")
 HUB_STRINGS = {"HIT", "ZYX"}
@@ -27,7 +28,7 @@ def hub_names(source: str) -> list[tuple[int, str]]:
                  or node.value in HUB_STRINGS)]
 
 
-@pytest.mark.parametrize("module", [model, simplex, milp],
+@pytest.mark.parametrize("module", [model, simplex, milp, oracle],
                          ids=lambda m: m.__name__)
 def test_generic_module_names_no_hub_variable(module):
     path = Path(module.__file__)

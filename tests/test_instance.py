@@ -190,6 +190,26 @@ def test_generator_config_range_checks(changes, match):
         GeneratorConfig(**{"seed": 0, "n": 3, **changes})
 
 
+@pytest.mark.parametrize("changes", [
+    dict(n=4.0), dict(scenario_count=2.0), dict(chain_count=2.0),
+    dict(seed=True), dict(seed=1.5), dict(n="4"), dict(chain_count=None)],
+    ids=["n-float", "scenario_count-float", "chain_count-float", "seed-bool",
+         "seed-fraction", "n-string", "chain_count-none"])
+def test_generator_config_counts_must_be_integers(changes):
+    # a float count once failed inside numpy or on list multiplication, and
+    # seed=True was taken as seed 1
+    (name, value), = changes.items()
+    with pytest.raises(ConfigError,
+                       match=f"{name} must be an integer, not {value!r}"):
+        GeneratorConfig(**{"seed": 0, "n": 4, **changes})
+
+
+def test_generator_config_takes_a_numpy_integer_seed():
+    assert save_instance(generate_instance(GeneratorConfig(
+        seed=np.int64(3), n=4))) == save_instance(generate_instance(
+            GeneratorConfig(seed=3, n=4)))
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError, match=r"line 1, column"):
         load_instance("{not json")

@@ -25,6 +25,14 @@ def test_bounds_that_admit_no_finite_value_rejected(lb, ub):
         LinearModel().add_variable("x", lb=lb, ub=ub)
 
 
+@pytest.mark.parametrize("kind", ["Binary", "integer", None])
+def test_unknown_variable_kind_rejected(kind):
+    # "Binary" once gave a continuous column on [0, inf): max x subject to
+    # x <= 0.5 then solved "optimal" at x = 0.5
+    with pytest.raises(ValueError, match=f"bad kind {kind!r} for 'x'"):
+        LinearModel().add_variable("x", kind)
+
+
 @pytest.mark.parametrize("term", [(-1, 1.0), (1, 1.0), (0, np.nan),
                                   (0.5, 1.0), ("0", "2"),
                                   (0, "2"), (None, 1.0), (0, None)],

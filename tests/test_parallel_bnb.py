@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy3
-from hubloc import certify, claims, cli, milp, regret, simplex
+from hubloc import certify, claims, cli, milp, oracle, regret, simplex
 from hubloc.claims import CLAIM_CHECKS, SolveMemo
 from hubloc.formulations import (build_cc, build_ccu, build_nc, build_ocu,
                                  build_scenario_deterministic)
@@ -203,7 +203,7 @@ def assert_split(here, sent, kept):
     ``kept[i::k]`` of the kept rows, so they are disjoint and cover every
     row, and each process solved at least one.  Which process solved
     which share depends on timing."""
-    k = min(milp.SHARES, len(kept))
+    k = min(oracle.SHARES, len(kept))
     shares = sorted(rows.tolist() for rows in here + sent)
     assert shares == sorted(kept[i::k].tolist() for i in range(k))
     assert here and sent
@@ -325,7 +325,7 @@ def test_incumbent_failing_its_certificate_raises(monkeypatch, helper):
                                                        chain_count=2,
                                                        scenario_count=2)))
     failures = ["row eq2[i=0]: violated by 1.000e-03", "objective mismatch"]
-    monkeypatch.setattr(milp, "verify_certificate",
+    monkeypatch.setattr(simplex, "verify_certificate",
                         lambda m, res: certify.CertificateReport(False, failures))
     with pytest.raises(SimplexError) as info:
         solve(model, helper)
@@ -555,7 +555,7 @@ def test_fewer_assignments_than_shares(monkeypatch, positions):
     fails once in each process, and (13, 14) twice in the helper, the
     higher position first: either way the lowest position is raised."""
     model = descending(4)
-    assert 15 < milp.SHARES
+    assert 15 < oracle.SHARES
     serial = enumerate_(model, False)
     here, sent = record_shares(monkeypatch)
     assert_same(enumerate_(model, True), serial)
@@ -612,7 +612,7 @@ def test_failures_in_two_row_shares(monkeypatch, positions, here, there):
     not at entry 0; and (15, 30) fails in both of the helper's first
     shares.  Either way the lowest position is raised."""
     model = descending(5)
-    assert milp.SHARES < 31 < 2 * milp.SHARES
+    assert oracle.SHARES < 31 < 2 * oracle.SHARES
     fail_at(monkeypatch, model, *positions)
     lowest = fixings_at(model, positions[0])
     expected = f"breakdown at {sorted(lowest.items())}"
@@ -634,7 +634,7 @@ def test_certificate_failure_before_an_error_wins(monkeypatch):
     position 4 raises.  The serial walk raises the first."""
     model = descending()
     fail_at(monkeypatch, model, 4)
-    real, bad = milp.verify_certificate, fixings_at(model, 1)
+    real, bad = simplex.verify_certificate, fixings_at(model, 1)
 
     def rejects_one(m, res):
         report = real(m, res)
@@ -642,7 +642,7 @@ def test_certificate_failure_before_an_error_wins(monkeypatch):
             report.passed, report.failures = False, ["rejected here"]
         return report
 
-    monkeypatch.setattr(milp, "verify_certificate", rejects_one)
+    monkeypatch.setattr(simplex, "verify_certificate", rejects_one)
     for helper in (False, True):
         with pytest.raises(SimplexError, match="certificate: rejected here$"):
             enumerate_(model, helper)
@@ -721,7 +721,7 @@ def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
     assert_same(results["sol"], expected)
     assert len(lps) == expected.nodes_explored
     # one chunk, dealt into as many jobs as with the helper, all solved here
-    assert not sent and len(here) == min(milp.SHARES, len(lps))
+    assert not sent and len(here) == min(oracle.SHARES, len(lps))
     kept = dealt(here)
     del here[:], lps[:]
     assert_same(milp.solve_by_enumeration(model), expected)
@@ -1176,7 +1176,7 @@ def test_enumeration_uses_the_helper_unforced_with_two_blas_threads(
     assert same_obj and same_values
     assert nodes == serial_nodes > 1
     # the one chunk, dealt alike, with every job solved here
-    assert not serial_sent and len(serial_here) == min(milp.SHARES, nodes)
+    assert not serial_sent and len(serial_here) == min(oracle.SHARES, nodes)
     here, sent = ([np.array(rows) for rows in jobs] for jobs in split)
     assert_split(here, sent, dealt([np.array(rows) for rows in serial_here]))
 

@@ -58,3 +58,22 @@ def test_traced_solve_records_each_layer_and_uninstall_restores(tracing):
         assert after[module].keys() == attrs.keys(), module
         for name, value in attrs.items():
             assert after[module][name] is value, f"{module}.{name}"
+
+
+def test_traced_enumeration_records_its_lps_and_certificates(tracing):
+    """``hubloc.oracle`` is not in ``MODULES``; its gate reads
+    ``simplex.verify_certificate`` at each call, so the oracle's
+    certificates are traced all the same."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sol = milp.solve_by_enumeration(build_nc(make_toy3()))
+    finally:
+        tracer.uninstall()
+    assert sol.status == "optimal"
+    names = [span.name for span in tracer.spans]
+    assert names[0] == "milp.solve_by_enumeration"
+    assert "simplex.verify_certificate" in names
+    lps = [span for span in tracer.spans if span.name == "simplex.solve_lp"]
+    assert len(lps) == sol.nodes_explored
+    assert {span.attrs["tag"] for span in lps} == {"enum"}
