@@ -112,6 +112,27 @@ def test_oracle_imports_nothing_from_the_search():
     assert imported_modules(source) <= ORACLE_IMPORTS
 
 
+def search_names() -> set[str]:
+    """``milp._search`` and every ``milp`` global it reaches, directly or
+    through ``milp``'s own functions, that ``oracle`` does not hold:
+    derived from the search's code, so a new B&B helper is in it."""
+    names, todo = {"_search"}, [milp._search]
+    while todo:
+        for name in loaded_globals(_tree(todo.pop())) - set(vars(oracle)):
+            value = getattr(milp, name, None)
+            if name not in names and inspect.isfunction(value):
+                todo.append(value)
+            names.add(name)
+    return names
+
+
+@pytest.mark.parametrize("fn", [milp.solve_by_enumeration, oracle._enumerate,
+                                oracle._replay, oracle._binary_screen])
+def test_enumeration_oracle_shares_no_search_logic(fn):
+    assert {"_gap", "_fractional_binaries", "INT_TOL"} <= search_names()
+    assert not loaded_globals(_tree(fn)) & search_names()
+
+
 def test_search_module_defines_none_of_the_oracle():
     """``milp`` takes the screen, walk, replay and gate from ``oracle``."""
     source = Path(milp.__file__).read_text(encoding="utf-8")
