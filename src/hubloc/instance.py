@@ -306,6 +306,8 @@ class GeneratorConfig:
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral)):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
+            # a Python int even when given a numpy one, as Instance.n must be
+            object.__setattr__(self, name, int(value))
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.n < 1:

@@ -38,29 +38,6 @@ class Constraint:
     rhs: float
 
 
-@dataclass(frozen=True)
-class CompiledModel:
-    """Read-only arrays of a model, shared by every LP solved on it.
-
-    Nonzeros go row by row, each row's in the order its columns first appear
-    in the terms; duplicates are summed and exact zeros dropped.  ``sense``
-    is the sign of the row's slack: +1 for ``<=``, 0 for ``=``, -1 for ``>=``.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    rhs: np.ndarray
-    sense: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        for arr in vars(self).values():
-            arr.flags.writeable = False
-
-
 @dataclass
 class LinearModel:
     """Minimization model; change it only through ``add_*`` and ``set_objective``."""
@@ -69,8 +46,9 @@ class LinearModel:
     objective: list[tuple[int, float]] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     name_index: dict[str, int] = field(default_factory=dict)
-    _compiled: CompiledModel | None = field(default=None, init=False,
-                                            repr=False, compare=False)
+    # the solver's compiled form (hubloc.simplex.compiled); a change empties it
+    _compiled: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -139,33 +117,6 @@ class LinearModel:
         for j, coeff in self.objective:
             c[j] += coeff
         return c
-
-    def compiled(self) -> CompiledModel:
-        """The compiled form, built on first use and dropped by every change."""
-        if self._compiled is None:
-            self._compiled = _compile(self)
-        return self._compiled
-
-
-def _compile(model: LinearModel) -> CompiledModel:
-    cons, n = model.constraints, max(model.num_variables, 1)
-    rows = np.array([i for i, con in enumerate(cons) for _ in con.terms], dtype=int)
-    terms = [t for con in cons for t in con.terms]
-    cols = np.array([j for j, _ in terms], dtype=int)
-    keys, first, inv = np.unique(rows * n + cols, return_index=True,
-                                 return_inverse=True)
-    merged = np.zeros(len(keys))
-    np.add.at(merged, inv, [a for _, a in terms])
-    keep = np.argsort(first)
-    keep = keep[merged[keep] != 0.0]
-    return CompiledModel(
-        rows=keys[keep] // n, cols=keys[keep] % n, vals=merged[keep],
-        rhs=np.array([con.rhs for con in cons], dtype=float),
-        sense=np.array([{LE: 1, EQ: 0, GE: -1}[con.relation] for con in cons],
-                       dtype=int),
-        lo=np.array([v.lb for v in model.variables], dtype=float),
-        hi=np.array([v.ub for v in model.variables], dtype=float),
-        c=model.objective_vector())
 
 
 def as_value_array(model: LinearModel, values) -> np.ndarray:

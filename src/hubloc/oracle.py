@@ -92,9 +92,7 @@ def _binary_screen(model: LinearModel, bins):
             rows.append(row)
             rels.append(con.relation)
             rhs.append(con.rhs)
-    if not rows:
-        return None
-    return np.array(rows), rels, np.array(rhs)
+    return np.array(rows).reshape(len(rows), len(bins)), rels, np.array(rhs)
 
 
 def _replay(model: LinearModel, answers, count: int, best: LPResult | None):
@@ -122,7 +120,7 @@ def _enumerate(model: LinearModel, bins):
     one), ``assignments[i::k]``, replays their answers in lexicographic
     order and returns the Solution."""
     nb = len(bins)
-    screen = _binary_screen(model, bins)
+    rows, rels, rhs = _binary_screen(model, bins)
     shifts = np.array([nb - 1 - t for t in range(nb)], dtype=np.int64)
 
     best: LPResult | None = None
@@ -133,16 +131,14 @@ def _enumerate(model: LinearModel, bins):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(float)
         keep = np.ones(len(codes), dtype=bool)
-        if screen is not None:
-            rows, rels, rhs = screen
-            acts = bits @ rows.T
-            for r, rel in enumerate(rels):
-                if rel == EQ:
-                    keep &= np.abs(acts[:, r] - rhs[r]) <= 1e-9
-                elif rel == LE:
-                    keep &= acts[:, r] <= rhs[r] + 1e-9
-                else:
-                    keep &= acts[:, r] >= rhs[r] - 1e-9
+        acts = bits @ rows.T
+        for r, rel in enumerate(rels):
+            if rel == EQ:
+                keep &= np.abs(acts[:, r] - rhs[r]) <= 1e-9
+            elif rel == LE:
+                keep &= acts[:, r] <= rhs[r] + 1e-9
+            else:
+                keep &= acts[:, r] >= rhs[r] - 1e-9
         assignments = bits[keep]
         k = max(1, min(SHARES, len(assignments)))
         answers = yield [(bins, assignments[i::k]) for i in range(k)]

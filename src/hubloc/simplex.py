@@ -40,18 +40,21 @@ negates the entering column only where its upper-bound pass divides by
 it, which changes no value that a pivot reads.
 
 The load step is a presolve over the model's compiled arrays
-(:meth:`~hubloc.model.LinearModel.compiled`, built once per model): array
-passes substitute variables whose effective bounds pin them to a single
-value and turn single-variable rows into bounds, which keeps
+(:func:`compiled`, built once per model and dropped by every change to
+it): array passes substitute variables whose effective bounds pin them
+to a single value and turn single-variable rows into bounds, which keeps
 branch-and-bound node LPs small.  They stop at the first round with no
-single-variable row, the only step that changes a bound.  This module is
-the one owner of that standard form.  Each phase ends with one solve of
-its final basis (:func:`_refine_basics`), and an optimal result carries
-one dual per model row, found on that basis matrix by a dual postsolve
+single-variable row, the only step that changes a bound.  This module
+owns the compiled form, as the pin subtraction and the residual and dual
+sums read its nonzeros in :func:`_compile`'s order, and that standard
+form.  Each phase ends with one solve of its final basis
+(:func:`_refine_basics`), and an optimal result carries one dual per
+model row, found on that basis matrix by a dual postsolve
 (:func:`_row_duals`); the checker of :mod:`hubloc.certify` proves it on
 the model's own rows and bounds by weak duality, so a fault in the
-presolve cannot hide from it.  A basis solve that is singular or gives a
-NaN or infinite entry raises :class:`SimplexError`, never a NaN point.
+compiled form or the presolve cannot hide from it.  A basis solve that
+is singular or gives a NaN or infinite entry raises
+:class:`SimplexError`, never a NaN point.
 
 Tolerances: feasibility and optimality 1e-7 (:mod:`hubloc.certify`'s),
 zero pivot 1e-10.  The ratio test takes entries above 1e-9 as pivots;
@@ -72,7 +75,7 @@ import numpy as np
 # a seam: verify_certificate is bound here for old imports, for tracers and
 # for the certificate gate of hubloc.oracle, which reads it at each call
 from .certify import BOUND_TOL, FEAS_TOL, OPT_TOL, verify_certificate
-from .model import LinearModel
+from .model import EQ, GE, LE, LinearModel
 
 PIVOT_TOL = 1e-9
 REL_PIVOT = 1e-9   # times the entering column's largest |entry|
@@ -192,6 +195,57 @@ class StandardForm:
     singletons: list       # (r, j, a, v) per round: row r became a bound v on x_j
 
 
+@dataclass(frozen=True)
+class CompiledModel:
+    """Read-only arrays of a model, shared by every LP solved on it.
+
+    Nonzeros go row by row, each row's in the order its columns first appear
+    in the terms; duplicates are summed and exact zeros dropped.  ``sense``
+    is the sign of the row's slack: +1 for ``<=``, 0 for ``=``, -1 for ``>=``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    rhs: np.ndarray
+    sense: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+
+def compiled(model: LinearModel) -> CompiledModel:
+    """The compiled form, built on first use and dropped by every change."""
+    if model._compiled is None:
+        model._compiled = _compile(model)
+    return model._compiled
+
+
+def _compile(model: LinearModel) -> CompiledModel:
+    cons, n = model.constraints, max(model.num_variables, 1)
+    rows = np.array([i for i, con in enumerate(cons) for _ in con.terms], dtype=int)
+    terms = [t for con in cons for t in con.terms]
+    cols = np.array([j for j, _ in terms], dtype=int)
+    keys, first, inv = np.unique(rows * n + cols, return_index=True,
+                                 return_inverse=True)
+    merged = np.zeros(len(keys))
+    np.add.at(merged, inv, [a for _, a in terms])
+    keep = np.argsort(first)
+    keep = keep[merged[keep] != 0.0]
+    return CompiledModel(
+        rows=keys[keep] // n, cols=keys[keep] % n, vals=merged[keep],
+        rhs=np.array([con.rhs for con in cons], dtype=float),
+        sense=np.array([{LE: 1, EQ: 0, GE: -1}[con.relation] for con in cons],
+                       dtype=int),
+        lo=np.array([v.lb for v in model.variables], dtype=float),
+        hi=np.array([v.ub for v in model.variables], dtype=float),
+        c=model.objective_vector())
+
+
 def _violation(act, rhs, sense):
     """How far each row ``act (<=, =, >=) rhs`` is violated (<= 0 if not)."""
     return np.where(sense == 0, np.abs(act - rhs), sense * (act - rhs))
@@ -207,7 +261,7 @@ def _subtract_in_order(target, idx, amounts):
 def _standardize(model: LinearModel,
                  extra_bounds: dict | None) -> StandardForm | str:
     """Standard form of the LP, or the reason presolve found it infeasible."""
-    cm = model.compiled()
+    cm = compiled(model)
     n = model.num_variables
     lo, hi = cm.lo.copy(), cm.hi.copy()
     for j, (l, u) in (extra_bounds or {}).items():
@@ -376,9 +430,8 @@ def _sparse_update(Nt, d, cols, colq, trow, dq):
     d[cols[nz]] -= dq * tnz
 
 
-def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
-             allow_unbounded):
-    """Run simplex pivots until optimal/unbounded; returns (outcome, iters).
+def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit):
+    """Run simplex pivots until optimal/unbounded; returns (outcome, pivots).
 
     ``N`` holds the tableau columns of the nonbasic variables: column
     ``cols[s]`` is ``N[:, s]`` and ``slot`` maps a column back to its ``s``
@@ -411,9 +464,9 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
     m = len(basis)
     ncols = len(d)
     if not ncols:
-        return "optimal", start_iter
+        return "optimal", 0
     Nt = N.T
-    it = start_iter
+    it = 0
     stall = 0
     bland = False
     w = np.where(status == NB_LOWER, -1.0, 1.0)
@@ -434,7 +487,7 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
                     f"numerical breakdown: non-finite reduced cost {d[q]} "
                     f"(column {q})")
             return "optimal", it
-        if it - start_iter >= maxit:
+        if it >= maxit:
             raise SimplexError(
                 f"numerical breakdown: no progress within {maxit} pivots")
         if bland:
@@ -471,8 +524,6 @@ def _iterate(N, cols, slot, xB, basis, status, ub, d, maxit, start_iter,
             step_basic = float(np.minimum.reduce(lims, initial=math.inf))
             step = min(step_basic, ub[q])
             if step == math.inf:
-                if not allow_unbounded:
-                    raise SimplexError("numerical breakdown: phase-1 ray")
                 return "unbounded", it
             next_stall = stall + 1 if step <= 1e-12 else 0
             next_bland = next_stall >= m + ncols or (bland and step <= 1e-12)
@@ -634,8 +685,10 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
         if sf.art_mask.any():
             c1 = sf.art_mask.astype(float)
             d = c1 - c1[basis] @ sf.A   # sf.A is the tableau before any pivot
-            _, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
-                                iters, allow_unbounded=False)
+            outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub,
+                                      d, maxit)
+            if outcome == "unbounded":   # phase 1 is bounded below by 0
+                raise SimplexError("numerical breakdown: phase-1 ray")
             xB = _refine_basics(sf.A, sf.b, basis, status, ub)[0][basis]
             infeas = float(c1[basis] @ np.maximum(xB, 0.0))
             if infeas > FEAS_TOL:
@@ -658,14 +711,15 @@ def solve_lp(model: LinearModel, extra_bounds: dict | None = None) -> LPResult:
         N, cols = N.T[keep].T, cols[keep]   # column-major
         slot.fill(-1)
         slot[cols] = np.arange(len(cols))
-        outcome, iters = _iterate(N, cols, slot, xB, basis, status, ub, d, maxit,
-                                  iters, allow_unbounded=True)
+        outcome, pivots = _iterate(N, cols, slot, xB, basis, status, ub, d,
+                                   maxit)
+        iters += pivots
         if outcome == "unbounded":
             return LPResult("unbounded", None, None, basis, status, iters, **ctx)
 
         vals, B = _refine_basics(sf.A, sf.b, basis, status, ub)
         x = _values_from_state(sf, vals)
-        cm = model.compiled()
+        cm = compiled(model)
         act = np.bincount(cm.rows, weights=cm.vals * x[cm.cols],
                           minlength=len(cm.rhs))
         err = _violation(act, cm.rhs, cm.sense)

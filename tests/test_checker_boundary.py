@@ -6,11 +6,14 @@ functions, less the names it binds itself and the builtins.  The
 certificate check lives in ``hubloc.certify``, whose imports name only
 ``__future__``, ``dataclasses``, ``numpy`` and ``.model``, and loads no
 solver code: it reads the model, the shared model checks and the result's
-``x``, objective and duals, never its basis, and makes no LAPACK call;
-the model checks read the model's terms, never its compiled arrays, which
-the solver reads; and the enumeration oracle, in ``hubloc.oracle``,
-imports nothing from ``hubloc.milp``, so it can share no search logic with
-branch and bound there.
+``x``, objective and duals, never its basis, and makes no LAPACK call.
+The model checks read the model's terms, never its compiled arrays: the
+compiled form lives in ``hubloc.simplex``, the solver that reads it,
+``hubloc.model`` imports no ``hubloc`` module, and no code of ``model``
+or ``certify`` reads a model's compiled form or its cache slot.  The
+enumeration oracle, in ``hubloc.oracle``, imports nothing from
+``hubloc.milp``, so it can share no search logic with branch and bound
+there.
 """
 
 import ast
@@ -33,6 +36,14 @@ CERTIFICATE_GLOBALS = {
 CERTIFY_IMPORTS = {"__future__", "dataclasses", "numpy", ".model"}
 # The only modules oracle.py may import: the LP solver, never the search.
 ORACLE_IMPORTS = CERTIFY_IMPORTS | {".simplex"}
+# The only modules model.py may import: no solver code, so no compiled form.
+MODEL_IMPORTS = {"__future__", "math", "dataclasses", "numpy"}
+# The solver's compiled form of a model and the model's cache slot for it.
+COMPILED = {"compiled", "_compiled"}
+
+
+def source_of(module) -> str:
+    return Path(module.__file__).read_text(encoding="utf-8")
 
 
 def _tree(fn) -> ast.AST:
@@ -81,9 +92,18 @@ def defined_names(source: str) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
+def compiled_reads(source: str) -> list[int]:
+    """The line of each ``compiled`` or ``_compiled`` attribute that
+    ``source`` loads or deletes, or names as a string; a store such as
+    ``self._compiled = None`` reads nothing."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and node.attr in COMPILED
+                and not isinstance(node.ctx, ast.Store))
+            or (isinstance(node, ast.Constant) and node.value in COMPILED)]
+
+
 def test_certify_imports_only_numpy_and_the_model():
-    source = Path(certify.__file__).read_text(encoding="utf-8")
-    assert imported_modules(source) <= CERTIFY_IMPORTS
+    assert imported_modules(source_of(certify)) <= CERTIFY_IMPORTS
 
 
 def test_simplex_binds_the_one_certificate_check():
@@ -100,16 +120,31 @@ def test_certificate_check_reads_no_basis_and_calls_no_lapack():
         "basis", "vstatus", "linalg"}
 
 
-@pytest.mark.parametrize("fn", [certify.verify_certificate,
-                                model.row_violations, model.effective_bounds,
-                                model.check_feasibility])
-def test_checkers_never_read_the_compiled_model(fn):
-    assert not read_attributes(fn) & {"compiled", "_compiled"}
+def test_model_imports_no_solver_code():
+    assert imported_modules(source_of(model)) <= MODEL_IMPORTS
+
+
+def test_the_compiled_form_lives_in_the_solver():
+    names = {"CompiledModel", "_compile", "compiled"}
+    assert not defined_names(source_of(model)) & names
+    assert names <= defined_names(source_of(simplex))
+
+
+def test_checkers_never_read_the_compiled_model():
+    for module in (model, certify):
+        assert compiled_reads(source_of(module)) == [], module.__name__
+
+
+def test_the_compiled_fence_rejects_every_read():
+    for line in ("cm = model.compiled()", "cm = model._compiled",
+                 "cm = getattr(model, '_compiled')", "del model._compiled",
+                 "ok = self._compiled is None"):
+        assert compiled_reads(line), line
+    assert not compiled_reads("self._compiled = None")
 
 
 def test_oracle_imports_nothing_from_the_search():
-    source = Path(oracle.__file__).read_text(encoding="utf-8")
-    assert imported_modules(source) <= ORACLE_IMPORTS
+    assert imported_modules(source_of(oracle)) <= ORACLE_IMPORTS
 
 
 def search_names() -> set[str]:
@@ -135,8 +170,7 @@ def test_enumeration_oracle_shares_no_search_logic(fn):
 
 def test_search_module_defines_none_of_the_oracle():
     """``milp`` takes the screen, walk, replay and gate from ``oracle``."""
-    source = Path(milp.__file__).read_text(encoding="utf-8")
-    assert not defined_names(source) & set(vars(oracle))
+    assert not defined_names(source_of(milp)) & set(vars(oracle))
     assert milp._enumerate is oracle._enumerate
     assert milp._certify is oracle._certify
 

@@ -14,7 +14,7 @@ from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel, with_extra_constraint
 from hubloc.regret import hub_sets
-from hubloc.simplex import (FEAS_TOL, _standardize, solve_lp,
+from hubloc.simplex import (FEAS_TOL, _standardize, compiled, solve_lp,
                             verify_certificate)
 
 BUILDERS = {
@@ -50,7 +50,7 @@ def test_compiled_arrays_match_terms(inst, key):
     # one row whose terms repeat a column and cancel another
     model.add_constraint("eq99[dup]", [(0, 1.0), (1, 2.0), (0, 0.5),
                                        (1, -2.0)], LE, 3.0)
-    cm = model.compiled()
+    cm = compiled(model)
     A = dense_from_terms(model)
     assert np.array_equal(dense_from_compiled(cm, A.shape), A)
     assert np.all(cm.vals != 0.0)
@@ -68,10 +68,10 @@ def test_compiled_arrays_match_terms(inst, key):
 
 def test_compiled_form_is_cached_until_a_change(toy3):
     model = build_nc(toy3)
-    cm = model.compiled()
-    assert model.compiled() is cm
+    cm = compiled(model)
+    assert compiled(model) is cm
     model.set_objective(model.objective)
-    assert model.compiled() is not cm
+    assert compiled(model) is not cm
 
 
 def test_add_constraint_after_solve_changes_next_solve(toy3):
@@ -97,7 +97,7 @@ def test_with_extra_constraint_leaves_source_result(toy3):
 
 def test_certificate_catches_a_corrupted_compiled_form(toy3):
     model = build_nc(toy3)
-    cm = model.compiled()
+    cm = compiled(model)
     # without this term, flow distributed from hub 2 escapes its opening cost
     row = model.constraints.index(
         next(c for c in model.constraints if c.label == "eq7[l=2,j=2]"))

@@ -210,6 +210,16 @@ def test_generator_config_takes_a_numpy_integer_seed():
             GeneratorConfig(seed=3, n=4)))
 
 
+def test_generator_config_takes_numpy_integer_counts():
+    cfg = GeneratorConfig(seed=np.int64(3), n=np.int32(4),
+                          chain_count=np.int16(2), scenario_count=np.uint8(2))
+    assert [type(cfg.seed), type(cfg.n), type(cfg.chain_count),
+            type(cfg.scenario_count)] == [int] * 4
+    assert save_instance(generate_instance(cfg)) == save_instance(
+        generate_instance(GeneratorConfig(seed=3, n=4, chain_count=2,
+                                          scenario_count=2)))
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError, match=r"line 1, column"):
         load_instance("{not json")

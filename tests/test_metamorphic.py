@@ -20,8 +20,8 @@ from conftest import relabel
 from hubloc.claims import CLAIM_CHECKS, SolveMemo
 from hubloc.formulations import build_cc, build_ccu, build_nc, build_ocu
 from hubloc.instance import GeneratorConfig, generate_instance
-from hubloc.milp import solve_milps, unwrap
-from hubloc.regret import compute_baselines
+from hubloc.milp import solve_milp, solve_milps, unwrap
+from hubloc.regret import compute_baselines, hub_sets
 
 CASES = [(n, seed) for n in (3, 4) for seed in range(3)]
 IDS = [f"n{n}-seed{seed}" for n, seed in CASES]
@@ -105,6 +105,21 @@ def test_a_new_scenario_never_lowers_max_regret(n, seed):
     for name, value in got.items():
         want = optima[name]
         assert value >= want - 1e-9 * max(1.0, abs(want)), name
+
+
+@pytest.mark.parametrize("n, seed", CASES, ids=IDS)
+def test_charging_the_open_hubs_raises_max_regret(n, seed):
+    # a third scenario that charges the ccu optimum's open hubs twice their
+    # setup: on these instances it strictly raises both models' max regret,
+    # so the relation above is not only ever met with equality
+    inst, base, optima, _ = _reference(n, seed)
+    hubs = hub_sets(solve_milp(build_ccu(inst, base)).values)["open_hubs"]
+    supplement = np.zeros(n)
+    supplement[hubs] = 2 * inst.setup[hubs]
+    _, got = _with_third_scenario(inst, supplement)
+    for name, value in got.items():
+        want = optima[name]
+        assert value > want + 1e-6 * max(1.0, abs(want)), (name, value, want)
 
 
 @given(seed=st.sampled_from(range(3)), perm=st.permutations(range(3)),

@@ -254,7 +254,7 @@ def test_signed_zero_entries_pivot_like_the_full_tableau():
     slot = np.array(list(range(n)) + [-1] * m)
     N = A.copy()
     assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
-                    got["ub"], got["d"], 100, 0, True) == outcome
+                    got["ub"], got["d"], 100) == outcome
     assert outcome == ("optimal", 4)
     assert np.array_equal(got["basis"], want["basis"])
     assert np.array_equal(got["status"], want["status"])
@@ -296,7 +296,7 @@ def test_sparse_pivot_rows_of_a_large_tableau_pivot_like_the_full_tableau():
     slot = np.array(list(range(n)) + [-1] * m)
     N = A.copy()
     assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
-                    got["ub"], got["d"], 10_000, 0, True) == outcome
+                    got["ub"], got["d"], 10_000) == outcome
     assert outcome[0] == "optimal" and "flip" in events
     assert np.array_equal(got["basis"], want["basis"])
     assert np.array_equal(got["status"], want["status"])
@@ -335,7 +335,7 @@ def test_dense_pivot_rows_of_a_blocked_tableau_pivot_like_the_full_tableau(
     blocked = _count_calls(monkeypatch, "_blocked_update")
     sparse = _count_calls(monkeypatch, "_sparse_update")
     assert _iterate(N, cols, slot, got["xB"], got["basis"], got["status"],
-                    got["ub"], got["d"], 10_000, 0, True) == outcome
+                    got["ub"], got["d"], 10_000) == outcome
     assert outcome == ("optimal", 24)
     assert len(blocked) == 24 and not sparse   # every pivot, in slices
     assert np.array_equal(got["basis"], want["basis"])
@@ -425,4 +425,14 @@ def test_nan_reduced_cost_raises(d):
     with pytest.raises(SimplexError, match="non-finite reduced cost"):
         _iterate(N, np.array([0, 1]), np.array([0, 1, -1]), np.array([1.0]),
                  np.array([2]), np.array([NB_LOWER, NB_LOWER, BASIC]),
-                 np.full(3, math.inf), np.array(d), 100, 0, True)
+                 np.full(3, math.inf), np.array(d), 100)
+
+
+def test_a_phase_1_ray_raises(monkeypatch):
+    """Phase 1 minimizes a sum of nonnegative artificials, so a ray there
+    is a numerical breakdown, not an unbounded LP."""
+    model = _lp([[-1.0, -1.0]], [1.0, 1.0], [-2.0])   # x0 + x1 >= 2
+    assert _standardize(model, None).art_mask.any()
+    monkeypatch.setattr(simplex, "_iterate", lambda *args: ("unbounded", 0))
+    with pytest.raises(SimplexError, match="phase-1 ray"):
+        solve_lp(model)
