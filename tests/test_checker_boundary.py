@@ -130,7 +130,14 @@ def test_the_compiled_form_lives_in_the_solver():
     assert names <= defined_names(source_of(simplex))
 
 
-def test_checkers_never_read_the_compiled_model():
+@pytest.mark.parametrize("fn", [certify.verify_certificate,
+                                model.row_violations, model.effective_bounds,
+                                model.check_feasibility])
+def test_checkers_never_read_the_compiled_model(fn):
+    assert compiled_reads(textwrap.dedent(inspect.getsource(fn))) == []
+
+
+def test_no_code_of_model_or_certify_reads_the_compiled_model():
     for module in (model, certify):
         assert compiled_reads(source_of(module)) == [], module.__name__
 
