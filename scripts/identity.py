@@ -5,7 +5,7 @@
 For each CLI command of the corpus, OUTDIR gets ``NN-<name>.out``,
 ``.err`` and ``.rc`` files: its stdout, stderr and exit code.  It also
 gets ``lp_digest.txt``: the number of LPs and pivots, and one SHA-256 over
-the (status, objective, iterations, x, basis, vstatus) of every
+the (status, objective, iterations, x, basis, vstatus, duals) of every
 ``LPResult`` that ``solve_lp`` returns on the LP corpus below.  Last, it
 gets ``solution_digest.txt``: the number of MILP ``Solution``s that the
 same corpus produces with the helper process forced on, and one
@@ -173,7 +173,7 @@ def lp_digest(corpus) -> str:
         counts["pivots"] += res.iterations
         one = hashlib.sha256(
             repr((res.status, res.objective, res.iterations)).encode())
-        for a in (res.x, res.basis, res.vstatus):
+        for a in (res.x, res.basis, res.vstatus, res.duals):
             if a is not None:
                 one.update(np.ascontiguousarray(a).tobytes())
         item.append(one.hexdigest())

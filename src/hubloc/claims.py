@@ -30,7 +30,7 @@ from .instance import Instance, instance_fingerprint, origin_supply
 from .milp import attempt, solve_milps, unwrap
 from .model import GE, LinearModel, check_feasibility, with_extra_constraint
 from .regret import InfeasibleScenarioError, compute_baselines, evaluate_design
-from .simplex import solve_lp
+from .simplex import SimplexError, solve_lp
 
 CONFIRMED = "CONFIRMED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -334,7 +334,7 @@ def check_tk_never_one(inst: Instance, opts: ModelOptions = ModelOptions(), *,
     evidence["obj_forced"] = sol_forced.objective
     evidence["gap"] = gap
     if gap < -_tol(sol.objective):
-        raise RuntimeError(f"forcing T raised nothing and lowered the optimum "
+        raise SimplexError(f"forcing T raised nothing and lowered the optimum "
                            f"by {-gap:.3e}; solver inconsistency")
     if gap > _tol(sol.objective):
         return _report("tk_never_one", CONFIRMED, inst, opts, evidence)

@@ -7,8 +7,9 @@ or seeded sweep), ``sweep`` (all claims over seeded instances).
 Exit codes: 0 for an optimal solve or an all-CONFIRMED verification, 2 when
 the outcome is infeasible / COUNTEREXAMPLE / INCONCLUSIVE (reports stay
 machine-readable either way), 1 for usage, IO or validation errors and
-for a solver breakdown (``SimplexError``, ``HelperError``), each printed
-as one ``error:`` line.
+for a solver breakdown (``SimplexError``, also raised by a solve that
+fails its own replay, or ``HelperError``), each printed as one ``error:``
+line.
 All file outputs are written atomically and contain no timestamps, so
 identical inputs produce byte-identical reports.
 """

@@ -81,6 +81,19 @@ class Instance:
     def __post_init__(self):
         for key in _ARRAYS:
             object.__setattr__(self, key, _readonly(getattr(self, key)))
+        # the file format's rules: integer chain entries and real discount
+        # factors, neither of them a bool
+        for ch in self.chains:
+            for v in ch:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValidationError(
+                        f"chain entries must be integers, not {v!r}")
+        for key in ("chi", "alpha", "delta"):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValidationError(
+                    f"discount factors must be real numbers, not {v!r}")
+            object.__setattr__(self, key, float(v))
         object.__setattr__(self, "chains",
                            tuple(tuple(int(v) for v in ch) for ch in self.chains))
         _validate(self)

@@ -21,6 +21,7 @@ from .formulations import (ModelOptions, build_ccu, build_coupling_polytope,
 from .instance import Instance
 from .milp import Solution, solve_milp, solve_milps, unwrap
 from .model import check_feasibility
+from .simplex import SimplexError
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -109,7 +110,7 @@ def _attach_regrets(inst: Instance, sol: Solution, baselines: tuple[float, ...],
     for s, regret in enumerate(regrets):
         reported = sol.values[f"Rs[{s}]"]
         if abs(regret - reported) > 1e-6 * max(1.0, abs(regret)):
-            raise RuntimeError(
+            raise SimplexError(
                 f"regret replay mismatch for scenario {s}: "
                 f"{regret:.9g} recomputed vs {reported:.9g} reported")
     return replace(sol, scenario_costs=costs, regrets=regrets,

@@ -3,11 +3,15 @@
 The solver loads a :class:`~hubloc.model.LinearModel` into an internal
 standard form (nonnegative, possibly upper-bounded columns and equality
 rows), runs phase 1 with artificial variables, then phase 2 with Dantzig
-pricing and a Bland fallback once degeneracy stalls progress.  Free
-variables are split into differences of nonnegative columns at load time.
-The dense tableau keeps only the columns of the nonbasic variables: a
-basic column is a unit vector that a pivot changes by exact zeros only,
-so storing it only adds work, and dropping it changes no value a pivot reads.
+pricing and a Bland fallback once degeneracy stalls progress.  The
+standard form is one signed map back to the model: each variable ``x_j``
+is ``x0_j`` plus the sum of ``col_sign * value`` over its structural
+columns, where ``x0_j`` is its pinned value, its lower bound, its upper
+bound (one column of sign -1) or, when it has neither bound, -0.0 (two
+columns, +1 and -1).  The dense tableau keeps only the columns of the
+nonbasic variables: a basic column is a unit vector that a pivot changes
+by exact zeros only, so storing it only adds work, and dropping it
+changes no value a pivot reads.
 Pricing is one product of the reduced costs with a signed weight per
 column (-1 at a lower bound, +1 at an upper bound, 0 when basic or capped
 at zero), and the ratio test reads the basic upper bounds from an array
@@ -91,8 +95,6 @@ BLOCK_CELLS = 2 ** 15
 
 NB_LOWER, NB_UPPER, BASIC = 0, 1, 2
 
-COL_SHIFT, COL_SPLIT_POS, COL_SPLIT_NEG, COL_MIRROR = range(4)
-
 
 def _find_openblas():
     """(get, set) of the first mapped OpenBLAS library that loads and has
@@ -148,7 +150,8 @@ def one_blas_thread():
 
 
 class SimplexError(RuntimeError):
-    """Numerical breakdown: no progress in time, a tiny pivot or a singular basis."""
+    """Numerical breakdown: no progress in time, a tiny pivot, a singular
+    basis, or a solve that fails its own replay."""
 
 
 @dataclass
@@ -183,13 +186,11 @@ class StandardForm:
     b: np.ndarray
     c: np.ndarray
     ub: np.ndarray
-    col_kind: np.ndarray   # of each structural column, as is col_ref
-    col_ref: np.ndarray
+    col_ref: np.ndarray    # the model variable of each structural column
+    col_sign: np.ndarray   # +1 or -1: x = x0 + col_sign * column, per column
+    x0: np.ndarray         # each model variable's value with its columns at 0
     art_mask: np.ndarray
     init_basis: np.ndarray
-    fixed: np.ndarray
-    red_lo: np.ndarray
-    red_hi: np.ndarray
     row_ids: np.ndarray    # the model row of each standard row
     row_sign: np.ndarray   # -1 where that row was negated
     singletons: list       # (r, j, a, v) per round: row r became a bound v on x_j
@@ -270,7 +271,7 @@ def _standardize(model: LinearModel,
     rhs = cm.rhs.copy()
     live = np.ones(len(rhs), dtype=bool)
     free = np.ones(n, dtype=bool)
-    fixed = np.full(n, np.nan)
+    x0 = np.full(n, np.nan)
     singletons = []
 
     # presolve fixpoint: pin collapsed columns and move them to the rhs,
@@ -283,10 +284,10 @@ def _standardize(model: LinearModel,
             return f"empty bound interval for {model.variables[np.argmax(empty_iv)].name}"
         pin = free & (hi - lo <= 1e-12)
         if pin.any():
-            fixed[pin] = 0.5 * (lo[pin] + hi[pin])
+            x0[pin] = 0.5 * (lo[pin] + hi[pin])
             free &= ~pin
             hit = pin[cols] & live[rows]
-            _subtract_in_order(rhs, rows[hit], vals[hit] * fixed[cols[hit]])
+            _subtract_in_order(rhs, rows[hit], vals[hit] * x0[cols[hit]])
         open_ = free[cols] & live[rows]
         count = np.bincount(rows[open_], minlength=len(rhs))
         empty = live & (count == 0)
@@ -308,31 +309,30 @@ def _standardize(model: LinearModel,
         singletons.append((r, j, a, v))
         live &= ~single
 
-    # column layout: structural (in variable order), slacks, artificials
+    # column layout: structural (in variable order), slacks, artificials;
+    # a free variable's x0 is its lower bound, else its upper bound, else -0.0
     ref = np.flatnonzero(free)
-    kind = np.where(lo[ref] > -math.inf, COL_SHIFT,
-                    np.where(hi[ref] < math.inf, COL_MIRROR, COL_SPLIT_POS))
-    width = np.where(kind == COL_SPLIT_POS, 2, 1)
+    has_lo, has_hi = lo[ref] > -math.inf, hi[ref] < math.inf
+    x0[ref] = np.where(has_lo, lo[ref], np.where(has_hi, hi[ref], -0.0))
+    split = np.zeros(n, dtype=bool)
+    split[ref] = ~has_lo & ~has_hi
+    width = 1 + split[ref]
     col_of = np.zeros(n, dtype=int)
     col_of[ref] = np.cumsum(width) - width
-    struct_kind = np.repeat(kind, width)
-    struct_kind[col_of[ref[kind == COL_SPLIT_POS]] + 1] = COL_SPLIT_NEG
-    struct_ref = np.repeat(ref, width)
-    col_sign = np.where((struct_kind == COL_SPLIT_NEG) | (struct_kind == COL_MIRROR),
-                        -1.0, 1.0)
-    n_struct = len(struct_kind)
+    col_ref = np.repeat(ref, width)
+    col_sign = np.repeat(np.where(has_lo, 1.0, -1.0), width)
+    col_sign[col_of[split]] = 1.0
+    n_struct = len(col_ref)
     row_ids = np.flatnonzero(live)
     slack_rows = np.flatnonzero(sense[row_ids] != 0)
     n_slack = len(slack_rows)
 
-    # rhs after shifting and mirroring columns, in ascending column order
+    # rhs less each column's x0, in ascending column order
     keep = free[cols] & live[rows]
     r, j, a = (np.cumsum(live) - 1)[rows[keep]], cols[keep], vals[keep]
     k = col_of[j]
-    offset = np.where(struct_kind[k] == COL_SHIFT, lo[j],
-                      np.where(struct_kind[k] == COL_MIRROR, hi[j], 0.0))
     b, order = rhs[row_ids], np.lexsort((j, r))
-    _subtract_in_order(b, r[order], (a * offset)[order])
+    _subtract_in_order(b, r[order], (a * x0[j])[order])
 
     # flip rows to make rhs nonnegative, then pick slack or artificial basis
     sign = np.where(b < 0, -1.0, 1.0)
@@ -347,21 +347,20 @@ def _standardize(model: LinearModel,
     A = np.zeros((len(b), n_struct + n_slack + len(art_rows)))
     coef = a * sign[r]
     A[r, k] = coef * col_sign[k]
-    split = struct_kind[k] == COL_SPLIT_POS
-    A[r[split], k[split] + 1] = -coef[split]
+    two = split[j]
+    A[r[two], k[two] + 1] = -coef[two]
     A[slack_rows, n_struct + np.arange(n_slack)] = slack_sign
     A[art_rows, init_basis[art_rows]] = 1.0
 
     c = np.zeros(A.shape[1])
-    c[:n_struct] = col_sign * cm.c[struct_ref]
+    c[:n_struct] = col_sign * cm.c[col_ref]
     ub = np.full(A.shape[1], math.inf)
-    shift = np.flatnonzero(struct_kind == COL_SHIFT)
-    ub[shift] = hi[struct_ref[shift]] - lo[struct_ref[shift]]
-    return StandardForm(A=A, b=b, c=c, ub=ub, col_kind=struct_kind,
-                        col_ref=struct_ref, init_basis=init_basis,
+    shift = np.flatnonzero(lo[col_ref] > -math.inf)
+    ub[shift] = hi[col_ref[shift]] - lo[col_ref[shift]]
+    return StandardForm(A=A, b=b, c=c, ub=ub, col_ref=col_ref,
+                        col_sign=col_sign, x0=x0, init_basis=init_basis,
                         art_mask=np.arange(A.shape[1]) >= n_struct + n_slack,
-                        fixed=fixed, red_lo=lo, red_hi=hi, row_ids=row_ids,
-                        row_sign=sign, singletons=singletons)
+                        row_ids=row_ids, row_sign=sign, singletons=singletons)
 
 
 def _pick_update(Nt, trow):
@@ -613,14 +612,12 @@ def _basis_solve(B, rhs):
 
 
 def _values_from_state(sf: StandardForm, vals) -> np.ndarray:
-    """The model's values from the standard-form value vector ``vals``."""
-    x = sf.fixed.copy()
-    shift, pos, mirror = (np.flatnonzero(sf.col_kind == kind)
-                          for kind in (COL_SHIFT, COL_SPLIT_POS, COL_MIRROR))
-    ref = sf.col_ref
-    x[ref[shift]] = sf.red_lo[ref[shift]] + vals[shift]
-    x[ref[pos]] = vals[pos] - vals[pos + 1]
-    x[ref[mirror]] = sf.red_hi[ref[mirror]] - vals[mirror]
+    """The model's values from the standard-form value vector ``vals``:
+    ``x0`` plus each structural column times its sign, added in column
+    order.  ``-0.0 + v`` is ``v`` bit for bit, so a variable without
+    bounds reads ``v+ - v-`` with that difference's zero sign."""
+    x = sf.x0.copy()
+    np.add.at(x, sf.col_ref, sf.col_sign * vals[:len(sf.col_ref)])
     return x
 
 

@@ -3,15 +3,17 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import hubloc
 from conftest import make_toy3
-from hubloc import cli
+from hubloc import claims, cli, regret
 from hubloc.cli import run
 from hubloc.formulations import ModelOptions
-from hubloc.instance import instance_fingerprint, save_instance
+from hubloc.instance import (GeneratorConfig, generate_instance,
+                             instance_fingerprint, save_instance)
 from hubloc.milp import HelperError
 from hubloc.simplex import SimplexError
 
@@ -221,6 +223,46 @@ def test_a_solver_error_is_one_error_line(error, toy3_file, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def _costs_plus_one(monkeypatch):
+    evaluate = regret.evaluate_design
+    monkeypatch.setattr(regret, "evaluate_design", lambda *args, **kwargs: [
+        cost + 1.0 for cost in evaluate(*args, **kwargs)])
+
+
+def _forced_optimum_lowered(monkeypatch):
+    solved = claims.SolveMemo.solved
+
+    def lowered(memo, name):
+        model, sol = solved(memo, name)
+        if name == "tk-forced":
+            optimum = solved(memo, "ocu")[1].objective
+            sol = replace(sol, objective=optimum - 1.0)
+        return model, sol
+    monkeypatch.setattr(claims.SolveMemo, "solved", lowered)
+
+
+@pytest.mark.parametrize("argv,patch,message", [
+    (["regret", "--model", "ccu"], _costs_plus_one,
+     "regret replay mismatch for scenario 0"),
+    (["verify", "--claim", "tk"], _forced_optimum_lowered,
+     "forcing T raised nothing and lowered the optimum")],
+    ids=["regret-replay", "tk-forced-below-optimum"])
+def test_a_failed_self_replay_is_one_error_line(argv, patch, message,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    # each once reached the user as a traceback of a bare RuntimeError;
+    # on this instance the forced tk model is feasible
+    path = tmp_path / "g3.json"
+    path.write_text(save_instance(generate_instance(GeneratorConfig(
+        seed=1, n=3, chain_count=2, scenario_count=2))))
+    patch(monkeypatch)
+    assert run([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_missing_file_exits_1(capsys):

@@ -14,8 +14,8 @@ from hubloc.instance import GeneratorConfig, generate_instance
 from hubloc.milp import solve_milp
 from hubloc.model import EQ, GE, LE, LinearModel, with_extra_constraint
 from hubloc.regret import hub_sets
-from hubloc.simplex import (FEAS_TOL, _standardize, compiled, solve_lp,
-                            verify_certificate)
+from hubloc.simplex import (FEAS_TOL, _standardize, _values_from_state,
+                            compiled, solve_lp, verify_certificate)
 
 BUILDERS = {
     "nc": build_nc,
@@ -146,13 +146,14 @@ def test_singleton_row_becomes_a_bound():
     sf = _standardize(m, {1: (1.0, 1.0)})
     assert not isinstance(sf, str)
     assert sf.A.shape[0] == 0
-    assert (sf.red_lo[0], sf.red_hi[0]) == (1.0, 2.0)
+    # x is 1 + its one column, capped at 2 - 1
+    assert (sf.x0[0], sf.col_sign.tolist(), sf.ub[0]) == (1.0, [1.0], 1.0)
     res = solve_lp(m, extra_bounds={1: (1.0, 1.0)})
     assert res.x.tolist() == [1.0, 1.0]
     # a negative coefficient flips the sense: -2x <= -3 is x >= 1.5
     m.add_constraint("eq1[neg]", [(0, -2.0)], LE, -3.0)
     sf = _standardize(m, None)
-    assert sf.red_lo[0] == 1.5 and sf.red_hi[0] == 5.0
+    assert sf.x0[0] == 1.5 and sf.ub[0] == 3.5
     assert solve_lp(m).x[0] == pytest.approx(1.5)
 
 
@@ -187,6 +188,32 @@ def test_free_and_mirrored_columns_keep_their_offsets():
     assert res.status == "optimal"
     assert res.x == pytest.approx([-1.0, -1.0, 6.0])
     assert verify_certificate(m, res).passed
+
+
+@pytest.mark.parametrize("vp,vm", [(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0),
+                                   (0.0, -0.0), (0.3, 0.1)],
+                         ids=["-0+0", "+0+0", "-0-0", "+0-0", "nonzero"])
+def test_the_signed_map_adds_each_column_bit_for_bit(vp, vm):
+    """x = x0 + sum of col_sign * column: a variable without bounds reads
+    v+ - v-, zero sign included, a shifted one lo + v and a mirrored one
+    hi - v, all bit for bit."""
+    m = LinearModel()
+    f = m.add_variable("f", lb=-math.inf, ub=math.inf)
+    g = m.add_variable("g", lb=-math.inf, ub=0.7)
+    h = m.add_variable("h", lb=0.1, ub=6.0)
+    p = m.add_variable("p", lb=0.25, ub=0.25)
+    m.add_constraint("eq1[a]", [(f, 1.0), (g, 1.0), (h, 1.0), (p, 1.0)], LE, 4.0)
+    m.add_constraint("eq1[b]", [(f, 1.0), (g, -1.0)], LE, 5.0)
+    sf = _standardize(m, None)
+    assert sf.col_ref.tolist() == [f, f, g, h]
+    assert sf.col_sign.tolist() == [1.0, -1.0, -1.0, 1.0]
+    vals = np.zeros(sf.A.shape[1])
+    vals[:4] = [vp, vm, 0.2, 0.2]
+    x = _values_from_state(sf, vals)
+    assert x.tobytes() == np.array([vp - vm, 0.7 - 0.2, 0.1 + 0.2,
+                                    0.25]).tobytes()
+    if math.copysign(1.0, vp) < 0 < math.copysign(1.0, vm):
+        assert math.copysign(1.0, x[f]) == -1.0   # -0.0 - +0.0 is -0.0
 
 
 def reference_presolve(model, extra_bounds):
@@ -253,6 +280,25 @@ def reference_presolve(model, extra_bounds):
     return fixed, lo, hi, np.array(b)
 
 
+def reference_map(fixed, lo, hi):
+    """The signed column map of the variables that ``reference_presolve``
+    leaves: ``x0`` per variable and the variable, sign and upper bound of
+    each structural column, in variable order."""
+    x0, col_ref, col_sign, ub = fixed.copy(), [], [], []
+    for j in np.flatnonzero(np.isnan(fixed)):
+        if lo[j] > -math.inf:     # lo + column, at most hi - lo
+            x0[j], cols = lo[j], [(1.0, hi[j] - lo[j])]
+        elif hi[j] < math.inf:    # hi - column
+            x0[j], cols = hi[j], [(-1.0, math.inf)]
+        else:                     # -0.0 + column - column
+            x0[j], cols = -0.0, [(1.0, math.inf), (-1.0, math.inf)]
+        for sign, u in cols:
+            col_ref.append(j)
+            col_sign.append(sign)
+            ub.append(u)
+    return x0, col_ref, col_sign, ub
+
+
 def presolve_cases():
     rng = np.random.default_rng(5)
     inst = generate_instance(GeneratorConfig(seed=1, n=4, chain_count=2,
@@ -302,11 +348,17 @@ def test_array_presolve_matches_term_by_term_reference():
         if isinstance(want, str):
             assert got == want
             continue
-        fixed, lo, hi, b = want
-        assert np.array_equal(got.fixed, fixed, equal_nan=True)
-        assert np.array_equal(got.red_lo, lo)
-        assert np.array_equal(got.red_hi, hi)
-        assert np.array_equal(got.b, b)
+        x0, col_ref, col_sign, ub = reference_map(*want[:3])
+        # the two presolves may tighten a bound to zeros of other signs
+        # (np.maximum.at(0.0, -0.0) is -0.0, max(0.0, -0.0) is 0.0), so
+        # only a variable without bounds has its zero sign compared
+        assert np.array_equal(got.x0, x0)
+        split = [j for j in col_ref if col_ref.count(j) == 2]
+        assert np.signbit(got.x0[split]).all()
+        assert got.col_ref.tolist() == col_ref
+        assert got.col_sign.tolist() == col_sign
+        assert got.ub[:len(col_ref)].tolist() == ub
+        assert np.array_equal(got.b, want[3])
 
 
 def test_threads_sharing_a_model_agree():

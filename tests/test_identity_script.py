@@ -1,10 +1,11 @@
 """scripts/identity.py on a tiny corpus: two runs write identical files."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import make_toy3
-from hubloc import milp, simplex
+from hubloc import claims, milp, simplex
 from hubloc.formulations import build_nc
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "identity.py"
@@ -64,3 +65,25 @@ def test_lp_digest_ignores_the_lp_order_within_an_item_but_counts_each_lp():
     assert int(abb["lps"]) == int(ab["lps"]) + 1 == 3
     assert abb["sha256"] != ab["sha256"]
     assert milp.solve_lp is simplex.solve_lp
+
+
+def test_lp_digest_covers_the_duals(monkeypatch):
+    """Results that differ only in their duals, which the certificate
+    reads, give another digest over the same LP and pivot counts."""
+    identity = _load_script()
+    model = build_nc(make_toy3())
+    corpus = [("toy3", lambda _: milp.solve_lp(model), 0)]
+    plain = identity.lp_digest(corpus)
+    solve_lp = simplex.solve_lp
+
+    def shifted(model, extra_bounds=None):
+        res = solve_lp(model, extra_bounds)
+        return replace(res, duals=res.duals + 1.0)
+
+    for mod in (simplex, milp, claims):
+        monkeypatch.setattr(mod, "solve_lp", shifted)
+    moved = identity.lp_digest(corpus)
+    monkeypatch.undo()
+    assert milp.solve_lp is simplex.solve_lp is solve_lp
+    assert moved.splitlines()[:-1] == plain.splitlines()[:-1]
+    assert moved != plain

@@ -172,6 +172,36 @@ def test_constructor_rejects_bad_shapes(changes, match):
         Instance(**_minimal_fields(**changes))
 
 
+@pytest.mark.parametrize("changes", [
+    dict(chains=((0.7,),)), dict(chains=((1.0,),)), dict(chains=((True,),)),
+    dict(chains=(("0",),)), dict(chains=((np.float64(0.0),),)),
+    dict(chi=True), dict(chi="1"), dict(alpha=None), dict(delta=np.True_),
+    dict(alpha=1 + 0j)],
+    ids=["chain-fraction", "chain-float", "chain-bool", "chain-string",
+         "chain-numpy-float", "chi-bool", "chi-string", "alpha-none",
+         "delta-numpy-bool", "alpha-complex"])
+def test_constructor_rejects_what_the_file_format_rejects(changes):
+    # a fractional chain entry was truncated, chi=True saved as
+    # "chi": true, which load_instance rejects, and chi="1" failed in numpy
+    (key, value), = changes.items()
+    what = "chain entries must be integers" if key == "chains" else \
+        "discount factors must be real numbers"
+    with pytest.raises(ValidationError, match=what):
+        Instance(**_minimal_fields(**changes))
+
+
+def test_constructor_takes_numpy_numbers_and_stores_floats():
+    inst = Instance(**_minimal_fields(
+        chi=np.float64(1.0), alpha=np.float32(0.5), delta=np.int64(1),
+        chains=((np.int64(0),),)))
+    assert [type(inst.chi), type(inst.alpha), type(inst.delta)] == [float] * 3
+    assert (inst.chi, inst.alpha, inst.delta) == (1.0, 0.5, 1.0)
+    assert type(inst.chains[0][0]) is int
+    assert load_instance(save_instance(inst)) == inst
+    assert save_instance(inst) == save_instance(
+        Instance(**_minimal_fields(delta=1.0)))
+
+
 @pytest.mark.parametrize("changes,match", [
     (dict(n=0), "n must be positive"),
     (dict(chain_count=0), "chain_count must be at least 1"),

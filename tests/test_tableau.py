@@ -428,6 +428,19 @@ def test_nan_reduced_cost_raises(d):
                  np.full(3, math.inf), np.array(d), 100)
 
 
+def test_the_pivot_limit_raises():
+    # one row x0 + x1 + s = 1 with the slack s basic: x0 must enter once
+    def iterate(maxit):
+        return _iterate(np.array([[1.0, 1.0]]), np.array([0, 1]),
+                        np.array([0, 1, -1]), np.array([1.0]), np.array([2]),
+                        np.array([NB_LOWER, NB_LOWER, BASIC]),
+                        np.full(3, math.inf), np.array([-1.0, 0.0, 0.0]), maxit)
+
+    assert iterate(1) == ("optimal", 1)
+    with pytest.raises(SimplexError, match="no progress within 0 pivots"):
+        iterate(0)
+
+
 def test_a_phase_1_ray_raises(monkeypatch):
     """Phase 1 minimizes a sum of nonnegative artificials, so a ray there
     is a numerical breakdown, not an unbounded LP."""
