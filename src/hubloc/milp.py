@@ -16,7 +16,8 @@
 
 Both run on one scheduler, :func:`_run_searches`, whose unit of work is a
 job ``(indices, rows)``: the LPs that fix the variables ``indices`` at the
-values of each row of ``rows``, answered by :func:`_solve_share`.
+values of each row of ``rows``, answered by :func:`_solve_share` with the
+LPResult of each row and the error, if any, that stopped it.
 """
 
 from __future__ import annotations
@@ -179,33 +180,24 @@ def _solve_share(model: LinearModel, indices, rows):
     """Solve the LP of each row of ``rows`` (values of the variables
     ``indices``) in order, up to the first that raises.
 
-    Returns ``(kept, failure)``.  ``kept`` has one entry per row solved:
-    the LPResult of an optimum strictly better than every earlier optimum
-    of this share, None for any other optimum (it can never be a running
-    best), or the status of a result that is not optimal.  ``failure`` is
-    None or ``(position, exception)``.  A share of a chunk of 2^16 rows
-    thus stays small, in memory and in a reply.
+    Returns ``(results, error)``: the LPResult of each row solved, in
+    order, and None or the exception raised by the next row, whose
+    position is ``len(results)``.
     """
-    kept, best = [], None
-    for pos, row in enumerate(rows):
+    results = []
+    for row in rows:
         try:
             res = solve_lp(model, extra_bounds=_fixings(indices, row) or None)
         except Exception as exc:
-            return kept, (pos, exc)
-        if res.status != "optimal":
-            kept.append(res.status)
-        elif best is None or res.objective < best:
-            best = res.objective
-            kept.append(res)
-        else:
-            kept.append(None)
-    return kept, None
+            return results, exc
+        results.append(res)
+    return results, None
 
 
 def _serve(requests: int, replies: int) -> None:
     """Helper main loop, until the pipe closes.  A request
     ``(token, model or None, indices, rows)`` is answered by ``(token,
-    kept, failure)``, the :func:`_solve_share` of its rows on the model
+    results, error)``, the :func:`_solve_share` of its rows on the model
     of that token, which comes with the token's first request; a request
     ``(token, None, None, None)`` drops that model and gets no reply."""
     global _IN_HELPER
@@ -223,12 +215,12 @@ def _serve(requests: int, replies: int) -> None:
         if model is not None:
             models[token] = model
         if token in models:
-            kept, failure = _solve_share(models[token], indices, rows)
+            results, error = _solve_share(models[token], indices, rows)
         else:
-            kept, failure = [], (0, HelperError(
-                f"helper holds no model for token {token}"))
+            results, error = [], HelperError(
+                f"helper holds no model for token {token}")
         try:
-            _send(replies, (token, kept, failure))
+            _send(replies, (token, results, error))
         except OSError:
             return
 
@@ -315,23 +307,22 @@ class _Helper:
             select.select([self.replies], [], [], 0)[0])
 
     def reply(self, token: int, indices, rows):
-        """The ``(kept, failure)`` answer to the oldest request, which
+        """The ``(results, error)`` answer to the oldest request, which
         was for ``rows`` of ``token``; a reply that does not answer it
         stops the helper and raises :class:`HelperError`."""
-        got, kept, failure = self.early.popleft() if self.early else self._receive()
+        got, results, error = self.early.popleft() if self.early else self._receive()
         if got != token:
             problem = f"a reply for token {got}, not {token}"
-        elif failure is not None and isinstance(failure[1], HelperError):
-            problem = str(failure[1])
-        elif not (len(kept) == len(rows) if failure is None
-                  else len(kept) == failure[0] < len(rows)):
-            problem = f"{len(kept)} results for {len(rows)} rows"
-        elif any(isinstance(res, LPResult)
-                 and (res.extra_bounds or {}) != _fixings(indices, row)
-                 for res, row in zip(kept, rows)):
+        elif isinstance(error, HelperError):
+            problem = str(error)
+        elif not (len(results) == len(rows) if error is None
+                  else len(results) < len(rows)):
+            problem = f"{len(results)} results for {len(rows)} rows"
+        elif any((res.extra_bounds or {}) != _fixings(indices, row)
+                 for res, row in zip(results, rows)):
             problem = "a result for other fixings than sent"
         else:
-            return kept, failure
+            return results, error
         self.close()
         raise HelperError(f"helper process (pid {self.pid}) sent a bad "
                           f"reply: {problem}")
@@ -365,7 +356,7 @@ def _search(model: LinearModel):
 
     It yields the LPs it needs next as one-row jobs: the root, or the two
     children of a branching.  It is sent back one :func:`_solve_share`
-    answer per job in that order, and raises a job's failure at that LP's
+    answer per job in that order, and raises a job's error at that LP's
     place.  It returns the Solution.
 
     Node selection is best-bound with depth-first tie breaking; branching
@@ -387,15 +378,15 @@ def _search(model: LinearModel):
             incumbent = res
             incumbents.append((float(res.objective), _values(model, res.x)))
 
-    def process(share, job, depth: int):
+    def process(answer, job, depth: int):
         nonlocal seq
-        kept, failure = share
-        if failure is not None:
-            raise failure[1]
-        (res,) = kept
-        if isinstance(res, str):   # the status of a result not optimal
-            if res == "unbounded":
-                raise SimplexError("relaxation is unbounded")
+        results, error = answer
+        if error is not None:
+            raise error
+        (res,) = results
+        if res.status == "unbounded":
+            raise SimplexError("relaxation is unbounded")
+        if res.status != "optimal":
             return
         if incumbent is not None and res.objective >= incumbent.objective - _gap(
                 incumbent.objective):
@@ -410,9 +401,9 @@ def _search(model: LinearModel):
         seq += 1
 
     root = ([], np.zeros((1, 0)))
-    (share,) = yield [root]
+    (answer,) = yield [root]
     nodes += 1
-    process(share, root, 0)
+    process(answer, root, 0)
 
     while heap:
         bound, negdepth, _, j, (indices, row) = heapq.heappop(heap)
@@ -421,10 +412,10 @@ def _search(model: LinearModel):
             break
         children = [(indices + [j], np.append(row, val)[None])
                     for val in (0.0, 1.0)]
-        shares = yield children
-        for child, share in zip(children, shares):
+        answers = yield children
+        for child, answer in zip(children, answers):
             nodes += 1
-            process(share, child, -negdepth + 1)
+            process(answer, child, -negdepth + 1)
 
     if incumbent is None:
         return _infeasible(nodes)
@@ -435,7 +426,7 @@ def _search(model: LinearModel):
 class _Run:
     """One search on :func:`_run_searches` and the jobs it waits for."""
 
-    __slots__ = ("model", "token", "search", "jobs", "shares", "owed",
+    __slots__ = ("model", "token", "search", "jobs", "answers", "owed",
                  "outcome")
 
     def __init__(self, model: LinearModel, search):
@@ -471,18 +462,18 @@ def _run_searches(runs, helper) -> list:
         except Exception as exc:
             run.outcome = exc
         else:
-            run.shares = [None] * len(run.jobs)
+            run.answers = [None] * len(run.jobs)
             run.owed = len(run.jobs)
             ready.extend((run, k) for k in range(len(run.jobs)))
             return
         if helper is not None:
             helper.drop(run.token)
 
-    def deliver(run, k, share):
-        run.shares[k] = share
+    def deliver(run, k, answer):
+        run.answers[k] = answer
         run.owed -= 1
         if run.owed == 0:
-            resume(run, run.shares)
+            resume(run, run.answers)
 
     def collect():
         run, k = sent.popleft()

@@ -7,9 +7,11 @@ suite uses to certify the branch-and-bound search.  It shares no search
 logic with it (no bounds, no pruning, no incumbent), only the cold
 ``solve_lp`` and the scheduler.  Each chunk's assignments are dealt into
 ``SHARES`` interleaved shares, which this process solves alone or, where
-the helper runs, both processes take from one queue, each as it gets free;
-the results are then replayed in lexicographic order, and every running
-best is certified here, so the result is that of the serial walk.
+the helper runs, both processes take from one queue, each as it gets free.
+A share's answer is the LPResult of each of its rows, up to the error, if
+any, that stopped it; the results are then replayed in lexicographic order
+by :func:`_replay`, which keeps the walk's only running best and certifies
+each one, so the result is that of the serial walk.
 
 It imports nothing from :mod:`hubloc.milp`, the search it checks.  Both
 routes share its :class:`Solution` and its certificate gate
@@ -97,17 +99,18 @@ def _binary_screen(model: LinearModel, bins):
 
 def _replay(model: LinearModel, answers, count: int, best: LPResult | None):
     """Visit positions ``0..count-1`` of a chunk as the serial walk does,
-    position ``p`` being entry ``p // k`` of share ``p % k`` of the ``k``
-    shares: certify each new running best, and raise a share's failure at
-    its position.  Returns the running best."""
+    position ``p`` being result ``p // k`` of share ``p % k`` of the ``k``
+    shares: raise a share's error at its position, and certify each new
+    running best, an optimum better than every one before it.  No share
+    keeps a running best; this walk keeps the only one and returns it."""
     k = len(answers)
     for pos in range(count):
-        kept, failure = answers[pos % k]
-        if pos // k == len(kept):   # the share stopped at its failure
-            raise failure[1]
-        res = kept[pos // k]
-        if isinstance(res, LPResult) and (best is None
-                                          or res.objective < best.objective):
+        results, error = answers[pos % k]
+        if pos // k == len(results):   # the share stopped at its error
+            raise error
+        res = results[pos // k]
+        if res.status == "optimal" and (best is None
+                                        or res.objective < best.objective):
             _certify(model, res, "enumeration incumbent failed certificate")
             best = res
     return best

@@ -139,31 +139,44 @@ def split_parity():
     return m
 
 
-def descending(bits=3):
+def coded(bits, sign, per_one):
     """``bits`` binaries whose sum is at most ``bits - 1``, so enumeration
-    keeps codes 0 to ``2**bits - 2``, and each beats the one before it: the
-    objective is minus the assignment's code plus half its number of ones
-    (``w``)."""
+    keeps codes 0 to ``2**bits - 2``.  The objective is ``sign`` times the
+    assignment's code plus ``per_one`` times its number of ones (``w``)."""
     m = LinearModel()
     h = [m.add_variable(f"H[{i}]", BINARY) for i in range(bits)]
     w = m.add_variable("w", CONTINUOUS, 0.0, 10.0)
     m.add_constraint("cap", [(j, 1.0) for j in h], LE, bits - 1.0)
     m.add_constraint("cover", [(w, 1.0)] + [(j, -1.0) for j in h], GE, 0.0)
-    m.set_objective([(j, -2.0 ** (bits - 1 - i)) for i, j in enumerate(h)]
-                    + [(w, 0.5)])
+    m.set_objective([(j, sign * 2.0 ** (bits - 1 - i)) for i, j in enumerate(h)]
+                    + [(w, per_one)])
     return m
+
+
+def descending(bits=3):
+    """:func:`coded` with each kept assignment better than the one before
+    it: minus the code plus half the ones, so every optimum of a share is
+    a running best."""
+    return coded(bits, -1.0, 0.5)
+
+
+def ascending(bits=3):
+    """:func:`coded` with each kept assignment worse than the one before
+    it: the code plus the ones over ``2**bits``, a part below 1, so only
+    the first optimum of a share is a running best."""
+    return coded(bits, 1.0, 2.0 ** -bits)
 
 
 def fixings_at(model, position):
     """The enumeration fixings of the ``position``-th kept assignment of
-    :func:`descending`, which is code ``position``."""
+    :func:`coded`, which is code ``position``."""
     bins = model.binary_indices()
     return {j: (float(b), float(b))
             for j, b in zip(bins, format(position, f"0{len(bins)}b"))}
 
 
 def kept_codes(model):
-    """The kept assignments of :func:`descending`, in order, as rows."""
+    """The kept assignments of :func:`coded`, in order, as rows."""
     bits = len(model.binary_indices())
     return np.array([[float(b) for b in format(code, f"0{bits}b")]
                      for code in range(2 ** bits - 1)])
@@ -573,7 +586,7 @@ def test_fewer_assignments_than_shares(monkeypatch, positions):
 def record_stops(monkeypatch):
     """Record each enumeration job that stops at a failure as ``(share,
     entry)``, the share being the code of its first row (its index in a
-    chunk of :func:`descending`): ``here`` gets those this process solves,
+    chunk of :func:`coded`): ``here`` gets those this process solves,
     ``there`` the helper's replies."""
     here, there = [], []
     real_share, real_reply = milp._solve_share, milp._Helper.reply
@@ -582,16 +595,16 @@ def record_stops(monkeypatch):
         return int("".join(str(int(b)) for b in rows[0]), 2)
 
     def solve_here(model, indices, rows):
-        kept, failure = real_share(model, indices, rows)
-        if failure is not None:
-            here.append((code(rows), failure[0]))
-        return kept, failure
+        results, error = real_share(model, indices, rows)
+        if error is not None:
+            here.append((code(rows), len(results)))
+        return results, error
 
     def reply(self, token, indices, rows):
-        kept, failure = real_reply(self, token, indices, rows)
-        if failure is not None:
-            there.append((code(rows), failure[0]))
-        return kept, failure
+        results, error = real_reply(self, token, indices, rows)
+        if error is not None:
+            there.append((code(rows), len(results)))
+        return results, error
 
     monkeypatch.setattr(milp, "_solve_share", solve_here)
     monkeypatch.setattr(milp._Helper, "reply", reply)
@@ -608,24 +621,26 @@ def test_failures_in_two_row_shares(monkeypatch, positions, here, there):
     share i holds positions i and i + 16.  The scheduler sends the helper
     shares 15 and 14 before this process takes share 0, so (0, 16) fails
     twice in one share here, which stops at its first row; (30,) stops
-    the helper's share 14 at its second row, a reply whose failure is
+    the helper's share 14 at its second row, a reply whose error is
     not at entry 0; and (15, 30) fails in both of the helper's first
-    shares.  Either way the lowest position is raised."""
-    model = descending(5)
+    shares.  Either way the lowest position is raised, in :func:`ascending`
+    too, whose failing shares also hold results that are no running best."""
     assert oracle.SHARES < 31 < 2 * oracle.SHARES
-    fail_at(monkeypatch, model, *positions)
-    lowest = fixings_at(model, positions[0])
+    models = (descending(5), ascending(5))
+    fail_at(monkeypatch, models[0], *positions)
+    lowest = fixings_at(models[0], positions[0])
     expected = f"breakdown at {sorted(lowest.items())}"
-    with pytest.raises(SimplexError) as info:
-        enumerate_(model, False)
-    assert str(info.value) == expected
     stops_here, stops_there = record_stops(monkeypatch)
-    with pytest.raises(SimplexError) as info:
-        enumerate_(model, True)
-    assert type(info.value) is SimplexError
-    assert str(info.value) == expected
-    assert stops_here == here
-    assert sorted(stops_there) == there
+    for model in models:
+        for helper in (False, True):
+            stops_here.clear()
+            stops_there.clear()
+            with pytest.raises(SimplexError) as info:
+                enumerate_(model, helper)
+            assert type(info.value) is SimplexError
+            assert str(info.value) == expected
+        assert stops_here == here
+        assert sorted(stops_there) == there
     assert alive(milp._HELPER)
 
 
@@ -671,38 +686,50 @@ def test_interrupt_during_enumeration_stops_the_helper(monkeypatch):
     assert milp._HELPER is not helper and alive(milp._HELPER)
 
 
-def _other_fixings(kept, failure):
-    res = kept[0]
-    flipped = {j: (1.0 - lo, 1.0 - hi) for j, (lo, hi) in res.extra_bounds.items()}
-    return [replace(res, extra_bounds=flipped)] + kept[1:], failure
+def _flipped(res):
+    """``res`` as if solved with each binary fixed at the other value."""
+    return replace(res, extra_bounds={j: (1.0 - lo, 1.0 - hi)
+                                      for j, (lo, hi) in res.extra_bounds.items()})
 
 
-def _one_short(kept, failure):
-    return kept[:-1], failure
+def _other_fixings(results, error):
+    return [_flipped(results[0])] + results[1:], error
+
+
+def _last_other_fixings(results, error):
+    return results[:-1] + [_flipped(results[-1])], error
+
+
+def _one_short(results, error):
+    return results[:-1], error
 
 
 @pytest.mark.parametrize("tamper, problem", [
     (_other_fixings, "a result for other fixings than sent"),
+    (_last_other_fixings, "a result for other fixings than sent"),
     (_one_short, "2 results for 3 rows")])
 def test_tampered_reply_raises(monkeypatch, tamper, problem):
     """63 kept assignments: the first share sent, the newest of the 16,
-    holds positions 15, 31 and 47."""
-    model = descending(6)
-    expected = enumerate_(model, False)
-    enumerate_(split_parity(), True)
-    helper = milp._HELPER
+    holds positions 15, 31 and 47.  In :func:`ascending` only the first
+    of them is a running best; the helper's reply is checked whole all
+    the same."""
     real = milp._recv
 
     def tampered(fd):
-        token, kept, failure = real(fd)
-        return (token, *tamper(kept, failure))
+        token, results, error = real(fd)
+        return (token, *tamper(results, error))
 
-    monkeypatch.setattr(milp, "_recv", tampered)
-    with pytest.raises(milp.HelperError, match=f"sent a bad reply: {problem}$"):
-        enumerate_(model, True)
-    assert milp._HELPER is None and helper.closed
-    monkeypatch.setattr(milp, "_recv", real)
-    assert_same(enumerate_(model, True), expected)
+    for model in (descending(6), ascending(6)):
+        expected = enumerate_(model, False)
+        enumerate_(split_parity(), True)
+        helper = milp._HELPER
+        monkeypatch.setattr(milp, "_recv", tampered)
+        with pytest.raises(milp.HelperError,
+                           match=f"sent a bad reply: {problem}$"):
+            enumerate_(model, True)
+        assert milp._HELPER is None and helper.closed
+        monkeypatch.setattr(milp, "_recv", real)
+        assert_same(enumerate_(model, True), expected)
 
 
 def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
@@ -977,17 +1004,14 @@ def test_killed_helper_with_two_replies_owed_raises(monkeypatch):
     assert milp._HELPER.pid != helper.pid and alive(milp._HELPER)
 
 
-def _other_token(token, kept, failure):
-    return token + 1, kept, failure
+def _other_token(token, results, error):
+    return token + 1, results, error
 
 
-def _child_with_other_fixings(token, kept, failure):
-    res = kept[0] if kept else None
-    if isinstance(res, simplex.LPResult) and res.extra_bounds:
-        flipped = {j: (1.0 - lo, 1.0 - hi)
-                   for j, (lo, hi) in res.extra_bounds.items()}
-        kept = [replace(res, extra_bounds=flipped)]
-    return token, kept, failure
+def _child_with_other_fixings(token, results, error):
+    if results and results[0].extra_bounds:
+        results = [_flipped(results[0])]
+    return token, results, error
 
 
 @pytest.mark.parametrize("tamper, problem", [
@@ -1060,9 +1084,9 @@ def test_finished_searches_leave_no_model_in_the_helper(monkeypatch):
     rows = np.zeros((1, 0))
     for token in range(1000, 1005):
         helper._post((token, None, [], rows))
-        got, kept, failure = helper._receive()
-        assert (got, kept, failure[0]) == (token, [], 0)
-        assert str(failure[1]) == f"helper holds no model for token {token}"
+        got, results, error = helper._receive()
+        assert (got, results) == (token, [])
+        assert str(error) == f"helper holds no model for token {token}"
     assert alive(helper)
 
 
