@@ -3,21 +3,23 @@
 * :func:`solve_milp` -- branch and bound on the binary variables with
   best-bound node selection and most-fractional branching, every incumbent
   re-checked through the LP certificate machinery.  The search is a
-  generator (:func:`_search`) that asks for the LPs it needs, one root or
-  the two children of a branching, and processes their results in its own
-  serial order.  :func:`solve_milps` runs the searches of several models
-  side by side: where a second CPU is free, one forked helper process
-  solves some of their LPs while this process solves the others, and each
-  search still sees its results in order, so every tree, incumbent and
-  reported value is that of the serial search.  :func:`solve_milp` is the
-  same scheduler over one search.
+  generator (:func:`_search`) that asks for the LPs it needs as one job,
+  the root or the two children of a branching, and processes their
+  results in its own serial order.  :func:`solve_milps` runs the searches
+  of several models side by side: where a second CPU is free, one forked
+  helper process solves some of their LPs while this process solves the
+  others, and each search still sees its results in order, so every tree,
+  incumbent and reported value is that of the serial search.
+  :func:`solve_milp` is the same scheduler over one search.
 * :func:`solve_by_enumeration` -- the entry of the independent route, the
   walk of :mod:`hubloc.oracle`, which imports nothing from this module.
 
 Both run on one scheduler, :func:`_run_searches`, whose unit of work is a
 job ``(indices, rows)``: the LPs that fix the variables ``indices`` at the
-values of each row of ``rows``, answered by :func:`_solve_share` with the
-LPResult of each row and the error, if any, that stopped it.
+values of each row of ``rows``.  The scheduler alone splits a job into
+shares of consecutive rows, each solved by :func:`_solve_share` here or in
+the helper, and answers it with ``(results, error)``: the LPResult of each
+row in order, up to the error, if any, that stopped it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ from .oracle import (ENUMERATION_CAP, EnumerationCapError, Solution, _certify,
 from .simplex import LPResult, SimplexError, solve_lp
 
 INT_TOL = 1e-6
+# Shares a job splits into, at most.  Where the helper runs, both
+# processes take them from one FIFO, so the one that is free first takes
+# the next.  Over the 48 enumerations of 12 n=4 oracle items (one BLAS
+# thread, 2-vCPU Xeon at 2.1 GHz) the parent waited 0.33-0.50 s for
+# replies with 2 shares and 0.60-0.74 s with 4; 8, 16 and 32 read alike,
+# 0.10-0.28 s, and 16 sits inside that band.
+SHARES = 16
 
 
 def _gap(objective: float) -> float:
@@ -226,9 +235,9 @@ def _serve(requests: int, replies: int) -> None:
 
 
 class _Helper:
-    """One forked process, joined by two pipes, that solves jobs while the
-    parent solves others: the second child of a branching, or the shares
-    of an enumeration chunk that it is sent.  It keeps one model per live
+    """One forked process, joined by two pipes, that solves shares while
+    the parent solves others: the second child of a branching, or some of
+    the shares of an enumeration chunk.  It keeps one model per live
     search, keyed by the search's token."""
 
     def __init__(self):
@@ -354,10 +363,10 @@ class _Helper:
 def _search(model: LinearModel):
     """Branch and bound on ``model``, as a generator.
 
-    It yields the LPs it needs next as one-row jobs: the root, or the two
-    children of a branching.  It is sent back one :func:`_solve_share`
-    answer per job in that order, and raises a job's error at that LP's
-    place.  It returns the Solution.
+    It yields the LPs it needs next as one job: the root as one row, or
+    the two children of a branching as two rows, child 0 first.  It is
+    sent back one ``(results, error)`` answer, processes the results in
+    order, then raises the error, if any.  It returns the Solution.
 
     Node selection is best-bound with depth-first tie breaking; branching
     picks the most fractional binary (ties to the lowest index), chosen
@@ -378,12 +387,8 @@ def _search(model: LinearModel):
             incumbent = res
             incumbents.append((float(res.objective), _values(model, res.x)))
 
-    def process(answer, job, depth: int):
+    def process(res: LPResult, job, depth: int):
         nonlocal seq
-        results, error = answer
-        if error is not None:
-            raise error
-        (res,) = results
         if res.status == "unbounded":
             raise SimplexError("relaxation is unbounded")
         if res.status != "optimal":
@@ -400,22 +405,22 @@ def _search(model: LinearModel):
         heapq.heappush(heap, (res.objective, -depth, -seq, j, job))
         seq += 1
 
-    root = ([], np.zeros((1, 0)))
-    (answer,) = yield [root]
-    nodes += 1
-    process(answer, root, 0)
-
-    while heap:
+    indices, rows, depth = [], np.zeros((1, 0)), 0   # the root
+    while True:
+        results, error = yield indices, rows
+        for res, row in zip(results, rows):   # each a one-row job on the heap
+            nodes += 1
+            process(res, (indices, row[None]), depth)
+        if error is not None:
+            raise error
+        if not heap:
+            break
         bound, negdepth, _, j, (indices, row) = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent.objective - _gap(
                 incumbent.objective):
             break
-        children = [(indices + [j], np.append(row, val)[None])
-                    for val in (0.0, 1.0)]
-        answers = yield children
-        for child, answer in zip(children, answers):
-            nodes += 1
-            process(answer, child, -negdepth + 1)
+        indices, depth = indices + [j], -negdepth + 1
+        rows = np.array([np.append(row, val) for val in (0.0, 1.0)])
 
     if incumbent is None:
         return _infeasible(nodes)
@@ -424,9 +429,9 @@ def _search(model: LinearModel):
 
 
 class _Run:
-    """One search on :func:`_run_searches` and the jobs it waits for."""
+    """One search on :func:`_run_searches` and the shares it waits for."""
 
-    __slots__ = ("model", "token", "search", "jobs", "answers", "owed",
+    __slots__ = ("model", "token", "search", "shares", "answers", "owed",
                  "outcome")
 
     def __init__(self, model: LinearModel, search):
@@ -440,56 +445,66 @@ def _run_searches(runs, helper) -> list:
     """Run each search of ``runs`` (:class:`_Run`) to its end and return
     each one's result, or the exception it raised.
 
-    A search is a generator that yields a list of jobs and is sent one
-    :func:`_solve_share` answer per job, in order.  Ready jobs of every
-    live search wait in one FIFO.  While two or more wait, the newest goes
-    to the helper, with at most two in flight, so the helper has its next
-    job queued when it finishes one.  This process solves the oldest
-    itself, and between its jobs it collects the replies that have come
-    in.  A search resumes when all its jobs are back; no search logic runs
-    here or in the helper.  An exception other than one a search raised
-    (an interrupt, a lost helper) ends every search and stops a helper
-    that still owes replies.
+    A search is a generator that yields one job ``(indices, rows)`` at a
+    time and is sent one answer ``(results, error)``.  The job is split
+    into ``k = max(1, min(SHARES, len(rows)))`` shares of consecutive
+    rows, and the shares of every live search wait in one FIFO.  While
+    two or more wait, the newest goes to the helper, with at most two in
+    flight, so the helper has its next share queued when it finishes one.
+    This process solves the oldest itself, and between its shares it
+    collects the replies that have come in.  When all of a job's shares
+    are back, the search gets their results in share order, cut at the
+    first share that stopped at an error, and that error; no search logic
+    runs here or in the helper.  An exception other than one a search
+    raised (an interrupt, a lost helper) ends every search and stops a
+    helper that still owes replies.
     """
-    ready = collections.deque()   # (run, position) of jobs not yet started
-    sent = collections.deque()    # (run, position) of jobs sent, in order
+    ready = collections.deque()   # (run, position) of shares not started
+    sent = collections.deque()    # (run, position) of shares sent, in order
 
     def resume(run, value):
         try:
-            run.jobs = run.search.send(value)
+            indices, rows = run.search.send(value)
         except StopIteration as stop:
             run.outcome = stop.value
         except Exception as exc:
             run.outcome = exc
         else:
-            run.answers = [None] * len(run.jobs)
-            run.owed = len(run.jobs)
-            ready.extend((run, k) for k in range(len(run.jobs)))
+            k = max(1, min(SHARES, len(rows)))
+            run.shares = [(indices, part) for part in np.array_split(rows, k)]
+            run.answers = [None] * k
+            run.owed = k
+            ready.extend((run, i) for i in range(k))
             return
         if helper is not None:
             helper.drop(run.token)
 
-    def deliver(run, k, answer):
-        run.answers[k] = answer
+    def deliver(run, i, answer):
+        run.answers[i] = answer
         run.owed -= 1
         if run.owed == 0:
-            resume(run, run.answers)
+            results = []
+            for share, error in run.answers:
+                results += share
+                if error is not None:
+                    break
+            resume(run, (results, error))
 
     def collect():
-        run, k = sent.popleft()
-        deliver(run, k, helper.reply(run.token, *run.jobs[k]))
+        run, i = sent.popleft()
+        deliver(run, i, helper.reply(run.token, *run.shares[i]))
 
     try:
         for run in runs:
             resume(run, None)
         while ready or sent:
             while helper is not None and len(ready) >= 2 and len(sent) < 2:
-                run, k = ready.pop()
-                helper.request(run.token, run.model, *run.jobs[k])
-                sent.append((run, k))
+                run, i = ready.pop()
+                helper.request(run.token, run.model, *run.shares[i])
+                sent.append((run, i))
             if ready:
-                run, k = ready.popleft()
-                deliver(run, k, _solve_share(run.model, *run.jobs[k]))
+                run, i = ready.popleft()
+                deliver(run, i, _solve_share(run.model, *run.shares[i]))
                 while sent and helper.reply_ready():
                     collect()
             else:
@@ -549,13 +564,14 @@ def solve_by_enumeration(model: LinearModel) -> Solution:
     Assignments that violate a row made up purely of binary variables are
     discarded without an LP, which cannot change the optimum.
 
-    Each chunk of the walk (:func:`~hubloc.oracle._enumerate`) is
-    ``oracle.SHARES`` interleaved jobs for :func:`_run_searches`; this
-    process takes them from the front of its queue and, under the
-    conditions of :func:`solve_milp`, the helper from its back.  The
-    results are replayed in order, every running best is certified and
-    the error of the lowest failing assignment is raised, so the result,
-    the LP count and any error are those of the serial walk.
+    Each chunk of the walk (:func:`~hubloc.oracle._enumerate`) is one job
+    for :func:`_run_searches`, which splits it into up to ``SHARES``
+    shares of consecutive assignments; this process takes them from the
+    front of its queue and, under the conditions of :func:`solve_milp`,
+    the helper from its back.  The results are replayed in order, every
+    running best is certified and the error of the lowest failing
+    assignment is raised, so the result, the LP count and any error are
+    those of the serial walk.
     """
     bins = model.binary_indices()
     if len(bins) > ENUMERATION_CAP:

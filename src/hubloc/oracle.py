@@ -5,13 +5,11 @@ solves the residual LP for each; assignments that already violate a
 pure-binary row are rejected without an LP.  This is the oracle the test
 suite uses to certify the branch-and-bound search.  It shares no search
 logic with it (no bounds, no pruning, no incumbent), only the cold
-``solve_lp`` and the scheduler.  Each chunk's assignments are dealt into
-``SHARES`` interleaved shares, which this process solves alone or, where
-the helper runs, both processes take from one queue, each as it gets free.
-A share's answer is the LPResult of each of its rows, up to the error, if
-any, that stopped it; the results are then replayed in lexicographic order
-by :func:`_replay`, which keeps the walk's only running best and certifies
-each one, so the result is that of the serial walk.
+``solve_lp`` and the scheduler.  Each chunk of the walk is one job for
+that scheduler, and its answer is the LPResult of each assignment in
+order, up to the error, if any, that stopped it; :func:`_replay` reads
+them in that order, keeps the walk's only running best and certifies each
+one, so the result is that of the serial walk.
 
 It imports nothing from :mod:`hubloc.milp`, the search it checks.  Both
 routes share its :class:`Solution` and its certificate gate
@@ -28,16 +26,6 @@ from . import simplex
 from .model import EQ, LE, LinearModel
 from .simplex import LPResult, SimplexError
 
-# Jobs per enumeration chunk.  Where the helper runs, both processes take
-# them from one FIFO, so the one that is free first takes the next, and
-# the parent does not wait for a fixed half.  Over the 48 enumerations of
-# 12 n=4 oracle items (one BLAS thread, 2-vCPU Xeon at 2.1 GHz) the parent
-# waited 0.33-0.50 s for replies inside solve_by_enumeration with 2 jobs
-# (five runs) and 0.16-0.23 s with 16 (five runs); 4 jobs read
-# 0.60-0.74 s, 8 read 0.10-0.28 s and 32 read 0.12-0.18 s (three runs
-# each).  8 to 32 read alike, within noise; 16 was picked inside that
-# band.
-SHARES = 16
 # solve_by_enumeration refuses models with more binaries than this
 ENUMERATION_CAP = 24
 
@@ -97,31 +85,26 @@ def _binary_screen(model: LinearModel, bins):
     return np.array(rows).reshape(len(rows), len(bins)), rels, np.array(rhs)
 
 
-def _replay(model: LinearModel, answers, count: int, best: LPResult | None):
-    """Visit positions ``0..count-1`` of a chunk as the serial walk does,
-    position ``p`` being result ``p // k`` of share ``p % k`` of the ``k``
-    shares: raise a share's error at its position, and certify each new
-    running best, an optimum better than every one before it.  No share
-    keeps a running best; this walk keeps the only one and returns it."""
-    k = len(answers)
-    for pos in range(count):
-        results, error = answers[pos % k]
-        if pos // k == len(results):   # the share stopped at its error
-            raise error
-        res = results[pos // k]
+def _replay(model: LinearModel, results, error, best: LPResult | None):
+    """Visit a chunk's results as the serial walk does: certify each new
+    running best, an optimum better than every one before it, then raise
+    the error, if any, that stopped the chunk.  Returns the running best,
+    the walk's only one."""
+    for res in results:
         if res.status == "optimal" and (best is None
                                         or res.objective < best.objective):
             _certify(model, res, "enumeration incumbent failed certificate")
             best = res
+    if error is not None:
+        raise error
     return best
 
 
 def _enumerate(model: LinearModel, bins):
     """The walk of :func:`solve_by_enumeration`, as a search for
-    :func:`_run_searches`: it yields each chunk's kept assignments as
-    ``k = min(SHARES, len(assignments))`` interleaved jobs (at least
-    one), ``assignments[i::k]``, replays their answers in lexicographic
-    order and returns the Solution."""
+    :func:`_run_searches`: it yields each chunk's kept assignments as one
+    job, replays its answer in lexicographic order and returns the
+    Solution."""
     nb = len(bins)
     rows, rels, rhs = _binary_screen(model, bins)
     shifts = np.array([nb - 1 - t for t in range(nb)], dtype=np.int64)
@@ -143,9 +126,8 @@ def _enumerate(model: LinearModel, bins):
             else:
                 keep &= acts[:, r] >= rhs[r] - 1e-9
         assignments = bits[keep]
-        k = max(1, min(SHARES, len(assignments)))
-        answers = yield [(bins, assignments[i::k]) for i in range(k)]
-        best = _replay(model, answers, len(assignments), best)
+        results, error = yield bins, assignments
+        best = _replay(model, results, error, best)
         lps += len(assignments)
 
     if best is None:

@@ -48,6 +48,60 @@ def test_theorem1_confirmed_on_toy3():
     assert report.evidence["incumbents_replayed"] >= 1
 
 
+
+def patch_solved(monkeypatch, key, change):
+    """Make every :meth:`SolveMemo.solved` of ``key`` give ``change(sol)``
+    in place of the Solution the memo holds."""
+    solved = SolveMemo.solved
+
+    def patched(memo, name):
+        model, sol = solved(memo, name)
+        return model, (change(sol) if name == key else sol)
+
+    monkeypatch.setattr(SolveMemo, "solved", patched)
+
+
+def solved_memo(inst, claim):
+    memo = SolveMemo(inst)
+    memo.prepare([claim])
+    return memo
+
+
+def test_theorem1_counterexample_when_the_split_optimum_is_lower(monkeypatch):
+    inst = make_toy3(scenarios=TWO_SCEN)
+    memo = solved_memo(inst, "thm1")
+    ocu, obj_ccu = memo.solved("ocu")[1], memo.solved("ccu")[1].objective
+    patch_solved(monkeypatch, "ocu",
+                 lambda sol: replace(sol, objective=obj_ccu - 1.0))
+    report = check_theorem1(inst, memo=memo)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence == {
+        "obj_ccu": obj_ccu, "obj_ocu": obj_ccu - 1.0, "gap": -1.0,
+        "incumbents_replayed": len(ocu.incumbents),
+        "max_replay_residual": 0.0, "dominance_holds": False}
+    assert report.witness == ocu.values
+
+
+def test_theorem1_counterexample_when_an_incumbent_fails_its_replay(
+        monkeypatch):
+    """Dominance holds, but one incumbent with a flow moved by 1 replays
+    into the plain model at a residual of 1 or more."""
+    inst = make_toy3(scenarios=TWO_SCEN)
+    memo = solved_memo(inst, "thm1")
+    ocu = memo.solved("ocu")[1]
+    objective, values = ocu.incumbents[-1]
+    flow = next(name for name, v in values.items()
+                if name.startswith("Z[") and v > 1.0)
+    moved = {**values, flow: values[flow] - 1.0}
+    patch_solved(monkeypatch, "ocu", lambda sol: replace(
+        sol, incumbents=[*sol.incumbents[:-1], (objective, moved)]))
+    report = check_theorem1(inst, memo=memo)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence["dominance_holds"] is True
+    assert report.evidence["incumbents_replayed"] == len(ocu.incumbents)
+    assert report.evidence["max_replay_residual"] >= 1.0 - 1e-9
+    assert report.witness == ocu.values
+
 def test_theorem1_split_variant_not_asserted():
     inst = make_toy3(scenarios=TWO_SCEN)
     report = check_theorem1(inst, ModelOptions(ocu_objective="collaborative-split"))
@@ -154,6 +208,19 @@ def test_tk_confirmed_on_toy3():
     assert "replay_residual" not in report.evidence
 
 
+
+def test_tk_confirmed_when_the_forced_model_is_infeasible(monkeypatch):
+    inst = make_toy3(scenarios=TWO_SCEN)
+    memo = solved_memo(inst, "tk")
+    obj_ocu = memo.solved("ocu")[1].objective
+    patch_solved(monkeypatch, "tk-forced", lambda sol: replace(
+        sol, status="infeasible", values={}, objective=None, incumbents=[]))
+    report = check_tk_never_one(inst, memo=memo)
+    assert report.verdict == CONFIRMED
+    assert report.evidence == {"obj_ocu": obj_ocu, "zero_objective": False,
+                               "forced_status": "infeasible"}
+    assert report.witness is None
+
 def test_tk_degenerate_tie_is_counterexample():
     report = check_tk_never_one(zero_demand_instance(setup=(0.0, 0.0, 0.0)))
     assert report.verdict == COUNTEREXAMPLE
@@ -189,6 +256,41 @@ def test_i_elimination_on_toy3():
     assert report.evidence["binary_reduction"] == 3
     assert report.evidence["optima_equal"] is True
 
+
+
+def test_i_counterexample_when_the_optima_differ(monkeypatch):
+    """The witness is the split model's optimum."""
+    inst = make_toy3(scenarios=TWO_SCEN)
+    memo = solved_memo(inst, "ivar")
+    full, slim = memo.solved("ocu")[1], memo.solved("ivar-slim")[1]
+    patch_solved(monkeypatch, "ivar-slim",
+                 lambda sol: replace(sol, objective=sol.objective + 1.0))
+    report = check_i_redundancy(inst, memo=memo)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence["obj_eliminated"] == slim.objective + 1.0
+    assert report.evidence["optima_equal"] is False
+    assert report.witness == full.values
+
+
+def test_i_counterexample_when_a_swapped_pattern_costs_more(monkeypatch):
+    """Equal optima, but the eliminated model's pattern, its hub moved
+    from node 1 to node 0, costs more in the split model: the witness is
+    that pattern's point."""
+    inst = make_toy3(scenarios=TWO_SCEN)
+    memo = solved_memo(inst, "ivar")
+    full = memo.solved("ocu")[1]
+    slim = memo.solved("ivar-slim")[1]
+    assert (slim.values["H[0]"], slim.values["H[1]"]) == (0.0, 1.0)
+    moved = {**slim.values, "H[0]": 1.0, "H[1]": 0.0}
+    patch_solved(monkeypatch, "ivar-slim",
+                 lambda sol: replace(sol, values=moved))
+    report = check_i_redundancy(inst, memo=memo)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.evidence["optima_equal"] is True
+    assert report.evidence["full_pattern_in_eliminated"] == pytest.approx(
+        full.objective)
+    assert report.evidence["eliminated_pattern_in_full"] > full.objective + 1.0
+    assert report.witness == moved
 
 def test_eliminated_model_shape():
     inst = make_toy3(scenarios=TWO_SCEN)

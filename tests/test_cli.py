@@ -60,6 +60,19 @@ def test_output_file_mode_follows_the_umask(umask, mode, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["g.json"]   # no temp file
 
 
+def test_gen_onto_a_directory_is_one_error_line(tmp_path, capsys):
+    # the temporary file is written, then cannot replace the directory
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run(["gen", "--seed", "1", "--nodes", "3", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]   # no temp file
+    assert not any(out.iterdir())
+
+
 def test_solve_ocu_single_chain_is_usage_level_error(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text(save_instance(make_toy3(chains=((0, 1, 2),))))

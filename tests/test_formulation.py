@@ -166,6 +166,13 @@ def test_big_m_values(toy3):
             assert compute_big_m(toy3, "eq16", (i, k)) <= total
 
 
+def test_big_m_rejects_an_unknown_family_or_mode(toy3):
+    with pytest.raises(ValueError, match="^unknown coupling family 'eq21'$"):
+        compute_big_m(toy3, "eq21", (0, 1))
+    with pytest.raises(ValueError, match="^unknown big-M mode 'tight'$"):
+        compute_big_m(toy3, "eq16", (0, 1), mode="tight")
+
+
 def test_big_m_validity_on_solved_instances():
     for seed in (0, 1):
         inst = generate_instance(GeneratorConfig(seed=seed, n=4, chain_count=2,

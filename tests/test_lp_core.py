@@ -222,6 +222,40 @@ def test_a_non_finite_basis_solve_fails_a_search_with_a_simplex_error(
         solve_milp(build_nc(toy3))
 
 
+def nudge_values(monkeypatch, name, by, model):
+    """Add ``by`` to variable ``name`` of each point mapped back from the
+    standard form, as a faulty postsolve would."""
+    real, j = simplex._values_from_state, model.name_index[name]
+
+    def nudged(sf, vals):
+        x = real(sf, vals)
+        x[j] += by
+        return x
+
+    monkeypatch.setattr(simplex, "_values_from_state", nudged)
+
+
+def test_a_point_off_its_rows_fails_the_residual_check(toy3, monkeypatch):
+    # Z[0,0] sits in the assignment row of node 0, an equality
+    model = build_nc(toy3)
+    nudge_values(monkeypatch, "Z[0,0]", 1e-3, model)
+    with pytest.raises(SimplexError, match=r"^numerical breakdown: residual "
+                       r"1\.00e-03 on eq2\[i=0\]$"):
+        solve_lp(model)
+
+
+def test_a_residual_below_the_bar_passes_the_residual_check(toy3,
+                                                            monkeypatch):
+    # the bar is 10 * FEAS_TOL, 1e-6
+    model = build_nc(toy3)
+    expected = solve_lp(model)
+    nudge_values(monkeypatch, "Z[0,0]", 5e-7, model)
+    res = solve_lp(model)
+    assert res.status == "optimal"
+    assert res.x[model.name_index["Z[0,0]"]] == pytest.approx(
+        expected.x[model.name_index["Z[0,0]"]] + 5e-7, abs=1e-12)
+
+
 def test_certificate_fails_a_non_finite_point():
     # min -3x - y over x + y <= 5, x + z <= 7: optimum x = 5, objective -15
     m = lp([("x", -3.0), ("y", -1.0)],

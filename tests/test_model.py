@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ def test_bad_terms_rejected_when_the_model_is_built(term):
     assert m.objective == []
     with pytest.raises(ValueError, match=r"^bad term .* in row$"):
         m.add_constraint("row", [term], GE, 0.0)
+    assert m.constraints == []
+
+
+@pytest.mark.parametrize("relation, rhs, message", [
+    ("=<", 1.0, "bad relation '=<'"),
+    (None, 1.0, "bad relation None"),
+    (GE, np.inf, "non-finite rhs in row"),
+    (GE, -np.inf, "non-finite rhs in row"),
+    (GE, np.nan, "non-finite rhs in row")])
+def test_bad_relation_or_rhs_rejected(relation, rhs, message):
+    m = LinearModel()
+    x = m.add_variable("x")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        m.add_constraint("row", [(x, 1.0)], relation, rhs)
     assert m.constraints == []
 
 

@@ -2,10 +2,10 @@
 
 The helper may change only where an LP runs: an LP of one of the searches
 solved side by side, the second child's LP of a branching, or some of the
-interleaved shares of an enumeration chunk.  Every field of every
-``Solution`` must equal the serial search's, its failures must reach the
-caller as typed errors, in the serial order, and anything that wants to
-see each LP (a rebound ``milp.solve_lp``, another thread) must keep the
+shares of consecutive assignments of an enumeration chunk.  Every field of
+every ``Solution`` must equal the serial search's, its failures must reach
+the caller as typed errors, in the serial order, and anything that wants
+to see each LP (a rebound ``milp.solve_lp``, another thread) must keep the
 in-process path and its order.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy3
-from hubloc import certify, claims, cli, milp, oracle, regret, simplex
+from hubloc import certify, claims, cli, milp, regret, simplex
 from hubloc.claims import CLAIM_CHECKS, SolveMemo
 from hubloc.formulations import (build_cc, build_ccu, build_nc, build_ocu,
                                  build_scenario_deterministic)
@@ -212,24 +212,24 @@ def record_shares(monkeypatch):
 
 
 def assert_split(here, sent, kept):
-    """The jobs solved here and sent are the ``k`` interleaved shares
-    ``kept[i::k]`` of the kept rows, so they are disjoint and cover every
-    row, and each process solved at least one.  Which process solved
-    which share depends on timing."""
-    k = min(oracle.SHARES, len(kept))
+    """The shares solved here and sent are ``k`` runs of consecutive kept
+    rows, the longer ones first and one row longer at most, so they are
+    disjoint and cover every row in order, and each process solved at
+    least one.  Which process solved which share depends on timing."""
+    k = min(milp.SHARES, len(kept))
     shares = sorted(rows.tolist() for rows in here + sent)
-    assert shares == sorted(kept[i::k].tolist() for i in range(k))
+    assert len(shares) == k
+    assert sum(shares, []) == kept.tolist()
+    sizes = [len(rows) for rows in shares]
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[0] - sizes[-1] <= 1
     assert here and sent
 
 
-def dealt(jobs):
-    """The rows of one chunk from its ``k`` interleaved jobs, job ``i``
-    holding ``rows[i::k]``; checks that they follow the lexicographic
-    walk."""
-    k = len(jobs)
-    rows = np.empty((sum(map(len, jobs)), jobs[0].shape[1]))
-    for i, job in enumerate(jobs):
-        rows[i::k] = job
+def dealt(shares):
+    """The rows of one chunk from its consecutive shares, in order;
+    checks that they follow the lexicographic walk."""
+    rows = np.concatenate(shares)
     codes = rows @ 2.0 ** np.arange(rows.shape[1])[::-1]
     assert (np.diff(codes) > 0).all()
     return rows
@@ -301,7 +301,7 @@ def test_split_enumeration_with_odd_count(monkeypatch):
 
 
 def test_split_enumeration_with_no_lp_left():
-    """The screen rejects every assignment, so both shares are empty."""
+    """The screen rejects every assignment, so the one share is empty."""
     sol = enumerate_both_ways(split_parity())
     assert sol.status == "infeasible"
     assert sol.nodes_explored == 0
@@ -568,7 +568,7 @@ def test_fewer_assignments_than_shares(monkeypatch, positions):
     fails once in each process, and (13, 14) twice in the helper, the
     higher position first: either way the lowest position is raised."""
     model = descending(4)
-    assert 15 < oracle.SHARES
+    assert 15 < milp.SHARES
     serial = enumerate_(model, False)
     here, sent = record_shares(monkeypatch)
     assert_same(enumerate_(model, True), serial)
@@ -584,10 +584,10 @@ def test_fewer_assignments_than_shares(monkeypatch, positions):
 
 
 def record_stops(monkeypatch):
-    """Record each enumeration job that stops at a failure as ``(share,
-    entry)``, the share being the code of its first row (its index in a
-    chunk of :func:`coded`): ``here`` gets those this process solves,
-    ``there`` the helper's replies."""
+    """Record each enumeration share that stops at a failure as ``(share,
+    entry)``, the share named by the code of its first row (that row's
+    position in a chunk of :func:`coded`): ``here`` gets those this
+    process solves, ``there`` the helper's replies."""
     here, there = [], []
     real_share, real_reply = milp._solve_share, milp._Helper.reply
 
@@ -612,20 +612,21 @@ def record_stops(monkeypatch):
 
 
 @pytest.mark.parametrize("positions, here, there", [
-    ((0, 16), [(0, 0)], []),
-    ((30,), [], [(14, 1)]),
-    ((15, 30), [], [(14, 1), (15, 0)]),
+    ((0, 1), [(0, 0)], []),
+    ((29,), [], [(28, 1)]),
+    ((29, 30), [], [(28, 1), (30, 0)]),
 ], ids=["one-share-here", "helper-second-row", "both-helper-shares"])
 def test_failures_in_two_row_shares(monkeypatch, positions, here, there):
     """31 kept assignments make 15 shares of two rows and one of one:
-    share i holds positions i and i + 16.  The scheduler sends the helper
-    shares 15 and 14 before this process takes share 0, so (0, 16) fails
-    twice in one share here, which stops at its first row; (30,) stops
-    the helper's share 14 at its second row, a reply whose error is
-    not at entry 0; and (15, 30) fails in both of the helper's first
-    shares.  Either way the lowest position is raised, in :func:`ascending`
-    too, whose failing shares also hold results that are no running best."""
-    assert oracle.SHARES < 31 < 2 * oracle.SHARES
+    share i < 15 holds positions 2i and 2i + 1, share 15 position 30.
+    The scheduler sends the helper shares 15 and 14 before this process
+    takes share 0, so (0, 1) fails twice in one share here, which stops
+    at its first row; (29,) stops the helper's share 14 at its second
+    row, a reply whose error is not at entry 0; and (29, 30) fails in
+    both of the helper's first shares.  Either way the lowest position is
+    raised, in :func:`ascending` too, whose failing shares also hold
+    results that are no running best."""
+    assert milp.SHARES < 31 < 2 * milp.SHARES
     models = (descending(5), ascending(5))
     fail_at(monkeypatch, models[0], *positions)
     lowest = fixings_at(models[0], positions[0])
@@ -644,12 +645,9 @@ def test_failures_in_two_row_shares(monkeypatch, positions, here, there):
     assert alive(milp._HELPER)
 
 
-def test_certificate_failure_before_an_error_wins(monkeypatch):
-    """A running best at position 1 fails its certificate; the LP at
-    position 4 raises.  The serial walk raises the first."""
-    model = descending()
-    fail_at(monkeypatch, model, 4)
-    real, bad = simplex.verify_certificate, fixings_at(model, 1)
+def reject_certificate_at(monkeypatch, model, position):
+    """Make the certificate of this kept assignment's result fail."""
+    real, bad = simplex.verify_certificate, fixings_at(model, position)
 
     def rejects_one(m, res):
         report = real(m, res)
@@ -658,9 +656,31 @@ def test_certificate_failure_before_an_error_wins(monkeypatch):
         return report
 
     monkeypatch.setattr(simplex, "verify_certificate", rejects_one)
+
+
+def test_certificate_failure_before_an_error_wins(monkeypatch):
+    """A running best at position 1 fails its certificate; the LP at
+    position 4 raises.  The serial walk raises the first."""
+    model = descending()
+    fail_at(monkeypatch, model, 4)
+    reject_certificate_at(monkeypatch, model, 1)
     for helper in (False, True):
         with pytest.raises(SimplexError, match="certificate: rejected here$"):
             enumerate_(model, helper)
+
+
+def test_error_before_a_certificate_failure_wins(monkeypatch):
+    """The LP at position 1 raises; a running best at position 4, in a
+    later share, fails its certificate.  The serial walk raises the
+    first, so no result after the error may be replayed."""
+    model = descending()
+    fail_at(monkeypatch, model, 1)
+    reject_certificate_at(monkeypatch, model, 4)
+    expected = f"breakdown at {sorted(fixings_at(model, 1).items())}"
+    for helper in (False, True):
+        with pytest.raises(SimplexError) as info:
+            enumerate_(model, helper)
+        assert str(info.value) == expected
 
 
 def test_interrupt_during_enumeration_stops_the_helper(monkeypatch):
@@ -710,9 +730,9 @@ def _one_short(results, error):
     (_one_short, "2 results for 3 rows")])
 def test_tampered_reply_raises(monkeypatch, tamper, problem):
     """63 kept assignments: the first share sent, the newest of the 16,
-    holds positions 15, 31 and 47.  In :func:`ascending` only the first
-    of them is a running best; the helper's reply is checked whole all
-    the same."""
+    holds positions 60, 61 and 62.  In :func:`descending` each of them is
+    a running best and in :func:`ascending` none is; the helper's reply
+    is checked whole all the same."""
     real = milp._recv
 
     def tampered(fd):
@@ -748,7 +768,7 @@ def test_enumeration_in_a_thread_stays_in_process(monkeypatch):
     assert_same(results["sol"], expected)
     assert len(lps) == expected.nodes_explored
     # one chunk, dealt into as many jobs as with the helper, all solved here
-    assert not sent and len(here) == min(oracle.SHARES, len(lps))
+    assert not sent and len(here) == min(milp.SHARES, len(lps))
     kept = dealt(here)
     del here[:], lps[:]
     assert_same(milp.solve_by_enumeration(model), expected)
@@ -1126,6 +1146,34 @@ def test_idle_helper_exits_when_its_pipe_closes():
     assert helper.exitcode == 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="lists open file descriptors in /proc/self/fd")
+def test_a_stopped_helper_leaves_no_descriptor_open():
+    assert milp._HELPER is None
+    before = set(os.listdir("/proc/self/fd"))
+    solve(split_parity(), True)
+    enumerate_(descending(), True)
+    assert milp._HELPER is not None
+    milp._stop_helper()
+    assert set(os.listdir("/proc/self/fd")) == before
+
+
+def test_a_helper_error_in_a_reply_stops_the_helper():
+    """The helper answers a token whose model it does not hold with a
+    HelperError of its own, which :meth:`_Helper.reply` raises."""
+    solve(split_parity(), True)
+    helper = milp._HELPER
+    helper.holding.add(999)   # so the request goes without a model
+    rows = np.zeros((1, 0))
+    helper.request(999, split_parity(), [], rows)
+    with pytest.raises(milp.HelperError,
+                       match=rf"^helper process \(pid {helper.pid}\) sent a "
+                       r"bad reply: helper holds no model for token 999$"):
+        helper.reply(999, [], rows)
+    assert milp._HELPER is None and helper.closed
+    assert helper.exitcode == 0
+
+
 def _run_python(code, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)],
@@ -1200,7 +1248,7 @@ def test_enumeration_uses_the_helper_unforced_with_two_blas_threads(
     assert same_obj and same_values
     assert nodes == serial_nodes > 1
     # the one chunk, dealt alike, with every job solved here
-    assert not serial_sent and len(serial_here) == min(oracle.SHARES, nodes)
+    assert not serial_sent and len(serial_here) == min(milp.SHARES, nodes)
     here, sent = ([np.array(rows) for rows in jobs] for jobs in split)
     assert_split(here, sent, dealt([np.array(rows) for rows in serial_here]))
 
